@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Fingerprints of the reports over a fixed corpus of generators x seeds.
+
+Prints one JSON object mapping each corpus entry to a sha256:
+
+* ``suite/<spec>``: ``json.dumps(report_dict(run_suite(path, edges=...)),
+  sort_keys=True)`` for six generators (block_mixture on its level-set grid)
+  at seeds 1-3 and L = 2e4;
+* ``analyze/<file>``: both files ``pathstat analyze`` writes for one
+  generated text file.
+
+A refactor that must keep every report byte-identical regenerates this and
+diffs it against ``tests/data/report_corpus.json``; the tier-1 test
+``tests/test_report_corpus.py`` does exactly that.
+
+Usage: python scripts/report_corpus.py > tests/data/report_corpus.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import math
+import os
+import sys
+import tempfile
+
+from pathstat.cli import main as cli_main
+from pathstat.generators import generate, parse_spec
+from pathstat.pathcore import write_path
+from pathstat.suite import report_dict, run_suite
+
+LENGTH = 20_000
+SEEDS = (1, 2, 3)
+# the level-set grid that isolates block_mixture's two levels
+LEVEL_EDGES = (-math.inf, -1.0, 1.0, 4.0, 6.0, math.inf)
+GENERATORS = (
+    ("ar1(0.5)", None),
+    ("iid_normal(0,1)", None),
+    ("random_phase_sine(theta=1.4142135623730951)", None),
+    ("constant(2)", None),
+    ("monotone(1)", None),
+    ("block_mixture(0,5)", LEVEL_EDGES),
+)
+ANALYZE_SPEC = f"ar1(0.5),L={LENGTH},seed=1"
+ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@contextlib.contextmanager
+def _inside(directory: str):
+    """Run with ``directory`` as the working directory, so that the relative
+    input name recorded in report.json does not depend on where it lives."""
+    before = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+def corpus() -> dict[str, str]:
+    out: dict[str, str] = {}
+    for text, edges in GENERATORS:
+        for seed in SEEDS:
+            spec_text = f"{text},L={LENGTH},seed={seed}"
+            report = report_dict(run_suite(generate(parse_spec(spec_text)),
+                                           edges=edges))
+            out[f"suite/{spec_text}"] = _sha(
+                json.dumps(report, sort_keys=True).encode())
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+        write_path(generate(parse_spec(ANALYZE_SPEC)).values, "path.txt")
+        code = cli_main(["analyze", "path.txt", "--out-dir", "out"])
+        if code not in (0, 2):
+            raise RuntimeError(f"analyze exited with {code}")
+        for name in ANALYZE_OUTPUTS:
+            with open(os.path.join("out", name), "rb") as fh:
+                out[f"analyze/{ANALYZE_SPEC}/{name}"] = _sha(fh.read())
+    return out
+
+
+def main() -> int:
+    with contextlib.redirect_stdout(sys.stderr):  # analyze's status line
+        hashes = corpus()
+    print(json.dumps(hashes, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,12 +37,14 @@ from .pathcore import (
     write_path,
 )
 from .properties import (
+    CellTable,
     DeviationReport,
     EmpiricalMeasure,
     InducedFDD,
     PatternGrid,
     PropertyEVerdict,
     TightnessProfile,
+    cell_table,
     check_property_e,
     check_property_t,
     consistency_check,

@@ -27,8 +27,6 @@ from .pathcore import (
     IntervalPattern,
     Path,
     PathParseError,
-    density_trajectory,
-    occurrence_set,
     read_path_file,
     write_path,
 )
@@ -177,15 +175,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _write_trajectories(target: FsPath, path: Path, result) -> None:
     """Level-1 cell density trajectories, subsampled for plotting."""
-    grid = result.diagnostics.fdd.grids[1]
+    table = result.diagnostics.table
+    grid = table.grids[1]
     horizon = path.length
     step = max(1, horizon // 4000)
     rows = np.arange(1, horizon + 1)[step - 1::step]
-    columns = []
-    for cell in grid.cells:
-        occ = occurrence_set(path, cell)
-        traj = density_trajectory(occ, horizon)
-        columns.append(traj.ratios[step - 1::step])
+    # d(n) = N(n)/n read off the marginal codes at the sampled rows
+    columns = [np.cumsum(table.marg == c)[step - 1::step] / rows
+               for c in range(grid.n_cells)]
     with open(target, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n"] + [cell.label() for cell in grid.cells])

@@ -29,12 +29,16 @@ from .pathcore import (
     DensityEstimate,
     IntervalPattern,
     Path,
-    estimate_limit_density,
-    density_trajectory,
     occurrence_set,
     tail_window_size,
 )
-from .properties import PatternGrid, cell_tail_stats, window_cell_ids
+from .properties import (
+    CellTable,
+    PatternGrid,
+    cell_table,
+    cell_tail_stats,
+    window_codes,
+)
 
 __all__ = [
     "Contraction",
@@ -45,11 +49,17 @@ __all__ = [
     "build_alternating_contraction",
     "validate_contraction",
     "contract_path",
+    "contracted_codes",
     "coverage_ratios",
     "ergodicity_diagnostic",
     "adversarial_contraction",
     "default_contraction_family",
+    "MIN_FAMILY_LENGTH",
 ]
+
+# the shortest path on which every default alternating contraction keeps at
+# least two blocks
+MIN_FAMILY_LENGTH = 11
 
 
 @dataclass(frozen=True)
@@ -189,13 +199,26 @@ def validate_contraction(contraction: Contraction, horizon: int,
                                  coverage_ok=coverage_ok, coverage=est)
 
 
+def _positions(contraction: Contraction, length: int) -> np.ndarray:
+    """The indices the contraction keeps from a path of this length, in order."""
+    if contraction.span_end >= length:
+        raise ValueError(
+            f"block end {contraction.span_end} outside path of length {length}")
+    starts = np.asarray(contraction.blocks)[:, 0]
+    lengths = contraction.lengths
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return np.arange(lengths.sum()) + np.repeat(shift, lengths)
+
+
 def contract_path(path: Path, contraction: Contraction) -> Path:
     """The subsequence of path values over the contraction's blocks, in order."""
-    if contraction.span_end >= path.length:
-        raise ValueError(
-            f"block end {contraction.span_end} outside path of length {path.length}")
-    pieces = [path.values[s:e + 1] for s, e in contraction.blocks]
-    return Path(np.concatenate(pieces))
+    return Path(path.values[_positions(contraction, path.length)])
+
+
+def contracted_codes(table: CellTable, contraction: Contraction) -> np.ndarray:
+    """Marginal codes of the contracted copy: a gather of the path's codes,
+    equal to digitizing ``contract_path`` afresh."""
+    return table.marg[_positions(contraction, table.marg.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,45 +249,39 @@ class ErgodicityVerdict:
         return max(matches) if matches else 0.0
 
 
-def _grid_values(values: np.ndarray, grids: Mapping[int, PatternGrid],
-                 k_max: int, config: AnalysisConfig) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    for k in range(1, k_max + 1):
-        grid = grids[k]
-        if values.size < grid.k:
-            continue
-        ids = window_cell_ids(values, grid)
-        stats = cell_tail_stats(ids, grid.n_cells,
-                                config.tail_fraction, config.tolerance)
-        out[k] = np.array([s.value for s in stats])
-    return out
-
-
 def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
                           grids: Mapping[int, PatternGrid], k_max: int,
                           tolerance: float | None = None,
-                          config: AnalysisConfig = DEFAULT_CONFIG) -> ErgodicityVerdict:
+                          config: AnalysisConfig = DEFAULT_CONFIG,
+                          table: CellTable | None = None) -> ErgodicityVerdict:
     """Compare per-cell density estimates on contracted copies of the path.
 
     The worst absolute difference across (contraction, order, cell) decides
     the verdict; anything above the tolerance counts as evidence that the
-    path does not induce a single ergodic law.
+    path does not induce a single ergodic law.  ``table`` is the path's cell
+    table on ``grids``; built here when absent.
     """
     if tolerance is None:
         tolerance = config.ergodicity_tolerance
-    base = _grid_values(path.values, grids, k_max, config)
+    orders = {k: grids[k] for k in range(1, k_max + 1)}
+    if table is None:
+        table = cell_table(path, orders, config)
+    base = {k: [s.value for s in table.stats[k]]
+            for k in orders if k in table.stats}
     records: list[DiagnosticRecord] = []
     for idx, contraction in enumerate(family):
         label = contraction.label or f"contraction[{idx}]"
-        contracted = contract_path(path, contraction)
-        cvals = _grid_values(contracted.values, grids, k_max, config)
+        marg = contracted_codes(table, contraction)
         for k, base_vals in base.items():
-            if k not in cvals:
+            if marg.size < k:
                 continue
-            for cell, b, c in zip(grids[k].cells, base_vals, cvals[k]):
+            grid = grids[k]
+            stats = cell_tail_stats(window_codes(marg, grid), grid.n_cells,
+                                    config.tail_fraction, config.tolerance)
+            for cell, b, st in zip(grid.cells, base_vals, stats):
                 records.append(DiagnosticRecord(
                     contraction_label=label, k=k, pattern=cell,
-                    base_value=float(b), contracted_value=float(c)))
+                    base_value=b, contracted_value=st.value))
     if records:
         worst = max(records, key=lambda r: r.discrepancy)
         worst_disc = worst.discrepancy
@@ -309,6 +326,18 @@ class AdversarialTrace:
     last_feasible_m: int | None = None
 
 
+def _occurrence_hits(path: Path, pattern: IntervalPattern,
+                     table: CellTable | None) -> np.ndarray:
+    """Whether each window start is an occurrence of the pattern."""
+    level1 = table.grids.get(1) if table is not None else None
+    if level1 is not None and pattern in level1.cells:
+        return table.marg == level1.cells.index(pattern)
+    occ = occurrence_set(path, pattern)
+    hits = np.zeros(occ.source_horizon, dtype=bool)
+    hits[occ.indices] = True
+    return hits
+
+
 def _thin_to_density(indices: np.ndarray, target: float) -> np.ndarray:
     """Greedy earliest-first subset whose running density never exceeds target."""
     kept: list[int] = []
@@ -323,38 +352,38 @@ def _thin_to_density(indices: np.ndarray, target: float) -> np.ndarray:
 def adversarial_contraction(path: Path, pattern: IntervalPattern,
                             m_schedule: Sequence[int] | None = None,
                             threshold: float | None = None,
-                            config: AnalysisConfig = DEFAULT_CONFIG) -> AdversarialTrace:
+                            config: AnalysisConfig = DEFAULT_CONFIG,
+                            table: CellTable | None = None) -> AdversarialTrace:
     """Search for a contraction that concentrates one pattern's occurrences.
 
     threshold defaults to min((p+1)/2, p + threshold_cap) for the pattern's
     estimated global density p.  The construction fails when no window
     reaches the threshold at some stage, or when the density of qualifying
     windows collapses across the schedule (the signature of a mixing path,
-    for which local averages concentrate as windows grow).
+    for which local averages concentrate as windows grow).  When the pattern
+    is a level-1 cell of ``table`` (the path's cell table), its occurrences
+    are read off the marginal codes.
     """
     if m_schedule is None:
         m_schedule = config.m_schedule
     m_schedule = tuple(int(m) for m in m_schedule)
     if list(m_schedule) != sorted(set(m_schedule)) or m_schedule[0] < 1:
         raise ValueError("m_schedule must be strictly increasing")
-    occ = occurrence_set(path, pattern)
-    horizon = occ.source_horizon
+    hits = _occurrence_hits(path, pattern, table)
+    horizon = hits.size
     if m_schedule[-1] > horizon:
         raise ValueError("largest m exceeds the admissible window range")
-    traj = density_trajectory(occ, horizon)
-    global_estimate = estimate_limit_density(
-        traj, config.tail_fraction, config.tolerance)
-    p = global_estimate.value
+    # csum[n] = N(n), the occurrences among the first n starts
+    csum = np.concatenate(([0.0], np.cumsum(hits, dtype=np.float64)))
+    # the tail mean of the density trajectory d(n) = N(n)/n
+    n0 = horizon - tail_window_size(horizon, config.tail_fraction) + 1
+    p = float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
     if threshold is None:
         threshold = min((p + 1.0) / 2.0, p + config.adversarial_threshold_cap)
     if not p <= threshold <= 1.0:
         raise ValueError(
             f"threshold {threshold} must be between the global density "
             f"{p:.4f} and 1")
-
-    indicator = np.zeros(horizon + 1)
-    indicator[1:][occ.indices] = 1.0
-    csum = np.cumsum(indicator)
 
     trace_v0: dict[int, np.ndarray] = {}
     trace_v1: dict[int, np.ndarray] = {}
@@ -452,23 +481,28 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
 
 
 def default_contraction_family(path: Path, level1_grid: PatternGrid,
-                               config: AnalysisConfig = DEFAULT_CONFIG) -> list[Contraction]:
+                               config: AnalysisConfig = DEFAULT_CONFIG,
+                               table: CellTable | None = None) -> list[Contraction]:
     """Alternating contractions over a span of densities and phases, plus one
     adversarial attempt per level-1 cell whose density sits strictly inside
-    (p_lo, p_hi).  Failed adversarial constructions are dropped."""
+    (p_lo, p_hi).  Failed adversarial constructions are dropped, and so are
+    attempts whose largest window exceeds the path.  ``table`` is the path's
+    cell table on ``level1_grid``; built here when absent."""
     horizon = path.length
     family: list[Contraction] = []
     for c in config.contraction_densities:
         for phase in config.contraction_phases:
             family.append(build_alternating_contraction(c, horizon, phase))
-    ids = window_cell_ids(path.values, level1_grid)
-    stats = cell_tail_stats(ids, level1_grid.n_cells,
-                            config.tail_fraction, config.tolerance)
-    for cell, st in zip(level1_grid.cells, stats):
+    if config.m_schedule[-1] > horizon:
+        return family
+    if table is None:
+        table = cell_table(path, {1: level1_grid}, config)
+    for cell, st in zip(level1_grid.cells, table.stats[1]):
         if not config.adversarial_p_lo < st.value < config.adversarial_p_hi:
             continue
         trace = adversarial_contraction(path, cell, config.m_schedule,
-                                        threshold=None, config=config)
+                                        threshold=None, config=config,
+                                        table=table)
         if not trace.failed and trace.result is not None:
             family.append(trace.result)
     return family

@@ -47,6 +47,8 @@ __all__ = [
     "InducedFDD",
     "DeviationReport",
     "PathDiagnostics",
+    "CellTable",
+    "cell_table",
     "quantile_edges",
     "grid_family",
     "check_property_e",
@@ -109,7 +111,9 @@ def quantile_edges(values: np.ndarray, cells: int = 8) -> tuple[float, ...]:
 
     Duplicate cuts (heavy atoms) are collapsed; a path with fewer than two
     distinct cut points falls back to a symmetric window around its centre
-    so the grid is never degenerate.
+    so the grid is never degenerate.  Each fallback cut lies at least one
+    float step from the centre, which a half-width of 0.5 does not reach
+    at magnitudes of about 1e16 and beyond.
     """
     v = np.asarray(values, dtype=np.float64)
     if cells < 2:
@@ -118,9 +122,11 @@ def quantile_edges(values: np.ndarray, cells: int = 8) -> tuple[float, ...]:
     cuts = np.unique(qs)
     if cuts.size < 2:
         center = float(cuts[0]) if cuts.size else float(np.median(v))
-        spread = float(np.std(v))
-        half = 0.5 * spread if spread > 0 else 0.5
-        cuts = np.array([center - half, center + half])
+        with np.errstate(over="ignore"):
+            spread = float(np.std(v))
+        half = 0.5 * spread if 0 < spread < math.inf else 0.5
+        cuts = np.array([min(center - half, np.nextafter(center, -math.inf)),
+                         max(center + half, np.nextafter(center, math.inf))])
     return (-math.inf, *(float(c) for c in cuts), math.inf)
 
 
@@ -128,28 +134,39 @@ def grid_family(edges: Sequence[float], k_max: int) -> dict[int, PatternGrid]:
     return {k: PatternGrid.from_edges(edges, k) for k in range(1, k_max + 1)}
 
 
+def _small_int_dtype(n: int) -> np.dtype:
+    """Smallest signed integer type holding -1 and every id below n."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if n - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _digitize_open(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Marginal cell index per value, -1 for endpoint contact or out of range.
 
-    A value exactly equal to any edge matches no open cell.
+    A value exactly equal to any edge matches no open cell.  Codes come in
+    the smallest signed integer type that holds them.
     """
     idx = np.searchsorted(edges, values, side="right") - 1
     in_range = (idx >= 0) & (idx < edges.size - 1)
     safe = np.clip(idx, 0, edges.size - 2)
     on_edge = values == edges[safe]
-    return np.where(in_range & ~on_edge, safe, -1)
+    return np.where(in_range & ~on_edge, safe, -1).astype(
+        _small_int_dtype(edges.size - 1))
 
 
-def window_cell_ids(values: np.ndarray, grid: PatternGrid) -> np.ndarray:
-    """Cell id per window start for the grid's order k; -1 where no cell matches."""
-    edges = np.asarray(grid.edges)
-    marg = _digitize_open(np.asarray(values, dtype=np.float64), edges)
-    k = grid.k
-    n = values.size - k + 1
+def window_codes(marg: np.ndarray, grid: PatternGrid) -> np.ndarray:
+    """Cell id per window start from marginal codes; -1 where any coordinate
+    matched no cell.  Ids take the smallest type holding the grid's cells."""
+    k, g = grid.k, grid.marginal_cells
+    n = marg.size - k + 1
     if n < 1:
         raise ValueError("path shorter than pattern order")
-    g = grid.marginal_cells
-    code = marg[:n].astype(np.int64)
+    if k == 1:
+        return marg
+    # |code| < g**(j+1) after coordinate j, so the small type never wraps
+    code = marg[:n].astype(_small_int_dtype(grid.n_cells))
     ok = code >= 0
     for j in range(1, k):
         nxt = marg[j:j + n]
@@ -157,6 +174,13 @@ def window_cell_ids(values: np.ndarray, grid: PatternGrid) -> np.ndarray:
         code = code * g + nxt
     code[~ok] = -1
     return code
+
+
+def window_cell_ids(values: np.ndarray, grid: PatternGrid) -> np.ndarray:
+    """Cell id per window start for the grid's order k; -1 where no cell matches."""
+    marg = _digitize_open(np.asarray(values, dtype=np.float64),
+                          np.asarray(grid.edges))
+    return window_codes(marg, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +212,8 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
     ``density_trajectory`` + ``estimate_limit_density`` on it, but O(total
     occurrences) instead of O(n_cells * horizon): between jumps d(n) decays
     as N/n, so the tail max sits at segment starts, the min at segment ends,
-    and the mean is a sum of counts times harmonic increments.
+    and the mean is a sum of counts times harmonic increments.  Ids lie in
+    [-1, n_cells); -1 belongs to no cell.
     """
     horizon = int(cell_ids.size)
     if horizon < 1:
@@ -196,48 +221,99 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
     w = tail_window_size(horizon, tail_fraction)
     n0 = horizon - w + 1
 
-    order = np.argsort(cell_ids, kind="stable")
-    sorted_ids = cell_ids[order]
+    # numpy radix-sorts 8- and 16-bit integers
+    ids = np.asarray(cell_ids).astype(_small_int_dtype(n_cells), copy=False)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
     bounds = np.searchsorted(sorted_ids, np.arange(n_cells + 1))
     # harm[m] = sum_{n=1}^{m} 1/n
     harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, horizon + 1))))
 
+    # every cell's occurrences, cell after cell, each run increasing
+    occ = order[bounds[0]:bounds[-1]]
+    n_occ = np.diff(bounds)
+    in_tail = occ >= n0
+    r = np.bincount(sorted_ids[bounds[0]:bounds[-1]][in_tail],
+                    minlength=n_cells)  # jumps of d inside the tail
+    before = n_occ - r  # N(n0) counts indices < n0
+    jumps = occ[in_tail] + 1  # jump points in (n0, horizon]
+    # cell c owns segment [off[c], off[c] + r[c]] of the flat arrays below:
+    # d(n) runs from starts to ends at the count cnt between jumps
+    jump_off = np.concatenate(([0], np.cumsum(r)))
+    starts = np.insert(jumps, jump_off[:-1], n0)
+    ends = np.insert(jumps - 1, jump_off[1:], horizon)
+    off = jump_off[:-1] + np.arange(n_cells)
+    cnt = np.repeat(before - off, r + 1) + np.arange(starts.size)
+    d_max = np.maximum.reduceat(cnt / starts, off)
+    d_min = np.minimum.reduceat(cnt / ends, off)
+    terms = cnt * (harm[ends] - harm[starts - 1])
+    # a jump at n leaves d flat only when the prefix was saturated
+    # (N(n-1) = n-1, d stuck at 1); any other jump raises d.  The last
+    # entry of a segment (cnt = n_occ < horizon = ends) never matches.
+    unsaturated = np.add.reduceat(cnt != ends, off, dtype=np.int64) - 1
+
     out: list[_CellStats] = []
     for c in range(n_cells):
-        occ = order[bounds[c]:bounds[c + 1]]
-        n_occ = occ.size
-        if n_occ == 0 or n_occ == horizon:
+        final_count = int(n_occ[c])
+        if final_count == 0 or final_count == horizon:
             # d(n) is identically 0 or identically 1
-            level = float(n_occ == horizon)
+            level = float(final_count == horizon)
             out.append(_CellStats(
                 value=level, oscillation=0.0, converged=True,
-                final_count=int(n_occ), final_ratio=level,
+                final_count=final_count, final_ratio=level,
                 tail_nonincreasing=True))
             continue
-        before = int(np.searchsorted(occ, n0))  # N(n0) counts indices < n0
-        jumps = occ[before:] + 1  # jump points in (n0, horizon]
-        r = jumps.size
-        starts = np.concatenate(([n0], jumps))
-        counts_at_start = before + np.arange(r + 1)
-        ends = np.concatenate((jumps - 1, [horizon]))
-        counts_at_end = np.concatenate((before + np.arange(r), [before + r]))
-        d_start = counts_at_start / starts
-        d_end = counts_at_end / ends
-        osc = float(d_start.max() - d_end.min())
-        total = float(np.sum(counts_at_start * (harm[ends] - harm[starts - 1])))
-        final_count = before + r
-        # a jump at n leaves d flat only when the prefix was saturated
-        # (N(n-1) = n-1, d stuck at 1); any other jump raises d
-        saturated = bool(np.all(before + np.arange(r) == jumps - 1))
+        osc = float(d_max[c] - d_min[c])
+        total = float(np.sum(terms[off[c]:off[c] + r[c] + 1]))
         out.append(_CellStats(
             value=total / w,
             oscillation=osc,
             converged=osc <= tolerance,
-            final_count=int(final_count),
+            final_count=final_count,
             final_ratio=final_count / horizon,
-            tail_nonincreasing=(r == 0) or saturated,
+            tail_nonincreasing=bool(r[c] == 0 or unsaturated[c] == 0),
         ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-path cell table
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """The cell-occurrence structure of one path on one marginal partition.
+
+    ``marg`` holds each value's marginal cell (-1 on an edge or outside a
+    finite range), ``ids[k]`` the cell of every length-k window and
+    ``stats[k]`` the tail statistics of every cell, for each order k of
+    ``grids`` that fits the path.  Built once per path, it serves Property E,
+    the induced distributions, the contraction family, the ergodicity
+    diagnostic and the trajectory output.
+    """
+
+    grids: dict[int, PatternGrid]
+    marg: np.ndarray
+    ids: dict[int, np.ndarray]
+    stats: dict[int, list[_CellStats]]
+
+
+def cell_table(path: Path, grids: Mapping[int, PatternGrid],
+               config: AnalysisConfig = DEFAULT_CONFIG) -> CellTable:
+    """Digitize the path once and tabulate every order of ``grids``."""
+    edges = {grid.edges for grid in grids.values()}
+    if len(edges) != 1:
+        raise ValueError("grids must share one marginal partition")
+    marg = _digitize_open(path.values, np.asarray(edges.pop()))
+    ids: dict[int, np.ndarray] = {}
+    stats: dict[int, list[_CellStats]] = {}
+    for k in sorted(grids):
+        grid = grids[k]
+        if marg.size < k:
+            continue
+        ids[k] = window_codes(marg, grid)
+        stats[k] = cell_tail_stats(ids[k], grid.n_cells,
+                                   config.tail_fraction, config.tolerance)
+    return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +387,23 @@ def check_property_e(path: Path, pattern: IntervalPattern,
 
 def scan_property_e(path: Path, k_max: int,
                     grids: Mapping[int, PatternGrid],
-                    config: AnalysisConfig = DEFAULT_CONFIG) -> list[PropertyEVerdict]:
-    """One verdict per cell per order k <= k_max; pass means no Violation."""
+                    config: AnalysisConfig = DEFAULT_CONFIG,
+                    table: CellTable | None = None) -> list[PropertyEVerdict]:
+    """One verdict per cell per order k <= k_max; pass means no Violation.
+
+    ``table`` is the path's cell table on ``grids``; built here when absent.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if path.length < k_max:
+        raise ValueError("path shorter than pattern order")
+    if table is None:
+        table = cell_table(path, {k: grids[k] for k in range(1, k_max + 1)},
+                           config)
     verdicts: list[PropertyEVerdict] = []
     for k in range(1, k_max + 1):
-        grid = grids[k]
-        ids = window_cell_ids(path.values, grid)
-        horizon = ids.size
-        stats = cell_tail_stats(ids, grid.n_cells,
-                                config.tail_fraction, config.tolerance)
-        for cell, st in zip(grid.cells, stats):
+        horizon = table.ids[k].size
+        for cell, st in zip(grids[k].cells, table.stats[k]):
             verdicts.append(_classify(st, cell, horizon, config))
     return verdicts
 
@@ -389,7 +470,12 @@ def empirical_measure(path: Path, grid: PatternGrid, n: int) -> EmpiricalMeasure
     max_n = path.length - grid.k + 1
     if not 1 <= n <= max_n:
         raise ValueError(f"n must be in [1, {max_n}]")
-    ids = window_cell_ids(path.values, grid)[:n]
+    return _measure(window_cell_ids(path.values, grid), grid, n)
+
+
+def _measure(ids: np.ndarray, grid: PatternGrid, n: int) -> EmpiricalMeasure:
+    """The empirical measure of the first n window ids."""
+    ids = ids[:n]
     covered = ids[ids >= 0]
     counts = np.bincount(covered, minlength=grid.n_cells)
     return EmpiricalMeasure(
@@ -419,25 +505,28 @@ class InducedFDD:
 
 
 def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
-                config: AnalysisConfig = DEFAULT_CONFIG) -> InducedFDD:
+                config: AnalysisConfig = DEFAULT_CONFIG,
+                table: CellTable | None = None) -> InducedFDD:
+    """``table`` is the path's cell table on these edges up to k_max; built
+    here when absent."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if path.length < k_max:
         raise ValueError("path too short for the requested order")
     grids = grid_family(edges, k_max)
+    if table is None:
+        table = cell_table(path, grids, config)
     tables: dict[int, tuple[DensityEstimate, ...]] = {}
     final_counts: dict[int, np.ndarray] = {}
     measures: dict[int, EmpiricalMeasure] = {}
     # the largest window count admissible at every order up to k_max
     n_matched = path.length - k_max + 1
     for k, grid in grids.items():
-        ids = window_cell_ids(path.values, grid)
-        stats = cell_tail_stats(ids, grid.n_cells,
-                                config.tail_fraction, config.tolerance)
+        stats = table.stats[k]
         tables[k] = tuple(s.estimate(config.tail_fraction, config.tolerance)
                           for s in stats)
         final_counts[k] = np.array([s.final_count for s in stats])
-        measures[k] = empirical_measure(path, grid, n_matched)
+        measures[k] = _measure(table.ids[k], grid, n_matched)
     return InducedFDD(grids=grids, tables=tables, final_counts=final_counts,
                       measures=measures, n_matched=n_matched)
 
@@ -528,6 +617,7 @@ class PathDiagnostics:
     consistency: dict[int, float]
     consistency_bounds: dict[int, float]
     consistency_pass: bool
+    table: CellTable
 
 
 def analyze_path(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
@@ -537,9 +627,10 @@ def analyze_path(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
         edges = quantile_edges(path.values, config.grid_cells)
     k_max = min(config.k_max, path.length - 1) or 1
     grids = grid_family(edges, k_max)
-    verdicts = tuple(scan_property_e(path, k_max, grids, config))
+    table = cell_table(path, grids, config)
+    verdicts = tuple(scan_property_e(path, k_max, grids, config, table))
     tightness = check_property_t(path, None, config)
-    fdd = induced_fdd(path, k_max, edges, config)
+    fdd = induced_fdd(path, k_max, edges, config, table)
     consistency: dict[int, float] = {}
     bounds: dict[int, float] = {}
     for k in range(1, k_max):
@@ -554,4 +645,5 @@ def analyze_path(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
         consistency=consistency,
         consistency_bounds=bounds,
         consistency_pass=all(consistency[k] <= bounds[k] for k in consistency),
+        table=table,
     )

@@ -110,6 +110,8 @@ def _batch_mean_split(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _batch_variance_split(x: np.ndarray, n: int) -> np.ndarray:
+    # shift-invariant: centring first keeps the prefix sums from cancelling
+    x = x - np.mean(x)
     h = n // 2
     m = x.size - n + 1
     s1 = _sliding_sums(x, h)
@@ -123,27 +125,35 @@ def _batch_variance_split(x: np.ndarray, n: int) -> np.ndarray:
 
 def _batch_kpss_like(x: np.ndarray, n: int) -> np.ndarray:
     # window partial sums S_t = (C[i+t]-C[i]) - t*mu_i expanded so that every
-    # term is a sliding sum of a precomputed sequence
+    # term is a sliding sum of a precomputed sequence; shift-invariant, so
+    # centring first keeps the prefix sums from cancelling at a mean offset.
+    # Each prefix array is dropped once its window sums are taken.
+    x = x - np.mean(x)
     m = x.size - n + 1
     idx = np.arange(m)
     c = np.concatenate(([0.0], np.cumsum(x)))
-    csq = np.concatenate(([0.0], np.cumsum(c[1:] * c[1:])))
-    csum = np.concatenate(([0.0], np.cumsum(c[1:])))
-    cjsum = np.concatenate(([0.0], np.cumsum(np.arange(1.0, x.size + 1) * c[1:])))
     q = np.concatenate(([0.0], np.cumsum(x * x)))
+    del x
+    sum_q = q[n:] - q[:m]
+    del q
+    csq = np.concatenate(([0.0], np.cumsum(c[1:] * c[1:])))
+    sum_csq = csq[n:] - csq[:m]
+    del csq
+    csum = np.concatenate(([0.0], np.cumsum(c[1:])))
+    sum_c = csum[n:] - csum[:m]
+    del csum
+    cjsum = np.concatenate(([0.0], np.cumsum(np.arange(1.0, c.size) * c[1:])))
+    sum_jc = cjsum[n:] - cjsum[:m]
+    del cjsum
 
-    c_i = c[idx]
-    win_sum = c[idx + n] - c_i
+    c_i = c[:m]
+    win_sum = c[n:] - c_i
     mu = win_sum / n
-    sum_c = csum[idx + n] - csum[idx]
-    sum_csq = csq[idx + n] - csq[idx]
-    sum_jc = cjsum[idx + n] - cjsum[idx]
-    sum_a = sum_c - n * c_i
     sum_a_sq = sum_csq - 2.0 * c_i * sum_c + n * c_i * c_i
     sum_t_a = (sum_jc - idx * sum_c) - c_i * (n * (n + 1) / 2.0)
     sum_t_sq = n * (n + 1) * (2 * n + 1) / 6.0
     total = sum_a_sq - 2.0 * mu * sum_t_a + mu * mu * sum_t_sq
-    variance = (q[idx + n] - q[idx]) / n - mu * mu
+    variance = sum_q / n - mu * mu
     stats = np.zeros(m)
     ok = variance > 0
     stats[ok] = total[ok] / (n * n * variance[ok])

@@ -8,6 +8,7 @@ from typing import Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .contraction import (
+    MIN_FAMILY_LENGTH,
     Contraction,
     ErgodicityVerdict,
     default_contraction_family,
@@ -36,14 +37,24 @@ class FullDiagnostics:
 def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
               edges: Sequence[float] | None = None,
               family: Sequence[Contraction] | None = None) -> FullDiagnostics:
-    """Recurrence scan, tightness, consistency, and the contraction check."""
+    """Recurrence scan, tightness, consistency, and the contraction check.
+
+    One cell table per path serves every stage.  Without an explicit
+    ``family`` the path needs at least MIN_FAMILY_LENGTH values.
+    """
+    if family is None and path.length < MIN_FAMILY_LENGTH:
+        raise ValueError(
+            f"path of length {path.length} is too short for the contraction "
+            f"family (needs at least {MIN_FAMILY_LENGTH} values)")
     diagnostics = analyze_path(path, config, edges)
     k_max = max(diagnostics.fdd.grids)
     grids = diagnostics.fdd.grids
+    table = diagnostics.table
     if family is None:
-        family = default_contraction_family(path, grids[1], config)
+        family = default_contraction_family(path, grids[1], config, table)
     ergodicity = ergodicity_diagnostic(path, family, grids, k_max,
-                                       config.ergodicity_tolerance, config)
+                                       config.ergodicity_tolerance, config,
+                                       table)
     return FullDiagnostics(diagnostics=diagnostics, ergodicity=ergodicity,
                            family=tuple(family))
 
