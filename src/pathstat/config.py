@@ -70,6 +70,10 @@ class AnalysisConfig:
             raise ValueError("grid_cells must be at least 2")
         if list(self.k_levels) != sorted(self.k_levels) or min(self.k_levels) <= 0:
             raise ValueError("k_levels must be increasing and positive")
+        if not all(0.0 < c <= 1.0 for c in self.contraction_densities):
+            raise ValueError("contraction_densities must lie in (0, 1]")
+        if not set(self.contraction_phases) <= {0, 1}:
+            raise ValueError("contraction_phases must be 0 or 1")
         if list(self.m_schedule) != sorted(set(self.m_schedule)) or min(self.m_schedule) < 1:
             raise ValueError("m_schedule must be strictly increasing positive integers")
         if not 0.0 <= self.adversarial_p_lo < self.adversarial_p_hi <= 1.0:

@@ -54,12 +54,7 @@ __all__ = [
     "ergodicity_diagnostic",
     "adversarial_contraction",
     "default_contraction_family",
-    "MIN_FAMILY_LENGTH",
 ]
-
-# the shortest path on which every default alternating contraction keeps at
-# least two blocks
-MIN_FAMILY_LENGTH = 11
 
 
 @dataclass(frozen=True)
@@ -326,18 +321,6 @@ class AdversarialTrace:
     last_feasible_m: int | None = None
 
 
-def _occurrence_hits(path: Path, pattern: IntervalPattern,
-                     table: CellTable | None) -> np.ndarray:
-    """Whether each window start is an occurrence of the pattern."""
-    level1 = table.grids.get(1) if table is not None else None
-    if level1 is not None and pattern in level1.cells:
-        return table.marg == level1.cells.index(pattern)
-    occ = occurrence_set(path, pattern)
-    hits = np.zeros(occ.source_horizon, dtype=bool)
-    hits[occ.indices] = True
-    return hits
-
-
 def _thin_to_density(indices: np.ndarray, target: float) -> np.ndarray:
     """Greedy earliest-first subset whose running density never exceeds target."""
     kept: list[int] = []
@@ -352,29 +335,28 @@ def _thin_to_density(indices: np.ndarray, target: float) -> np.ndarray:
 def adversarial_contraction(path: Path, pattern: IntervalPattern,
                             m_schedule: Sequence[int] | None = None,
                             threshold: float | None = None,
-                            config: AnalysisConfig = DEFAULT_CONFIG,
-                            table: CellTable | None = None) -> AdversarialTrace:
+                            config: AnalysisConfig = DEFAULT_CONFIG) -> AdversarialTrace:
     """Search for a contraction that concentrates one pattern's occurrences.
 
     threshold defaults to min((p+1)/2, p + threshold_cap) for the pattern's
     estimated global density p.  The construction fails when no window
     reaches the threshold at some stage, or when the density of qualifying
     windows collapses across the schedule (the signature of a mixing path,
-    for which local averages concentrate as windows grow).  When the pattern
-    is a level-1 cell of ``table`` (the path's cell table), its occurrences
-    are read off the marginal codes.
+    for which local averages concentrate as windows grow).
     """
     if m_schedule is None:
         m_schedule = config.m_schedule
     m_schedule = tuple(int(m) for m in m_schedule)
     if list(m_schedule) != sorted(set(m_schedule)) or m_schedule[0] < 1:
         raise ValueError("m_schedule must be strictly increasing")
-    hits = _occurrence_hits(path, pattern, table)
-    horizon = hits.size
+    occ = occurrence_set(path, pattern)
+    horizon = occ.source_horizon
     if m_schedule[-1] > horizon:
         raise ValueError("largest m exceeds the admissible window range")
     # csum[n] = N(n), the occurrences among the first n starts
-    csum = np.concatenate(([0.0], np.cumsum(hits, dtype=np.float64)))
+    indicator = np.zeros(horizon + 1)
+    indicator[1:][occ.indices] = 1.0
+    csum = np.cumsum(indicator)
     # the tail mean of the density trajectory d(n) = N(n)/n
     n0 = horizon - tail_window_size(horizon, config.tail_fraction) + 1
     p = float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
@@ -487,12 +469,18 @@ def default_contraction_family(path: Path, level1_grid: PatternGrid,
     adversarial attempt per level-1 cell whose density sits strictly inside
     (p_lo, p_hi).  Failed adversarial constructions are dropped, and so are
     attempts whose largest window exceeds the path.  ``table`` is the path's
-    cell table on ``level1_grid``; built here when absent."""
+    cell table on ``level1_grid``; built here when absent.  A path too short
+    for some alternating contraction raises ValueError."""
     horizon = path.length
     family: list[Contraction] = []
     for c in config.contraction_densities:
         for phase in config.contraction_phases:
-            family.append(build_alternating_contraction(c, horizon, phase))
+            try:
+                family.append(build_alternating_contraction(c, horizon, phase))
+            except ValueError as exc:
+                raise ValueError(
+                    f"path of length {horizon} is too short for the "
+                    f"contraction family: {exc}") from None
     if config.m_schedule[-1] > horizon:
         return family
     if table is None:
@@ -501,8 +489,7 @@ def default_contraction_family(path: Path, level1_grid: PatternGrid,
         if not config.adversarial_p_lo < st.value < config.adversarial_p_hi:
             continue
         trace = adversarial_contraction(path, cell, config.m_schedule,
-                                        threshold=None, config=config,
-                                        table=table)
+                                        threshold=None, config=config)
         if not trace.failed and trace.result is not None:
             family.append(trace.result)
     return family

@@ -229,49 +229,40 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
     # harm[m] = sum_{n=1}^{m} 1/n
     harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, horizon + 1))))
 
-    # every cell's occurrences, cell after cell, each run increasing
-    occ = order[bounds[0]:bounds[-1]]
-    n_occ = np.diff(bounds)
-    in_tail = occ >= n0
-    r = np.bincount(sorted_ids[bounds[0]:bounds[-1]][in_tail],
-                    minlength=n_cells)  # jumps of d inside the tail
-    before = n_occ - r  # N(n0) counts indices < n0
-    jumps = occ[in_tail] + 1  # jump points in (n0, horizon]
-    # cell c owns segment [off[c], off[c] + r[c]] of the flat arrays below:
-    # d(n) runs from starts to ends at the count cnt between jumps
-    jump_off = np.concatenate(([0], np.cumsum(r)))
-    starts = np.insert(jumps, jump_off[:-1], n0)
-    ends = np.insert(jumps - 1, jump_off[1:], horizon)
-    off = jump_off[:-1] + np.arange(n_cells)
-    cnt = np.repeat(before - off, r + 1) + np.arange(starts.size)
-    d_max = np.maximum.reduceat(cnt / starts, off)
-    d_min = np.minimum.reduceat(cnt / ends, off)
-    terms = cnt * (harm[ends] - harm[starts - 1])
-    # a jump at n leaves d flat only when the prefix was saturated
-    # (N(n-1) = n-1, d stuck at 1); any other jump raises d.  The last
-    # entry of a segment (cnt = n_occ < horizon = ends) never matches.
-    unsaturated = np.add.reduceat(cnt != ends, off, dtype=np.int64) - 1
-
     out: list[_CellStats] = []
     for c in range(n_cells):
-        final_count = int(n_occ[c])
-        if final_count == 0 or final_count == horizon:
+        occ = order[bounds[c]:bounds[c + 1]]
+        n_occ = occ.size
+        if n_occ == 0 or n_occ == horizon:
             # d(n) is identically 0 or identically 1
-            level = float(final_count == horizon)
+            level = float(n_occ == horizon)
             out.append(_CellStats(
                 value=level, oscillation=0.0, converged=True,
-                final_count=final_count, final_ratio=level,
+                final_count=int(n_occ), final_ratio=level,
                 tail_nonincreasing=True))
             continue
-        osc = float(d_max[c] - d_min[c])
-        total = float(np.sum(terms[off[c]:off[c] + r[c] + 1]))
+        before = int(np.searchsorted(occ, n0))  # N(n0) counts indices < n0
+        jumps = occ[before:] + 1  # jump points in (n0, horizon]
+        r = jumps.size
+        starts = np.concatenate(([n0], jumps))
+        counts_at_start = before + np.arange(r + 1)
+        ends = np.concatenate((jumps - 1, [horizon]))
+        counts_at_end = np.concatenate((before + np.arange(r), [before + r]))
+        d_start = counts_at_start / starts
+        d_end = counts_at_end / ends
+        osc = float(d_start.max() - d_end.min())
+        total = float(np.sum(counts_at_start * (harm[ends] - harm[starts - 1])))
+        final_count = before + r
+        # a jump at n leaves d flat only when the prefix was saturated
+        # (N(n-1) = n-1, d stuck at 1); any other jump raises d
+        saturated = bool(np.all(before + np.arange(r) == jumps - 1))
         out.append(_CellStats(
             value=total / w,
             oscillation=osc,
             converged=osc <= tolerance,
-            final_count=final_count,
+            final_count=int(final_count),
             final_ratio=final_count / horizon,
-            tail_nonincreasing=bool(r[c] == 0 or unsaturated[c] == 0),
+            tail_nonincreasing=(r == 0) or saturated,
         ))
     return out
 

@@ -8,7 +8,6 @@ from typing import Sequence
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .contraction import (
-    MIN_FAMILY_LENGTH,
     Contraction,
     ErgodicityVerdict,
     default_contraction_family,
@@ -40,12 +39,9 @@ def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
     """Recurrence scan, tightness, consistency, and the contraction check.
 
     One cell table per path serves every stage.  Without an explicit
-    ``family`` the path needs at least MIN_FAMILY_LENGTH values.
+    ``family``, a path too short for the default family raises ValueError
+    (with the default configuration: fewer than 11 values).
     """
-    if family is None and path.length < MIN_FAMILY_LENGTH:
-        raise ValueError(
-            f"path of length {path.length} is too short for the contraction "
-            f"family (needs at least {MIN_FAMILY_LENGTH} values)")
     diagnostics = analyze_path(path, config, edges)
     k_max = max(diagnostics.fdd.grids)
     grids = diagnostics.fdd.grids

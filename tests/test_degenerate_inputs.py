@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pathstat.cli import main
-from pathstat.contraction import MIN_FAMILY_LENGTH
+from pathstat.config import AnalysisConfig
 from pathstat.generators import generate, parse_spec
 from pathstat.pathcore import Path, write_path
 from pathstat.properties import quantile_edges
@@ -18,12 +18,29 @@ TOO_SHORT = "too short for the contraction family"
 
 @pytest.mark.parametrize("length", range(1, 65))
 def test_every_short_length_reports_or_says_too_short(length):
+    # the default family needs at least 11 values
     path = generate(parse_spec(f"ar1(0.5),L={length},seed=3"))
-    if length < MIN_FAMILY_LENGTH:
+    if length <= 10:
         with pytest.raises(ValueError, match=f"length {length} is {TOO_SHORT}"):
             run_suite(path)
     else:
         report_dict(run_suite(path))
+
+
+def test_too_short_follows_the_configured_densities():
+    # at c = 0.9 the phase-1 contraction's second block (from index 12) is
+    # shorter than its first of 9 below 21 values; c = 0.5 alone needs only
+    # the 10 values every alternating contraction needs
+    for densities, shortest in (((0.9,), 21), ((0.5,), 10)):
+        config = AnalysisConfig(contraction_densities=densities)
+        for length in range(1, 41):
+            path = generate(parse_spec(f"ar1(0.5),L={length},seed=3"))
+            if length < shortest:
+                with pytest.raises(ValueError,
+                                   match=f"length {length} is {TOO_SHORT}"):
+                    run_suite(path, config)
+            else:
+                report_dict(run_suite(path, config))
 
 
 def test_short_path_passes_with_explicit_family():

@@ -20,6 +20,7 @@ from pathstat.contraction import (
 )
 from pathstat.generators import generate, parse_spec
 from pathstat.pathcore import (
+    OccurrenceSet,
     Path,
     PathParseError,
     _bulk_parse,
@@ -51,17 +52,15 @@ def _path(text: str) -> Path:
 # ---------------------------------------------------------------------------
 # cell_tail_stats against the per-cell trajectory pipeline
 
-def _assert_matches_oracle(path, grid, config=CONFIG):
-    ids = window_cell_ids(path.values, grid)
-    assert ids.dtype.itemsize <= 2  # the small-integer sort runs
-    stats = cell_tail_stats(ids, grid.n_cells, config.tail_fraction,
-                            config.tolerance)
-    for cell, st in zip(grid.cells, stats):
-        occ = occurrence_set(path, cell)
+def _assert_equals_trajectories(stats, occurrence_sets, tail_fraction,
+                                tolerance):
+    """Each cell's stats against density_trajectory + estimate_limit_density
+    on its occurrence set."""
+    assert len(stats) == len(occurrence_sets)
+    for st, occ in zip(stats, occurrence_sets):
         traj = density_trajectory(occ, occ.source_horizon)
-        est = estimate_limit_density(traj, config.tail_fraction,
-                                     config.tolerance)
-        w = tail_window_size(traj.horizon, config.tail_fraction)
+        est = estimate_limit_density(traj, tail_fraction, tolerance)
+        w = tail_window_size(traj.horizon, tail_fraction)
         tail = traj.ratios[traj.horizon - w:]
         assert st.final_count == traj.final_count
         assert st.final_ratio == traj.final_count / traj.horizon
@@ -70,6 +69,16 @@ def _assert_matches_oracle(path, grid, config=CONFIG):
                                                abs=1e-12)
         assert st.converged == est.converged
         assert st.tail_nonincreasing == bool(np.all(np.diff(tail) <= 0))
+
+
+def _assert_matches_oracle(path, grid, config=CONFIG):
+    ids = window_cell_ids(path.values, grid)
+    assert ids.dtype.itemsize <= 2  # the small-integer sort runs
+    stats = cell_tail_stats(ids, grid.n_cells, config.tail_fraction,
+                            config.tolerance)
+    _assert_equals_trajectories(
+        stats, [occurrence_set(path, cell) for cell in grid.cells],
+        config.tail_fraction, config.tolerance)
     return ids
 
 
@@ -92,59 +101,33 @@ def test_tail_stats_oracle_on_256_cells():
     assert grid.n_cells == 256 and ids.dtype == np.int16
 
 
-def _loop_tail_stats(cell_ids, n_cells, tail_fraction, tolerance):
-    """The per-cell loop that the flat-array form replaced, kept as the
-    reference: same arithmetic in the same order, so results are equal."""
-    horizon = cell_ids.size
-    w = tail_window_size(horizon, tail_fraction)
-    n0 = horizon - w + 1
-    order = np.argsort(cell_ids, kind="stable")
-    bounds = np.searchsorted(cell_ids[order], np.arange(n_cells + 1))
-    harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, horizon + 1))))
-    out = []
-    for c in range(n_cells):
-        occ = order[bounds[c]:bounds[c + 1]]
-        if occ.size in (0, horizon):
-            level = float(occ.size == horizon)
-            out.append((level, 0.0, True, occ.size, level, True))
-            continue
-        before = int(np.searchsorted(occ, n0))
-        jumps = occ[before:] + 1
-        r = jumps.size
-        starts = np.concatenate(([n0], jumps))
-        counts = before + np.arange(r + 1)
-        ends = np.concatenate((jumps - 1, [horizon]))
-        osc = float((counts / starts).max() - (counts / ends).min())
-        total = float(np.sum(counts * (harm[ends] - harm[starts - 1])))
-        saturated = bool(np.all(before + np.arange(r) == jumps - 1))
-        out.append((total / w, osc, osc <= tolerance, before + r,
-                    (before + r) / horizon, r == 0 or saturated))
-    return out
+def _id_occurrences(ids, n_cells):
+    return [OccurrenceSet(np.flatnonzero(ids == c), ids.size)
+            for c in range(n_cells)]
 
 
 @pytest.mark.parametrize("n_cells, horizon, seed", [
     (8, 200_000, 1), (64, 200_000, 2), (256, 100_000, 3), (3, 50, 4),
     (2, 7, 5), (4, 1, 6)])
-def test_tail_stats_equal_the_loop_reference(n_cells, horizon, seed):
+def test_tail_stats_oracle_on_random_ids(n_cells, horizon, seed):
     rng = np.random.default_rng(seed)
     ids = rng.integers(-1, n_cells, horizon)
     ids[: horizon // 3] = rng.integers(-1, 2, horizon // 3)  # early-only cells
     ids[horizon // 2: horizon // 2 + 5] = n_cells - 1        # late burst
+    occurrences = _id_occurrences(ids, n_cells)
     for tail_fraction, tolerance in ((0.5, 0.02), (0.1, 0.001), (1.0, 0.2)):
-        got = [(s.value, s.oscillation, s.converged, s.final_count,
-                s.final_ratio, s.tail_nonincreasing)
-               for s in cell_tail_stats(ids, n_cells, tail_fraction, tolerance)]
-        assert got == _loop_tail_stats(ids, n_cells, tail_fraction, tolerance)
+        stats = cell_tail_stats(ids, n_cells, tail_fraction, tolerance)
+        _assert_equals_trajectories(stats, occurrences, tail_fraction,
+                                    tolerance)
 
 
 def test_tail_stats_saturated_and_full_cells():
     ids = np.array([0, 0, 0, 0, 1, 1, 0, 1, 1, 1])
     full = np.zeros(10, dtype=np.int64)
     for cell_ids in (ids, full, np.full(10, -1)):
-        got = [(s.value, s.oscillation, s.converged, s.final_count,
-                s.final_ratio, s.tail_nonincreasing)
-               for s in cell_tail_stats(cell_ids, 3, 0.5, 0.02)]
-        assert got == _loop_tail_stats(cell_ids, 3, 0.5, 0.02)
+        stats = cell_tail_stats(cell_ids, 3, 0.5, 0.02)
+        _assert_equals_trajectories(stats, _id_occurrences(cell_ids, 3),
+                                    0.5, 0.02)
 
 
 def test_tail_stats_accept_wide_ids():
