@@ -7,7 +7,13 @@ Prints one JSON object mapping each corpus entry to a sha256:
   sort_keys=True)`` for six generators (block_mixture on its level-set grid)
   at seeds 1-3 and L = 2e4;
 * ``analyze/<file>``: both files ``pathstat analyze`` writes for one
-  generated text file.
+  generated text file;
+* ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
+  contract`` on one block_mixture path, with the configured m schedule;
+* ``testbench/<file>``: the summary and the indicator CSVs of one
+  ``pathstat testbench`` run (one fixed and one calibrated test);
+* ``montecarlo/<file>``: the table of ``pathstat montecarlo`` over its
+  default generators with two replicates.
 
 A refactor that must keep every report byte-identical regenerates this and
 diffs it against ``tests/data/report_corpus.json``; the tier-1 test
@@ -45,6 +51,17 @@ GENERATORS = (
 )
 ANALYZE_SPEC = f"ar1(0.5),L={LENGTH},seed=1"
 ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
+CONTRACT_INPUT = f"generate:block_mixture(0,5),L={LENGTH},seed=1"
+TESTBENCH_INPUT = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
+TESTBENCH_SPECS = (
+    {"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05},
+    {"kind": "kpss_like", "n": 50, "alpha": 0.05,
+     "calibration": {"generator": "iid_normal(0,1),L=50",
+                     "replicates": 1000, "seed": 2}},
+)
+TESTBENCH_OUTPUTS = ("testbench_summary.json", "rejections_00_mean_split.csv",
+                     "rejections_01_kpss_like.csv")
+MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
 
 
 def _sha(data: bytes) -> str:
@@ -63,6 +80,18 @@ def _inside(directory: str):
         os.chdir(before)
 
 
+def _cli(args: list[str], ok: tuple[int, ...] = (0,)) -> None:
+    code = cli_main(args)
+    if code not in ok:
+        raise RuntimeError(f"{args[0]} exited with {code}")
+
+
+def _hash_files(out: dict[str, str], prefix: str, names) -> None:
+    for name in names:
+        with open(os.path.join("out", name), "rb") as fh:
+            out[f"{prefix}/{name}"] = _sha(fh.read())
+
+
 def corpus() -> dict[str, str]:
     out: dict[str, str] = {}
     for text, edges in GENERATORS:
@@ -74,12 +103,20 @@ def corpus() -> dict[str, str]:
                 json.dumps(report, sort_keys=True).encode())
     with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
         write_path(generate(parse_spec(ANALYZE_SPEC)).values, "path.txt")
-        code = cli_main(["analyze", "path.txt", "--out-dir", "out"])
-        if code not in (0, 2):
-            raise RuntimeError(f"analyze exited with {code}")
-        for name in ANALYZE_OUTPUTS:
-            with open(os.path.join("out", name), "rb") as fh:
-                out[f"analyze/{ANALYZE_SPEC}/{name}"] = _sha(fh.read())
+        _cli(["analyze", "path.txt", "--out-dir", "out"], ok=(0, 2))
+        _hash_files(out, f"analyze/{ANALYZE_SPEC}", ANALYZE_OUTPUTS)
+        _cli(["contract", CONTRACT_INPUT, "--cell", "4", "6",
+              "--out", "out/contraction.json", "--trace", "out/trace.json"])
+        _hash_files(out, f"contract/{CONTRACT_INPUT}",
+                    ("contraction.json", "trace.json"))
+        with open("tests.json", "w", encoding="utf-8") as fh:
+            json.dump(list(TESTBENCH_SPECS), fh)
+        _cli(["testbench", TESTBENCH_INPUT, "--tests", "tests.json",
+              "--out-dir", "out"])
+        _hash_files(out, f"testbench/{TESTBENCH_INPUT}", TESTBENCH_OUTPUTS)
+        _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
+        _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
+                    ("montecarlo.json",))
     return out
 
 
