@@ -14,15 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 from typing import Sequence
 
 import numpy as np
 
-from .config import AnalysisConfig
+from .config import DEFAULT_CONFIG, AnalysisConfig
 from .contraction import adversarial_contraction, validate_contraction
-from .generators import format_spec, generate, parse_spec
+from .generators import GeneratorSpec, format_spec, generate, parse_spec
 from .pathcore import (
     IntervalPattern,
     Path,
@@ -31,100 +30,86 @@ from .pathcore import (
     write_path,
 )
 from .stattests import (
+    CalibrationError,
     apply_moving_window,
     calibrate_test_size,
     make_builtin_test,
 )
 from .suite import report_dict, run_suite
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATIONS = 2
 
 
-@dataclass
-class RunConfig:
-    """Flag-level knobs shared by the analysis commands."""
-
-    grid_cells: int = 8
-    k_max: int = 2
-    tail_fraction: float = 0.5
-    tolerance: float = 0.02
-    violation_floor_count: float = 5.0
-    positive_floor_count: float = 10.0
-    t_slack: float = 0.01
-    ergodicity_tolerance: float = 0.05
-    seed: int | None = None
-    out_dir: str = "."
-
-    def analysis_config(self) -> AnalysisConfig:
-        return AnalysisConfig(
-            grid_cells=self.grid_cells,
-            k_max=self.k_max,
-            tail_fraction=self.tail_fraction,
-            tolerance=self.tolerance,
-            violation_floor_count=self.violation_floor_count,
-            positive_floor_count=self.positive_floor_count,
-            t_slack=self.t_slack,
-            ergodicity_tolerance=self.ergodicity_tolerance,
-        )
+# the AnalysisConfig fields the analysis commands take as flags and --config
+# keys; each flag's default and type are DEFAULT_CONFIG's
+CONFIG_FLAGS = ("grid_cells", "k_max", "tail_fraction", "tolerance",
+                "violation_floor_count", "positive_floor_count", "t_slack",
+                "ergodicity_tolerance")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file whose keys override flags")
-    parser.add_argument("--grid-cells", type=int, default=8)
-    parser.add_argument("--k-max", type=int, default=2)
-    parser.add_argument("--tail-fraction", type=float, default=0.5)
-    parser.add_argument("--tolerance", type=float, default=0.02)
-    parser.add_argument("--violation-floor-count", type=float, default=5.0)
-    parser.add_argument("--positive-floor-count", type=float, default=10.0)
-    parser.add_argument("--t-slack", type=float, default=0.01)
-    parser.add_argument("--ergodicity-tolerance", type=float, default=0.05)
+    for name in CONFIG_FLAGS:
+        default = getattr(DEFAULT_CONFIG, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out-dir", default=".")
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        grid_cells=args.grid_cells,
-        k_max=args.k_max,
-        tail_fraction=args.tail_fraction,
-        tolerance=args.tolerance,
-        violation_floor_count=args.violation_floor_count,
-        positive_floor_count=args.positive_floor_count,
-        t_slack=args.t_slack,
-        ergodicity_tolerance=args.ergodicity_tolerance,
-        seed=args.seed,
-        out_dir=args.out_dir,
-    )
-    if getattr(args, "config", None):
+# the types each --config key accepts; the CONFIG_FLAGS take DEFAULT_CONFIG's
+CONFIG_KEY_TYPES = {
+    **{name: (int, float) if isinstance(getattr(DEFAULT_CONFIG, name), float)
+       else (int,) for name in CONFIG_FLAGS},
+    "seed": (int, type(None)),
+    "out_dir": (str,),
+}
+
+
+def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
+    """The AnalysisConfig of the flags after the --config overrides, which
+    replace the flags' values in ``args``."""
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
-        valid = {f.name for f in fields(RunConfig)}
+        if not isinstance(overrides, dict):
+            raise ValueError("config file must hold a JSON object")
         for key, value in overrides.items():
-            if key not in valid:
+            if key not in CONFIG_KEY_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    return cfg
+            if isinstance(value, bool) or \
+                    not isinstance(value, CONFIG_KEY_TYPES[key]):
+                raise ValueError(f"config key {key!r} has the wrong type: "
+                                 f"{value!r}")
+            setattr(args, key, value)
+    return AnalysisConfig(**{name: getattr(args, name) for name in CONFIG_FLAGS})
 
 
-def _env_seed() -> int | None:
+def _seed(flag: int | None, spec_seed: int | None = None) -> int | None:
+    """The run's seed: the --seed flag, then the generator spec's seed=,
+    then the PATHSTAT_SEED environment variable."""
+    if flag is not None:
+        return flag
+    if spec_seed is not None:
+        return spec_seed
     raw = os.environ.get("PATHSTAT_SEED")
     return int(raw) if raw else None
+
+
+def _seeded_spec(text: str, flag: int | None) -> GeneratorSpec:
+    spec = parse_spec(text)
+    seed = _seed(flag, spec.seed)
+    return spec if seed is None else spec.with_seed(seed)
 
 
 def _resolve_input(text: str, seed: int | None) -> tuple[Path, dict]:
     """A file path, or "generate:<spec>" for a synthetic path."""
     if text.startswith("generate:"):
-        spec = parse_spec(text[len("generate:"):])
-        if seed is not None:
-            spec = spec.with_seed(seed)
-        elif spec.seed is None:
-            env = _env_seed()
-            if env is not None:
-                spec = spec.with_seed(env)
+        spec = _seeded_spec(text[len("generate:"):], seed)
         return generate(spec), {"generator": format_spec(spec),
                                 "seed": spec.seed}
     return read_path_file(text), {"file": text}
@@ -139,14 +124,7 @@ def _write_json(path: FsPath, payload: dict) -> None:
 # subcommands
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = parse_spec(args.spec)
-    if spec.seed is None and args.seed is not None:
-        spec = spec.with_seed(args.seed)
-    if spec.seed is None:
-        env = _env_seed()
-        if env is not None:
-            spec = spec.with_seed(env)
-    path = generate(spec)
+    path = generate(_seeded_spec(args.spec, args.seed))
     if args.out and args.out != "-":
         write_path(path.values, args.out)
     else:
@@ -155,15 +133,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    path, provenance = _resolve_input(args.input, cfg.seed)
-    config = cfg.analysis_config()
+    config = _analysis_config(args)
+    path, provenance = _resolve_input(args.input, args.seed)
     result = run_suite(path, config)
     report = report_dict(result)
     report["input"] = provenance
     report["length"] = path.length
 
-    out_dir = FsPath(cfg.out_dir)
+    out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", report)
     _write_trajectories(out_dir / "density_trajectories.csv", path, result)
@@ -195,6 +172,8 @@ def _load_test_specs(path: str) -> list[dict]:
         specs = json.load(fh)
     if not isinstance(specs, list) or not specs:
         raise ValueError("test spec file must hold a non-empty JSON list")
+    if not all(isinstance(spec, dict) for spec in specs):
+        raise ValueError("each test spec must be a JSON object")
     return specs
 
 
@@ -221,15 +200,14 @@ def _test_from_spec(spec: dict, default_seed: int | None):
 
 
 def cmd_testbench(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    path, provenance = _resolve_input(args.input, cfg.seed)
-    config = cfg.analysis_config()
+    config = _analysis_config(args)
+    path, provenance = _resolve_input(args.input, args.seed)
     specs = _load_test_specs(args.tests)
-    out_dir = FsPath(cfg.out_dir)
+    out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for i, spec in enumerate(specs):
-        test, calibration = _test_from_spec(spec, cfg.seed)
+        test, calibration = _test_from_spec(spec, args.seed)
         record = apply_moving_window(path, test,
                                      start=int(spec.get("start", 0)),
                                      stride=int(spec.get("stride", 1)),
@@ -277,9 +255,8 @@ DEFAULT_MC_GENERATORS = (
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    config = cfg.analysis_config()
-    seed = cfg.seed if cfg.seed is not None else _env_seed()
+    config = _analysis_config(args)
+    seed = _seed(args.seed)
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1)[0])
         print(f"montecarlo: no seed given, recording generated seed {seed}")
@@ -305,18 +282,18 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         })
         print(f"{spec.kind}: {passes}/{args.replicates} pass "
               f"({fraction:.3f} +- {stderr:.3f})")
-    out_dir = FsPath(cfg.out_dir)
+    out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "montecarlo.json", {"seed": seed, "table": table})
     return EXIT_OK
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    path, provenance = _resolve_input(args.input, cfg.seed)
-    config = cfg.analysis_config()
+    config = _analysis_config(args)
+    path, provenance = _resolve_input(args.input, args.seed)
     pattern = IntervalPattern.of((args.cell[0], args.cell[1]))
-    schedule = tuple(int(m) for m in args.m_schedule.split(","))
+    schedule = None if args.m_schedule is None else \
+        tuple(int(m) for m in args.m_schedule.split(","))
     trace = adversarial_contraction(path, pattern, schedule,
                                     threshold=args.threshold, config=config)
     payload: dict = {
@@ -396,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--cell", nargs=2, type=float, required=True,
                       metavar=("A", "B"))
     p_ct.add_argument("--threshold", type=float, default=None)
-    p_ct.add_argument("--m-schedule", default="4,8,16,32")
+    p_ct.add_argument("--m-schedule", default=None)
     p_ct.add_argument("--trace", default=None,
                       help="write the full construction trace to this file")
     p_ct.add_argument("--out", default=None)
@@ -411,7 +388,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PathParseError, ValueError, OSError, KeyError) as exc:
+    except (PathParseError, ValueError, OSError, KeyError,
+            CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -142,12 +142,25 @@ def coverage_ratios(contraction: Contraction, horizon: int) -> np.ndarray:
     """Running coverage |[0, n-1] ∩ G| / n for n = 1..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    indicator = np.zeros(horizon)
-    for s, e in contraction.blocks:
-        if s >= horizon:
-            break
-        indicator[s:min(e + 1, horizon)] = 1.0
-    return np.cumsum(indicator) / np.arange(1, horizon + 1)
+    blocks = np.asarray(contraction.blocks)
+    return _coverage(blocks[:, 0], blocks[:, 1] + 1, horizon)
+
+
+def _coverage(starts: np.ndarray, stops: np.ndarray, horizon: int) -> np.ndarray:
+    """Running coverage of the blocks [starts, stops) over n = 1..horizon.
+
+    Steps of +1 at each start and -1 at each stop sum to the number of blocks
+    over each index; a second running sum counts the covered indices.  The
+    work happens in place, in one horizon-sized array besides the divisor.
+    """
+    cover = np.zeros(horizon)
+    np.add.at(cover, starts[starts < horizon], 1.0)
+    np.add.at(cover, stops[stops < horizon], -1.0)
+    np.cumsum(cover, out=cover)
+    np.minimum(cover, 1.0, out=cover)  # overlapping blocks cover an index once
+    np.cumsum(cover, out=cover)
+    cover /= np.arange(1.0, horizon + 1)
+    return cover
 
 
 @dataclass(frozen=True)
@@ -427,10 +440,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
             v2 = trace_v1[m][:1]  # never drop a stage entirely
         trace_v2[m] = v2
         trace_h[m] = tuple((int(j), int(j) + m - 1) for j in v2)
-        ind = np.zeros(horizon)
-        for s, e in trace_h[m]:
-            ind[s:e + 1] = 1.0
-        cov_h[m] = np.cumsum(ind) / np.arange(1.0, horizon + 1)
+        cov_h[m] = _coverage(v2, v2 + m, horizon)
 
     # staged join: switch from G(m) to whole blocks of H(next) at a joint
     # point past which both are settled near the target

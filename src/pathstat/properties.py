@@ -30,7 +30,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .pathcore import (
     DensityEstimate,
-    DensityTrajectory,
     IntervalPattern,
     Path,
     density_trajectory,
@@ -351,29 +350,15 @@ def _classify(stats: _CellStats, pattern: IntervalPattern, horizon: int,
     )
 
 
-def _single_pattern_stats(path: Path, pattern: IntervalPattern,
-                          config: AnalysisConfig) -> tuple[_CellStats, DensityTrajectory]:
-    occ = occurrence_set(path, pattern)
-    traj = density_trajectory(occ, occ.source_horizon)
-    est = estimate_limit_density(traj, config.tail_fraction, config.tolerance)
-    w = tail_window_size(traj.horizon, config.tail_fraction)
-    tail = traj.ratios[traj.horizon - w:]
-    stats = _CellStats(
-        value=est.value,
-        oscillation=est.oscillation,
-        converged=est.converged,
-        final_count=traj.final_count,
-        final_ratio=traj.final_count / traj.horizon,
-        tail_nonincreasing=bool(np.all(np.diff(tail) <= 0)),
-    )
-    return stats, traj
-
-
 def check_property_e(path: Path, pattern: IntervalPattern,
                      config: AnalysisConfig = DEFAULT_CONFIG) -> PropertyEVerdict:
-    """Recurrence verdict for a single pattern."""
-    stats, traj = _single_pattern_stats(path, pattern, config)
-    return _classify(stats, pattern, traj.horizon, config)
+    """Recurrence verdict for a single pattern: its occurrences are cell 0 of
+    a one-cell table."""
+    occ = occurrence_set(path, pattern)
+    ids = np.full(occ.source_horizon, -1, dtype=np.int8)
+    ids[occ.indices] = 0
+    stats = cell_tail_stats(ids, 1, config.tail_fraction, config.tolerance)
+    return _classify(stats[0], pattern, occ.source_horizon, config)
 
 
 def scan_property_e(path: Path, k_max: int,
@@ -481,16 +466,14 @@ def _measure(ids: np.ndarray, grid: PatternGrid, n: int) -> EmpiricalMeasure:
 
 @dataclass(frozen=True, eq=False)
 class InducedFDD:
-    """Per-order tables of tail density estimates on a common grid family.
+    """Integer-count empirical measures on a common grid family.
 
-    ``measures`` holds integer-count empirical measures at one matched window
-    count ``n_matched`` so that marginalization consistency can be asserted
-    exactly on counts.
+    ``measures`` are taken at one matched window count ``n_matched`` so that
+    marginalization consistency can be asserted exactly on counts.  The tail
+    density estimates of the same cells are the cell table's ``stats``.
     """
 
     grids: dict[int, PatternGrid]
-    tables: dict[int, tuple[DensityEstimate, ...]]
-    final_counts: dict[int, np.ndarray]
     measures: dict[int, EmpiricalMeasure]
     n_matched: int
 
@@ -507,19 +490,11 @@ def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
     grids = grid_family(edges, k_max)
     if table is None:
         table = cell_table(path, grids, config)
-    tables: dict[int, tuple[DensityEstimate, ...]] = {}
-    final_counts: dict[int, np.ndarray] = {}
-    measures: dict[int, EmpiricalMeasure] = {}
     # the largest window count admissible at every order up to k_max
     n_matched = path.length - k_max + 1
-    for k, grid in grids.items():
-        stats = table.stats[k]
-        tables[k] = tuple(s.estimate(config.tail_fraction, config.tolerance)
-                          for s in stats)
-        final_counts[k] = np.array([s.final_count for s in stats])
-        measures[k] = _measure(table.ids[k], grid, n_matched)
-    return InducedFDD(grids=grids, tables=tables, final_counts=final_counts,
-                      measures=measures, n_matched=n_matched)
+    measures = {k: _measure(table.ids[k], grid, n_matched)
+                for k, grid in grids.items()}
+    return InducedFDD(grids=grids, measures=measures, n_matched=n_matched)
 
 
 def consistency_check(fdd: InducedFDD, k: int) -> float:

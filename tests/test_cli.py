@@ -84,6 +84,48 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_seed_flag_beats_spec_beats_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATHSTAT_SEED", "5")
+    outs = {name: tmp_path / f"{name}.txt"
+            for name in ("flag", "spec", "seed3", "seed4")}
+    run(["generate", "--spec", "ar1(0.5),L=5,seed=3", "--seed", "4",
+         "--out", outs["flag"]])
+    run(["generate", "--spec", "ar1(0.5),L=5,seed=3", "--out", outs["spec"]])
+    monkeypatch.delenv("PATHSTAT_SEED")
+    for seed in (3, 4):
+        run(["generate", "--spec", f"ar1(0.5),L=5,seed={seed}",
+             "--out", outs[f"seed{seed}"]])
+    assert outs["flag"].read_bytes() == outs["seed4"].read_bytes()
+    assert outs["spec"].read_bytes() == outs["seed3"].read_bytes()
+
+
+VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
+
+
+@pytest.mark.parametrize("config, tests, message", [
+    ({"k_max": "2"}, VALID_TESTS, "k_max"),
+    ([1], VALID_TESTS, "JSON object"),
+    ({"m_schedule": [16, 32]}, VALID_TESTS, "unknown config key 'm_schedule'"),
+    (None, [1], "JSON object"),
+    (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
+             "calibration": {"generator": "constant(1),L=20",
+                             "replicates": 1000, "seed": 1}}], "is constant"),
+], ids=["config-wrong-type", "config-not-object", "config-unknown-key",
+        "spec-not-object", "constant-calibration"])
+def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
+    spec_file = tmp_path / "tests.json"
+    spec_file.write_text(json.dumps(tests))
+    args = ["testbench", "generate:constant(1),L=100", "--tests", spec_file,
+            "--out-dir", tmp_path]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", cfg]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_testbench_summary_and_csv(tmp_path):
     tests = tmp_path / "tests.json"
     tests.write_text(json.dumps([

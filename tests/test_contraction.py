@@ -52,6 +52,20 @@ def test_alternating_full_inclusion():
     assert validate_contraction(c, 1000, CONFIG).passed
 
 
+@pytest.mark.parametrize("blocks, horizon", [
+    (((2, 5), (9, 20), (30, 40)), 15),  # the horizon cuts a block
+    (((0, 3), (10, 12), (15, 19), (22, 30)), 15),  # blocks at or past it
+    (((0, 99),), 100),  # one full block
+    (((0, 10), (5, 20)), 25),  # overlapping blocks count each index once
+])
+def test_coverage_equals_set_membership(blocks, horizon):
+    kept = np.concatenate([np.arange(s, e + 1) for s, e in blocks])
+    member = np.isin(np.arange(horizon), kept)
+    expected = np.cumsum(member) / np.arange(1, horizon + 1)
+    got = coverage_ratios(Contraction(blocks, 0.5), horizon)
+    assert np.array_equal(got, expected)
+
+
 def test_alternating_phase_shifts_blocks():
     a = build_alternating_contraction(0.5, 50000, phase=0)
     b = build_alternating_contraction(0.5, 50000, phase=1)

@@ -34,8 +34,10 @@ from pathstat.pathcore import (
 from pathstat.properties import (
     cell_table,
     cell_tail_stats,
+    check_property_e,
     grid_family,
     quantile_edges,
+    scan_property_e,
     window_cell_ids,
     window_codes,
 )
@@ -170,6 +172,20 @@ def test_ergodicity_same_with_and_without_table():
     alone = ergodicity_diagnostic(path, family, grids, 2, None, CONFIG)
     assert shared.records == alone.records
     assert shared.worst_discrepancy == alone.worst_discrepancy
+
+
+@pytest.mark.parametrize("spec", [
+    "ar1(0.5),L=100000,seed=1",
+    "iid_normal(0,1),L=100000,seed=1",
+    "block_mixture(0,5),L=100000,seed=1",
+])
+def test_single_pattern_verdict_equals_the_scan(spec):
+    path = _path(spec)
+    grids = grid_family(quantile_edges(path.values, 8), 2)
+    scanned = scan_property_e(path, 2, grids, CONFIG)
+    assert len(scanned) == 8 + 64
+    for verdict in scanned:
+        assert check_property_e(path, verdict.pattern, CONFIG) == verdict
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathstat.pathcore import IntervalPattern, Path
 from pathstat.properties import (
     PatternGrid,
     analyze_path,
+    cell_table,
     cell_tail_stats,
     check_property_e,
     check_property_t,
@@ -234,16 +235,18 @@ def test_refinement_count_identity(values, split):
 
 def test_induced_fdd_constant_level1():
     path = Path(np.full(400, 2.0))
-    fdd = induced_fdd(path, 2, (-math.inf, 1.5, 2.5, math.inf), CONFIG)
-    values = [est.value for est in fdd.tables[1]]
+    stats = cell_table(path, grid_family((-math.inf, 1.5, 2.5, math.inf), 2),
+                       CONFIG).stats
+    values = [est.value for est in stats[1]]
     assert values == [0.0, 1.0, 0.0]
 
 
 def test_induced_fdd_sine_transitions():
     path = Path(np.sin(np.arange(400) * (np.pi / 2)))
-    fdd = induced_fdd(path, 2, (-1.5, -0.5, 0.5, 1.5), CONFIG)
+    stats = cell_table(path, grid_family((-1.5, -0.5, 0.5, 1.5), 2),
+                       CONFIG).stats
     # realized transitions 0->1, 1->0, 0->-1, -1->0 (cell ids 5, 7, 3, 1)
-    estimates = fdd.tables[2]
+    estimates = stats[2]
     realized = {1, 3, 5, 7}
     for idx, est in enumerate(estimates):
         if idx in realized:
