@@ -11,7 +11,8 @@ Prints one JSON object mapping each corpus entry to a sha256:
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
   contract`` on one block_mixture path, with the configured m schedule;
 * ``testbench/<file>``: the summary and the indicator CSVs of one
-  ``pathstat testbench`` run (one fixed and one calibrated test);
+  ``pathstat testbench`` run (one fixed and one calibrated test), and of a
+  second run of one test at start 7 and stride 3;
 * ``montecarlo/<file>``: the table of ``pathstat montecarlo`` over its
   default generators with two replicates.
 
@@ -61,6 +62,13 @@ TESTBENCH_SPECS = (
 )
 TESTBENCH_OUTPUTS = ("testbench_summary.json", "rejections_00_mean_split.csv",
                      "rejections_01_kpss_like.csv")
+# a separate run, so that the first run's summary keeps its hash
+TESTBENCH_STRIDED_SPECS = (
+    {"kind": "variance_split", "n": 30, "tau": 0.8, "alpha": 0.05,
+     "start": 7, "stride": 3},
+)
+TESTBENCH_STRIDED_OUTPUTS = ("testbench_summary.json",
+                             "rejections_00_variance_split.csv")
 MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
 
 
@@ -86,10 +94,20 @@ def _cli(args: list[str], ok: tuple[int, ...] = (0,)) -> None:
         raise RuntimeError(f"{args[0]} exited with {code}")
 
 
-def _hash_files(out: dict[str, str], prefix: str, names) -> None:
+def _hash_files(out: dict[str, str], prefix: str, names,
+                directory: str = "out") -> None:
     for name in names:
-        with open(os.path.join("out", name), "rb") as fh:
+        with open(os.path.join(directory, name), "rb") as fh:
             out[f"{prefix}/{name}"] = _sha(fh.read())
+
+
+def _testbench(out: dict[str, str], prefix: str, specs, names,
+               directory: str) -> None:
+    with open("tests.json", "w", encoding="utf-8") as fh:
+        json.dump(list(specs), fh)
+    _cli(["testbench", TESTBENCH_INPUT, "--tests", "tests.json",
+          "--out-dir", directory])
+    _hash_files(out, prefix, names, directory)
 
 
 def corpus() -> dict[str, str]:
@@ -109,11 +127,11 @@ def corpus() -> dict[str, str]:
               "--out", "out/contraction.json", "--trace", "out/trace.json"])
         _hash_files(out, f"contract/{CONTRACT_INPUT}",
                     ("contraction.json", "trace.json"))
-        with open("tests.json", "w", encoding="utf-8") as fh:
-            json.dump(list(TESTBENCH_SPECS), fh)
-        _cli(["testbench", TESTBENCH_INPUT, "--tests", "tests.json",
-              "--out-dir", "out"])
-        _hash_files(out, f"testbench/{TESTBENCH_INPUT}", TESTBENCH_OUTPUTS)
+        _testbench(out, f"testbench/{TESTBENCH_INPUT}", TESTBENCH_SPECS,
+                   TESTBENCH_OUTPUTS, "out")
+        _testbench(out, f"testbench/{TESTBENCH_INPUT} start=7 stride=3",
+                   TESTBENCH_STRIDED_SPECS, TESTBENCH_STRIDED_OUTPUTS,
+                   "strided")
         _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
         _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
                     ("montecarlo.json",))
