@@ -285,7 +285,8 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
                 continue
             grid = grids[k]
             stats = cell_tail_stats(window_codes(marg, grid), grid.n_cells,
-                                    config.tail_fraction, config.tolerance)
+                                    config.tail_fraction, config.tolerance,
+                                    table.harm)
             for cell, b, st in zip(grid.cells, base_vals, stats):
                 records.append(DiagnosticRecord(
                     contraction_label=label, k=k, pattern=cell,
@@ -335,14 +336,19 @@ class AdversarialTrace:
 
 
 def _thin_to_density(indices: np.ndarray, target: float) -> np.ndarray:
-    """Greedy earliest-first subset whose running density never exceeds target."""
-    kept: list[int] = []
-    count = 0
-    for v in indices:
-        if (count + 1) <= target * (v + 1):
-            kept.append(int(v))
-            count += 1
-    return np.asarray(kept, dtype=np.int64)
+    """Greedy earliest-first subset whose running density never exceeds target.
+
+    The greedy pass over ascending indices v_i keeps v_i when c_i + 1 <=
+    target * (v_i + 1) for the count c_i kept before it.  With the
+    non-decreasing f_i = floor(target * (v_i + 1)) that is c_{i+1} =
+    min(c_i + 1, f_i), and since c_i <= f_i, c_{i+1} = min(i + 1, i +
+    min_{j <= i} (f_j - j)): a running minimum.
+    """
+    v = np.asarray(indices, dtype=np.int64)
+    i = np.arange(v.size)
+    f = np.floor(target * (v + 1.0))
+    count = np.minimum(i + 1, i + np.minimum.accumulate(f - i))
+    return v[np.diff(count, prepend=0.0) > 0]
 
 
 def adversarial_contraction(path: Path, pattern: IntervalPattern,

@@ -203,8 +203,15 @@ class _CellStats:
         )
 
 
+def harmonic_prefix(horizon: int) -> np.ndarray:
+    """harm[m] = sum_{n=1}^{m} 1/n for m = 0..horizon.  The sum runs in
+    order, so a longer prefix equals a shorter one bit for bit on its range."""
+    return np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, horizon + 1))))
+
+
 def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
-                    tail_fraction: float, tolerance: float) -> list[_CellStats]:
+                    tail_fraction: float, tolerance: float,
+                    harm: np.ndarray | None = None) -> list[_CellStats]:
     """Per-cell tail statistics of d(n) = N(n)/n in one pass.
 
     Exactly equivalent to building each cell's occurrence set and running
@@ -212,7 +219,9 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
     occurrences) instead of O(n_cells * horizon): between jumps d(n) decays
     as N/n, so the tail max sits at segment starts, the min at segment ends,
     and the mean is a sum of counts times harmonic increments.  Ids lie in
-    [-1, n_cells); -1 belongs to no cell.
+    [-1, n_cells); -1 belongs to no cell.  ``harm`` is a ``harmonic_prefix``
+    reaching at least the horizon, shared by the calls on one path; built
+    here when absent.
     """
     horizon = int(cell_ids.size)
     if horizon < 1:
@@ -225,8 +234,8 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     bounds = np.searchsorted(sorted_ids, np.arange(n_cells + 1))
-    # harm[m] = sum_{n=1}^{m} 1/n
-    harm = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, horizon + 1))))
+    if harm is None:
+        harm = harmonic_prefix(horizon)
 
     out: list[_CellStats] = []
     for c in range(n_cells):
@@ -276,8 +285,10 @@ class CellTable:
     ``marg`` holds each value's marginal cell (-1 on an edge or outside a
     finite range), ``ids[k]`` the cell of every length-k window and
     ``stats[k]`` the tail statistics of every cell, for each order k of
-    ``grids`` that fits the path.  Built once per path, it serves Property E,
-    the induced distributions, the contraction family, the ergodicity
+    ``grids`` that fits the path, and ``harm`` the harmonic prefix up to
+    the path's length that every tail-statistics call on the path and on
+    its contracted copies shares.  Built once per path, it serves Property
+    E, the induced distributions, the contraction family, the ergodicity
     diagnostic and the trajectory output.
     """
 
@@ -285,6 +296,7 @@ class CellTable:
     marg: np.ndarray
     ids: dict[int, np.ndarray]
     stats: dict[int, list[_CellStats]]
+    harm: np.ndarray
 
 
 def cell_table(path: Path, grids: Mapping[int, PatternGrid],
@@ -294,6 +306,7 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
     if len(edges) != 1:
         raise ValueError("grids must share one marginal partition")
     marg = _digitize_open(path.values, np.asarray(edges.pop()))
+    harm = harmonic_prefix(marg.size)
     ids: dict[int, np.ndarray] = {}
     stats: dict[int, list[_CellStats]] = {}
     for k in sorted(grids):
@@ -302,8 +315,9 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
             continue
         ids[k] = window_codes(marg, grid)
         stats[k] = cell_tail_stats(ids[k], grid.n_cells,
-                                   config.tail_fraction, config.tolerance)
-    return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats)
+                                   config.tail_fraction, config.tolerance, harm)
+    return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats,
+                     harm=harm)
 
 
 # ---------------------------------------------------------------------------

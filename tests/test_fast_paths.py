@@ -1,18 +1,22 @@
 """Each fast path against its scalar oracle at realistic sizes.
 
-The shared cell table, the small-integer sort inside ``cell_tail_stats``,
-the gathered codes of contracted copies, the bulk text parse and the batched
-moving-window statistics all replace a slower, obviously correct
-computation; these tests hold them to it.
+The shared cell table and harmonic prefix, the small-integer sort inside
+``cell_tail_stats``, the gathered codes of contracted copies, the running
+minimum of the adversarial thinning, the bulk text parse, the batched
+moving-window statistics and the bulk indicator CSV writer all replace a
+slower, obviously correct computation; these tests hold them to it.
 """
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from pathstat.cli import INDICATOR_CHUNK_ROWS, _write_indicators
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
+    _thin_to_density,
     contract_path,
     contracted_codes,
     default_contraction_family,
@@ -36,12 +40,17 @@ from pathstat.properties import (
     cell_tail_stats,
     check_property_e,
     grid_family,
+    harmonic_prefix,
     quantile_edges,
     scan_property_e,
     window_cell_ids,
     window_codes,
 )
-from pathstat.stattests import builtin_statistic, make_builtin_test
+from pathstat.stattests import (
+    RejectionRecord,
+    builtin_statistic,
+    make_builtin_test,
+)
 
 CONFIG = AnalysisConfig()
 LEVEL_EDGES = (-math.inf, -1.0, 1.0, 4.0, 6.0, math.inf)
@@ -174,6 +183,22 @@ def test_ergodicity_same_with_and_without_table():
     assert shared.worst_discrepancy == alone.worst_discrepancy
 
 
+def test_shared_harmonic_prefix_equals_a_fresh_one():
+    path = _path("block_mixture(0,5),L=50000,seed=1")
+    grids = grid_family(LEVEL_EDGES, 2)
+    table = cell_table(path, grids, CONFIG)
+    assert np.array_equal(table.harm, harmonic_prefix(path.length))
+    family = default_contraction_family(path, grids[1], CONFIG, table)
+    assert len(family) > 6
+    for contraction in family:
+        ids = window_codes(contracted_codes(table, contraction), grids[2])
+        assert ids.size < path.length
+        assert cell_tail_stats(ids, grids[2].n_cells, CONFIG.tail_fraction,
+                               CONFIG.tolerance, table.harm) == \
+            cell_tail_stats(ids, grids[2].n_cells, CONFIG.tail_fraction,
+                            CONFIG.tolerance)
+
+
 @pytest.mark.parametrize("spec", [
     "ar1(0.5),L=100000,seed=1",
     "iid_normal(0,1),L=100000,seed=1",
@@ -186,6 +211,42 @@ def test_single_pattern_verdict_equals_the_scan(spec):
     assert len(scanned) == 8 + 64
     for verdict in scanned:
         assert check_property_e(path, verdict.pattern, CONFIG) == verdict
+
+
+# ---------------------------------------------------------------------------
+# the adversarial thinning against the greedy loop
+
+def _greedy_thin(indices, target):
+    kept = []
+    count = 0
+    for v in indices:
+        if (count + 1) <= target * (v + 1):
+            kept.append(int(v))
+            count += 1
+    return np.asarray(kept, dtype=np.int64)
+
+
+def test_thinning_equals_the_greedy_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        horizon = int(rng.integers(1, 20_000))
+        size = int(rng.integers(0, min(horizon, 2_000) + 1))
+        indices = np.sort(rng.choice(horizon, size, replace=False))
+        for target in (1.0, 1.0 / 3.0, float(rng.random()),
+                       float(rng.random()) * 0.01):
+            got = _thin_to_density(indices, target)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _greedy_thin(indices, target))
+
+
+def test_thinning_edge_cases():
+    empty = np.array([], dtype=np.int64)
+    assert _thin_to_density(empty, 0.5).tolist() == []
+    assert _thin_to_density(empty, 0.5).dtype == np.int64
+    every = np.arange(1_000, dtype=np.int64)
+    assert np.array_equal(_thin_to_density(every, 1.0), every)
+    sparse = np.array([5, 17, 40, 41, 42, 1_000], dtype=np.int64)
+    assert np.array_equal(_thin_to_density(sparse, 1.0), sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +324,32 @@ def test_batch_decide_matches_scalar_at_offset(kind, n, offset):
     for i, s in zip(starts, scalar):
         near_tau = abs(s - tau) <= 1e-9 * max(1.0, abs(tau))
         assert near_tau or batch[i] == test.decide(x[i:i + n]), (i, s, tau)
+
+
+# ---------------------------------------------------------------------------
+# the bulk indicator CSV writer against csv.writer
+
+@pytest.mark.parametrize("start, stride, rows", [
+    (0, 1, 1),                          # a single row
+    (0, 1, 25),                         # 9 -> 10
+    (7, 3, 500),
+    (0, 1000, 1_200),                   # 999 000 -> 1 000 000
+    (99_990, 1, 30),                    # 99 999 -> 100 000
+    (999_990, 1, 30),                   # 999 999 -> 1 000 000
+    (0, 1, INDICATOR_CHUNK_ROWS + 1),   # one row past the first chunk
+    (9_990, 7, 2 * INDICATOR_CHUNK_ROWS + 3),  # two seams, 4 to 6 digits
+])
+def test_indicator_csv_equals_csv_writer(tmp_path, start, stride, rows):
+    rng = np.random.default_rng(rows)
+    indicators = (rng.random(rows) < 0.3).astype(np.uint8)
+    record = RejectionRecord("t", 10, 0.05, start, stride, indicators, 0.0, ())
+    with open(tmp_path / "oracle.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["offset", "indicator"])
+        for i, ind in enumerate(indicators):
+            writer.writerow([start + stride * i, int(ind)])
+    _write_indicators(tmp_path / "bulk.csv", record)
+    expected = (tmp_path / "oracle.csv").read_bytes()
+    assert expected.startswith(b"offset,indicator\r\n")
+    assert (tmp_path / "bulk.csv").read_bytes() == expected
