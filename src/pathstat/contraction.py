@@ -37,6 +37,7 @@ from .properties import (
     PatternGrid,
     cell_table,
     cell_tail_stats,
+    harmonic_prefix,
     window_codes,
 )
 
@@ -277,6 +278,8 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
     base = {k: [s.value for s in table.stats[k]]
             for k in orders if k in table.stats}
     records: list[DiagnosticRecord] = []
+    # every contracted copy is at most the path's length
+    harm = harmonic_prefix(table.marg.size)
     for idx, contraction in enumerate(family):
         label = contraction.label or f"contraction[{idx}]"
         marg = contracted_codes(table, contraction)
@@ -286,7 +289,7 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
             grid = grids[k]
             stats = cell_tail_stats(window_codes(marg, grid), grid.n_cells,
                                     config.tail_fraction, config.tolerance,
-                                    table.harm)
+                                    harm)
             for cell, b, st in zip(grid.cells, base_vals, stats):
                 records.append(DiagnosticRecord(
                     contraction_label=label, k=k, pattern=cell,

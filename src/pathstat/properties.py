@@ -285,10 +285,8 @@ class CellTable:
     ``marg`` holds each value's marginal cell (-1 on an edge or outside a
     finite range), ``ids[k]`` the cell of every length-k window and
     ``stats[k]`` the tail statistics of every cell, for each order k of
-    ``grids`` that fits the path, and ``harm`` the harmonic prefix up to
-    the path's length that every tail-statistics call on the path and on
-    its contracted copies shares.  Built once per path, it serves Property
-    E, the induced distributions, the contraction family, the ergodicity
+    ``grids`` that fits the path.  Built once per path, it serves Property E,
+    the induced distributions, the contraction family, the ergodicity
     diagnostic and the trajectory output.
     """
 
@@ -296,7 +294,6 @@ class CellTable:
     marg: np.ndarray
     ids: dict[int, np.ndarray]
     stats: dict[int, list[_CellStats]]
-    harm: np.ndarray
 
 
 def cell_table(path: Path, grids: Mapping[int, PatternGrid],
@@ -306,6 +303,8 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
     if len(edges) != 1:
         raise ValueError("grids must share one marginal partition")
     marg = _digitize_open(path.values, np.asarray(edges.pop()))
+    # one prefix for every order; not kept on the table, where it would
+    # hold a horizon-sized array through the adversarial search's peak
     harm = harmonic_prefix(marg.size)
     ids: dict[int, np.ndarray] = {}
     stats: dict[int, list[_CellStats]] = {}
@@ -316,8 +315,7 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
         ids[k] = window_codes(marg, grid)
         stats[k] = cell_tail_stats(ids[k], grid.n_cells,
                                    config.tail_fraction, config.tolerance, harm)
-    return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats,
-                     harm=harm)
+    return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats)
 
 
 # ---------------------------------------------------------------------------
