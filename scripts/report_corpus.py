@@ -9,7 +9,8 @@ Prints one JSON object mapping each corpus entry to a sha256:
 * ``analyze/<file>``: both files ``pathstat analyze`` writes for one
   generated text file;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
-  contract`` on one block_mixture path, with the configured m schedule;
+  contract`` on one block_mixture path, with the configured m schedule, and
+  of three runs that fail, one at each of the search's checks;
 * ``testbench/<file>``: the summary and the indicator CSVs of one
   ``pathstat testbench`` run (one fixed and one calibrated test), and of a
   second run of one test at start 7 and stride 3;
@@ -53,6 +54,19 @@ GENERATORS = (
 ANALYZE_SPEC = f"ar1(0.5),L={LENGTH},seed=1"
 ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
 CONTRACT_INPUT = f"generate:block_mixture(0,5),L={LENGTH},seed=1"
+CONTRACT_IID = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
+CONTRACT_MONOTONE = f"generate:monotone(1),L={LENGTH}"
+# (corpus key, contract arguments): one success, then a failure at each
+# check: no window of length 32 reaches the threshold, qualifying windows
+# vanish as m grows, qualifying windows do not recur in the tail
+CONTRACT_RUNS = (
+    (CONTRACT_INPUT, [CONTRACT_INPUT, "--cell", "4", "6"]),
+    (f"{CONTRACT_IID} --cell -100 0 --threshold 0.9",
+     [CONTRACT_IID, "--cell", "-100", "0", "--threshold", "0.9"]),
+    (f"{CONTRACT_IID} --cell -100 0", [CONTRACT_IID, "--cell", "-100", "0"]),
+    (f"{CONTRACT_MONOTONE} --cell 0 5000",
+     [CONTRACT_MONOTONE, "--cell", "0", "5000"]),
+)
 TESTBENCH_INPUT = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
 TESTBENCH_SPECS = (
     {"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05},
@@ -123,10 +137,11 @@ def corpus() -> dict[str, str]:
         write_path(generate(parse_spec(ANALYZE_SPEC)).values, "path.txt")
         _cli(["analyze", "path.txt", "--out-dir", "out"], ok=(0, 2))
         _hash_files(out, f"analyze/{ANALYZE_SPEC}", ANALYZE_OUTPUTS)
-        _cli(["contract", CONTRACT_INPUT, "--cell", "4", "6",
-              "--out", "out/contraction.json", "--trace", "out/trace.json"])
-        _hash_files(out, f"contract/{CONTRACT_INPUT}",
-                    ("contraction.json", "trace.json"))
+        for key, args in CONTRACT_RUNS:
+            _cli(["contract", *args, "--out", "out/contraction.json",
+                  "--trace", "out/trace.json"])
+            _hash_files(out, f"contract/{key}",
+                        ("contraction.json", "trace.json"))
         _testbench(out, f"testbench/{TESTBENCH_INPUT}", TESTBENCH_SPECS,
                    TESTBENCH_OUTPUTS, "out")
         _testbench(out, f"testbench/{TESTBENCH_INPUT} start=7 stride=3",
