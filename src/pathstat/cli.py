@@ -246,7 +246,7 @@ def cmd_testbench(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for i, spec in enumerate(specs):
-        test, calibration = _test_from_spec(spec, args.seed)
+        test, calibration = _test_from_spec(spec, _seed(args.seed))
         record = apply_moving_window(path, test,
                                      start=int(spec.get("start", 0)),
                                      stride=int(spec.get("stride", 1)),
@@ -364,8 +364,8 @@ def cmd_contract(args: argparse.Namespace) -> int:
             "v0": {str(m): v.tolist() for m, v in trace.v0.items()},
             "v1": {str(m): v.tolist() for m, v in trace.v1.items()},
             "v2": {str(m): v.tolist() for m, v in trace.v2.items()},
-            "h_blocks": {str(m): [list(b) for b in blocks]
-                         for m, blocks in trace.h_blocks.items()},
+            "h_blocks": {str(m): [[j, j + m - 1] for j in v.tolist()]
+                         for m, v in trace.v2.items()},
         }
         _write_json(FsPath(args.trace), trace_payload)
     return EXIT_OK

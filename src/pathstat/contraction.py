@@ -30,6 +30,7 @@ from .pathcore import (
     IntervalPattern,
     Path,
     occurrence_set,
+    tail_estimate,
     tail_window_size,
 )
 from .properties import (
@@ -195,13 +196,8 @@ def validate_contraction(contraction: Contraction, horizon: int,
         nondecreasing = bool(np.all(np.diff(lengths[burn:]) >= 0))
         growth_ok = nondecreasing and \
             bool(lengths[-1] >= config.growth_factor * lengths[0])
-    ratios = coverage_ratios(contraction, horizon)
-    w = tail_window_size(horizon, config.tail_fraction)
-    tail = ratios[horizon - w:]
-    osc = float(tail.max() - tail.min())
-    est = DensityEstimate(value=float(tail.mean()), oscillation=osc,
-                          converged=osc <= config.tolerance,
-                          tail_fraction=config.tail_fraction)
+    est = tail_estimate(coverage_ratios(contraction, horizon),
+                        config.tail_fraction, config.tolerance)
     coverage_ok = est.converged and \
         bool(abs(est.value - contraction.target_density) <= config.tolerance)
     return ContractionValidation(ordering_ok=ordering_ok, growth_ok=growth_ok,
@@ -319,8 +315,9 @@ class AdversarialTrace:
 
     Per stage m: v0 are starts of length-m windows whose local occurrence
     rate meets the threshold, v1 keeps every m-th element of v0 (disjoint
-    windows), v2 thins v1 to the common coverage target, h_blocks are v2's
-    windows as blocks.  n_markers are the joint points between stages.
+    windows), v2 thins v1 to the common coverage target; the windows
+    [j, j + m - 1] for j in v2 are the stage's blocks.  n_markers are the
+    joint points between stages.
     """
 
     pattern: IntervalPattern
@@ -330,7 +327,6 @@ class AdversarialTrace:
     v0: dict[int, np.ndarray] = field(default_factory=dict)
     v1: dict[int, np.ndarray] = field(default_factory=dict)
     v2: dict[int, np.ndarray] = field(default_factory=dict)
-    h_blocks: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     n_markers: tuple[int, ...] = ()
     result: Contraction | None = None
     failed: bool = False
@@ -376,9 +372,9 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     if m_schedule[-1] > horizon:
         raise ValueError("largest m exceeds the admissible window range")
     # csum[n] = N(n), the occurrences among the first n starts
-    indicator = np.zeros(horizon + 1)
-    indicator[1:][occ.indices] = 1.0
-    csum = np.cumsum(indicator)
+    csum = np.zeros(horizon + 1)
+    csum[1:][occ.indices] = 1.0
+    np.cumsum(csum, out=csum)
     # the tail mean of the density trajectory d(n) = N(n)/n
     n0 = horizon - tail_window_size(horizon, config.tail_fraction) + 1
     p = float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
@@ -391,35 +387,29 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
 
     trace_v0: dict[int, np.ndarray] = {}
     trace_v1: dict[int, np.ndarray] = {}
-    v0_density: dict[int, float] = {}
-    last_feasible: int | None = None
-    for m in m_schedule:
-        local = (csum[m:] - csum[:-m]) / m
-        v0 = np.flatnonzero(local >= threshold)
-        if v0.size == 0:
-            return AdversarialTrace(
-                pattern=pattern, m_schedule=m_schedule, threshold=threshold,
-                target_density=math.nan, v0=trace_v0, v1=trace_v1,
-                failed=True,
-                failure_reason=f"no window of length {m} reaches the threshold",
-                last_feasible_m=last_feasible)
-        v1 = v0[::m]
-        trace_v0[m] = v0
-        trace_v1[m] = v1
-        v0_density[m] = v0.size / local.size
-        last_feasible = m
 
-    persistence = v0_density[m_schedule[-1]] / v0_density[m_schedule[0]]
-    if persistence < config.adversarial_persistence:
+    def failure(reason: str) -> AdversarialTrace:
         return AdversarialTrace(
             pattern=pattern, m_schedule=m_schedule, threshold=threshold,
-            target_density=math.nan, v0=trace_v0, v1=trace_v1,
-            failed=True,
-            failure_reason=(
-                "qualifying windows vanish as m grows "
-                f"(persistence {persistence:.4f}); local averages concentrate, "
-                "consistent with an ergodic path"),
-            last_feasible_m=last_feasible)
+            target_density=math.nan, v0=trace_v0, v1=trace_v1, failed=True,
+            failure_reason=reason, last_feasible_m=max(trace_v0, default=None))
+
+    for m in m_schedule:
+        v0 = np.flatnonzero((csum[m:] - csum[:-m]) / m >= threshold)
+        if v0.size == 0:
+            return failure(f"no window of length {m} reaches the threshold")
+        trace_v0[m] = v0
+        trace_v1[m] = v0[::m]
+
+    # the share of the horizon - m + 1 window starts that qualify
+    first, last = m_schedule[0], m_schedule[-1]
+    persistence = (trace_v0[last].size / (horizon - last + 1)) / \
+        (trace_v0[first].size / (horizon - first + 1))
+    if persistence < config.adversarial_persistence:
+        return failure(
+            "qualifying windows vanish as m grows "
+            f"(persistence {persistence:.4f}); local averages concentrate, "
+            "consistent with an ergodic path")
 
     # one coverage level shared by every stage; the tail-window supply with
     # headroom, so late stages can absorb their early candidate drought and
@@ -432,53 +422,48 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
         supply.append(m * (trace_v1[m].size - in_tail) / max(n_win - tail_start, 1))
     target_d = min(1.0, config.adversarial_headroom * min(supply))
     if target_d <= 0.0:
-        return AdversarialTrace(
-            pattern=pattern, m_schedule=m_schedule, threshold=threshold,
-            target_density=math.nan, v0=trace_v0, v1=trace_v1,
-            failed=True,
-            failure_reason=("qualifying windows do not recur in the tail; "
-                            "the concentration is transient, not a "
-                            "proportional-contraction witness"),
-            last_feasible_m=last_feasible)
+        return failure("qualifying windows do not recur in the tail; "
+                       "the concentration is transient, not a "
+                       "proportional-contraction witness")
     trace_v2: dict[int, np.ndarray] = {}
-    trace_h: dict[int, tuple[tuple[int, int], ...]] = {}
-    cov_h: dict[int, np.ndarray] = {}
     for m in m_schedule:
         v2 = _thin_to_density(trace_v1[m], target_d / m)
-        if v2.size == 0:
-            v2 = trace_v1[m][:1]  # never drop a stage entirely
-        trace_v2[m] = v2
-        trace_h[m] = tuple((int(j), int(j) + m - 1) for j in v2)
-        cov_h[m] = _coverage(v2, v2 + m, horizon)
+        trace_v2[m] = v2 if v2.size else trace_v1[m][:1]  # never drop a stage
 
-    # staged join: switch from G(m) to whole blocks of H(next) at a joint
-    # point past which both are settled near the target
-    blocks: list[tuple[int, int]] = list(trace_h[m_schedule[0]])
+    # staged join: switch from G(m) to whole windows of the next stage at a
+    # joint point past which both are settled near the target; G holds the
+    # blocks [starts, stops)
+    starts = trace_v2[first]
+    stops = starts + first
     n_markers: list[int] = []
     for prev_m, next_m in zip(m_schedule, m_schedule[1:]):
         eps_m = config.adversarial_eps1 / prev_m
-        ends = np.array([e for _, e in blocks])
-        covered = np.cumsum([e - s + 1 for s, e in blocks])
-        cov_g = covered / (ends + 1)
+        covered = stops - starts
+        np.cumsum(covered, out=covered)
+        cov_g = covered / stops
         # suffix deviation of the next stage's coverage beyond each position
-        dev_next = np.abs(cov_h[next_m] - target_d)
+        nxt = trace_v2[next_m]
+        dev_next = _coverage(nxt, nxt + next_m, horizon)
+        dev_next -= target_d
+        np.abs(dev_next, out=dev_next)
         suffix = np.maximum.accumulate(dev_next[::-1])[::-1]
         quality = np.maximum(
             np.abs(cov_g - target_d),
-            np.where(ends + 1 < horizon, suffix[np.minimum(ends + 1, horizon - 1)], 0.0))
+            np.where(stops < horizon, suffix[np.minimum(stops, horizon - 1)], 0.0))
         close = np.flatnonzero(quality <= eps_m / 3.0)
         join_at = int(close[0]) if close.size else int(np.argmin(quality))
-        marker = int(ends[join_at])
+        marker = int(stops[join_at]) - 1
         n_markers.append(marker)
-        blocks = blocks[:join_at + 1] + \
-            [b for b in trace_h[next_m] if b[0] > marker]
+        tail = nxt[nxt > marker]
+        starts = np.concatenate((starts[:join_at + 1], tail))
+        stops = np.concatenate((stops[:join_at + 1], tail + next_m))
 
-    result = Contraction(tuple(blocks), target_d,
-                         label=f"adversarial[{pattern.label()}]")
+    result = Contraction(tuple(zip(starts.tolist(), (stops - 1).tolist())),
+                         target_d, label=f"adversarial[{pattern.label()}]")
     return AdversarialTrace(
         pattern=pattern, m_schedule=m_schedule, threshold=threshold,
         target_density=target_d, v0=trace_v0, v1=trace_v1, v2=trace_v2,
-        h_blocks=trace_h, n_markers=tuple(n_markers), result=result)
+        n_markers=tuple(n_markers), result=result)
 
 
 def default_contraction_family(path: Path, level1_grid: PatternGrid,

@@ -203,8 +203,15 @@ def estimate_limit_density(traj: DensityTrajectory,
         raise ValueError("empty trajectory")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    w = tail_window_size(traj.horizon, tail_fraction)
-    tail = traj.ratios[traj.horizon - w:]
+    return tail_estimate(traj.ratios, tail_fraction, tolerance)
+
+
+def tail_estimate(ratios: np.ndarray, tail_fraction: float,
+                  tolerance: float) -> DensityEstimate:
+    """The mean and max - min of running ratios r(n), n = 1..ratios.size,
+    over the last ceil(tail_fraction * ratios.size) of them."""
+    w = tail_window_size(ratios.size, tail_fraction)
+    tail = ratios[ratios.size - w:]
     osc = float(tail.max() - tail.min())
     return DensityEstimate(
         value=float(tail.mean()),

@@ -215,21 +215,24 @@ class RejectionRecord:
     tail_profile: tuple[tuple[int, float], ...]  # (rung length, mean)
 
 
-def _tail_rungs(n_offsets: int, window: int, min_rung_windows: int) -> list[int]:
-    """Dyadic tail rungs, skipping rungs too short to resolve ~0.01 density.
+def _tail_profile(indicators: np.ndarray, window: int,
+                  min_rung_windows: int) -> tuple[tuple[int, float], ...]:
+    """(rung length, tail mean) over the dyadic tail rungs, skipping rungs
+    too short to resolve ~0.01 density.
 
     The full-offset mean is always a rung, so the estimate is defined for any
     indicator length; short dyadic rungs whose means fluctuate more than the
     densities being compared are excluded rather than allowed to dominate
     the max.
     """
+    n_offsets = indicators.size
     min_len = min_rung_windows * window
     rungs = [n_offsets]
     for frac in (0.5, 0.25, 0.125):
         r = math.ceil(frac * n_offsets)
         if r >= min_len and r not in rungs:
             rungs.append(r)
-    return rungs
+    return tuple((r, float(np.mean(indicators[n_offsets - r:]))) for r in rungs)
 
 
 def rejection_upper_density(indicators: np.ndarray, window: int = 1,
@@ -238,8 +241,7 @@ def rejection_upper_density(indicators: np.ndarray, window: int = 1,
     ind = np.asarray(indicators)
     if ind.size == 0:
         raise ValueError("no indicators")
-    rungs = _tail_rungs(ind.size, window, config.min_rung_windows)
-    return float(max(np.mean(ind[ind.size - r:]) for r in rungs))
+    return max(v for _, v in _tail_profile(ind, window, config.min_rung_windows))
 
 
 def apply_moving_window(path: Path, test: StationarityTest, start: int = 0,
@@ -260,9 +262,7 @@ def apply_moving_window(path: Path, test: StationarityTest, start: int = 0,
         indicators = np.fromiter(
             (test.decide(path.values[i:i + n]) for i in starts),
             dtype=np.uint8, count=starts.size)
-    rungs = _tail_rungs(indicators.size, n, config.min_rung_windows)
-    profile = tuple((r, float(np.mean(indicators[indicators.size - r:])))
-                    for r in rungs)
+    profile = _tail_profile(indicators, n, config.min_rung_windows)
     return RejectionRecord(
         test_name=test.name,
         window=n,
@@ -334,6 +334,8 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     statistics one binomial standard deviation either side of the quantile
     rank.
     """
+    if window < 2:
+        raise ValueError("window size must be at least 2")
     if replicates < 1000:
         raise ValueError("replicates must be at least 1000")
     if not 0.0 < alpha < 1.0:

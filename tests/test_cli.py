@@ -3,7 +3,9 @@ import json
 import pytest
 
 from pathstat.cli import main
+from pathstat.generators import parse_spec
 from pathstat.pathcore import read_path_file
+from pathstat.stattests import calibrate_test_size
 
 
 def run(args):
@@ -145,6 +147,28 @@ def test_testbench_summary_and_csv(tmp_path):
         csv_lines = (tmp_path / entry["indicators_csv"]).read_text().splitlines()
         assert csv_lines[0] == "offset,indicator"
         assert len(csv_lines) == 100000 - 20 + 1 + 1
+
+
+def test_testbench_calibration_seed_follows_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATHSTAT_SEED", "7")
+    calibration = {"generator": "iid_normal(0,1),L=20", "replicates": 1000}
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([
+        {"kind": "mean_split", "n": 20, "alpha": 0.05,
+         "calibration": calibration},
+        {"kind": "mean_split", "n": 20, "alpha": 0.05,
+         "calibration": {**calibration, "seed": 2}},
+    ]))
+    assert run(["testbench", "generate:iid_normal(0,1),L=2000",
+                "--tests", tests, "--out-dir", tmp_path]) == 0
+    summary = json.loads((tmp_path / "testbench_summary.json").read_text())
+    assert summary["input"]["seed"] == 7
+    # the environment seed stands in for the flag; a block's own seed wins
+    gen = parse_spec(calibration["generator"])
+    for entry, seed in zip(summary["tests"], (7, 2)):
+        assert entry["calibration"]["seed"] == seed
+        assert entry["tau"] == calibrate_test_size(
+            "mean_split", 20, 0.05, gen, replicates=1000, seed=seed).tau
 
 
 def test_testbench_flags_trend(tmp_path):

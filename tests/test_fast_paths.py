@@ -2,9 +2,10 @@
 
 The shared cell table and harmonic prefix, the small-integer sort inside
 ``cell_tail_stats``, the gathered codes of contracted copies, the running
-minimum of the adversarial thinning, the bulk text parse, the batched
-moving-window statistics and the bulk indicator CSV writer all replace a
-slower, obviously correct computation; these tests hold them to it.
+minimum of the adversarial thinning, its staged join on arrays of window
+starts, the bulk text parse, the batched moving-window statistics and the
+bulk indicator CSV writer all replace a slower, obviously correct
+computation; these tests hold them to it.
 """
 
 import csv
@@ -17,6 +18,7 @@ from pathstat.cli import INDICATOR_CHUNK_ROWS, _write_indicators
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
     _thin_to_density,
+    adversarial_contraction,
     contract_path,
     contracted_codes,
     default_contraction_family,
@@ -247,6 +249,65 @@ def test_thinning_edge_cases():
     assert np.array_equal(_thin_to_density(every, 1.0), every)
     sparse = np.array([5, 17, 40, 41, 42, 1_000], dtype=np.int64)
     assert np.array_equal(_thin_to_density(sparse, 1.0), sparse)
+
+
+# ---------------------------------------------------------------------------
+# the adversarial staged join against the join over lists of blocks
+
+def _tuple_join(trace, horizon, config):
+    """The blocks and joint points of the staged join, built from lists of
+    (start, end) tuples with coverage by set membership."""
+    def coverage(blocks):
+        covered = np.zeros(horizon)
+        for s, e in blocks:
+            covered[s:e + 1] = 1.0
+        return np.cumsum(covered) / np.arange(1.0, horizon + 1)
+
+    target = trace.target_density
+    stages = {m: [(int(j), int(j) + m - 1) for j in v]
+              for m, v in trace.v2.items()}
+    schedule = trace.m_schedule
+    blocks = stages[schedule[0]]
+    markers = []
+    for prev_m, next_m in zip(schedule, schedule[1:]):
+        ends = np.array([e for _, e in blocks])
+        cov_g = np.cumsum([e - s + 1 for s, e in blocks]) / (ends + 1)
+        dev = np.abs(coverage(stages[next_m]) - target)
+        suffix = np.maximum.accumulate(dev[::-1])[::-1]
+        quality = np.maximum(
+            np.abs(cov_g - target),
+            np.where(ends + 1 < horizon,
+                     suffix[np.minimum(ends + 1, horizon - 1)], 0.0))
+        close = np.flatnonzero(
+            quality <= config.adversarial_eps1 / prev_m / 3.0)
+        join_at = int(close[0]) if close.size else int(np.argmin(quality))
+        markers.append(int(ends[join_at]))
+        blocks = blocks[:join_at + 1] + \
+            [b for b in stages[next_m] if b[0] > markers[-1]]
+    return tuple(blocks), tuple(markers)
+
+
+@pytest.mark.parametrize("spec, edges, schedule", [
+    ("block_mixture(0,5),L=100000,seed=1", LEVEL_EDGES, None),
+    ("ar1(0.99),L=20000,seed=1", None, None),
+    ("monotone(1),L=20000", None, None),
+    # a join decided by the coverage of the blocks kept so far
+    ("ar1(0.5),L=2000,seed=1", (-math.inf, 0.5, 10.0, math.inf), (2, 3, 5)),
+])
+def test_staged_join_equals_the_tuple_join(spec, edges, schedule):
+    path = _path(spec)
+    if edges is None:
+        edges = quantile_edges(path.values, CONFIG.grid_cells)
+    joined = 0
+    for cell in grid_family(edges, 1)[1].cells:
+        trace = adversarial_contraction(path, cell, schedule, config=CONFIG)
+        if trace.failed:
+            continue
+        blocks, markers = _tuple_join(trace, path.length, CONFIG)
+        assert trace.result.blocks == blocks
+        assert trace.n_markers == markers
+        joined += 1
+    assert joined
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,14 @@ def test_calibrate_requires_enough_replicates():
                             replicates=100, seed=0)
 
 
+@pytest.mark.parametrize("window", [0, 1])
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_calibrate_rejects_windows_below_two(kind, window):
+    gen = GeneratorSpec("iid_normal", length=20)
+    with pytest.raises(ValueError, match="window size must be at least 2"):
+        calibrate_test_size(kind, window, 0.05, gen, replicates=1000, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # size soundness and offset genericity at desk scale
 
