@@ -55,7 +55,7 @@ ANALYZE_SPEC = f"ar1(0.5),L={LENGTH},seed=1"
 ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
 CONTRACT_INPUT = f"generate:block_mixture(0,5),L={LENGTH},seed=1"
 CONTRACT_IID = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
-CONTRACT_MONOTONE = f"generate:monotone(1),L={LENGTH}"
+CONTRACT_MONOTONE = f"generate:monotone(1),L={LENGTH},seed=1"
 # (corpus key, contract arguments): one success, then a failure at each
 # check: no window of length 32 reaches the threshold, qualifying windows
 # vanish as m grows, qualifying windows do not recur in the tail
