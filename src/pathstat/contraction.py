@@ -443,9 +443,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
         cov_g = covered / stops
         # suffix deviation of the next stage's coverage beyond each position
         nxt = trace_v2[next_m]
-        dev_next = _coverage(nxt, nxt + next_m, horizon)
-        dev_next -= target_d
-        np.abs(dev_next, out=dev_next)
+        dev_next = np.abs(_coverage(nxt, nxt + next_m, horizon) - target_d)
         suffix = np.maximum.accumulate(dev_next[::-1])[::-1]
         quality = np.maximum(
             np.abs(cov_g - target_d),
