@@ -12,8 +12,9 @@ Prints one JSON object mapping each corpus entry to a sha256:
   contract`` on one block_mixture path, with the configured m schedule, and
   of three runs that fail, one at each of the search's checks;
 * ``testbench/<file>``: the summary and the indicator CSVs of one
-  ``pathstat testbench`` run (one fixed and one calibrated test), and of a
-  second run of one test at start 7 and stride 3;
+  ``pathstat testbench`` run (one fixed and one calibrated test), of a
+  second run of one test at start 7 and stride 3, and of a third run of the
+  other three kinds at start 11 and stride 7;
 * ``montecarlo/<file>``: the table of ``pathstat montecarlo`` over its
   default generators with two replicates.
 
@@ -83,6 +84,17 @@ TESTBENCH_STRIDED_SPECS = (
 )
 TESTBENCH_STRIDED_OUTPUTS = ("testbench_summary.json",
                              "rejections_00_variance_split.csv")
+TESTBENCH_KINDS_STRIDED_SPECS = (
+    {"kind": "threshold_exceedance", "n": 40, "tau": 0.2, "alpha": 0.05,
+     "start": 11, "stride": 7},
+    {"kind": "mean_split", "n": 24, "tau": 0.5, "alpha": 0.05,
+     "start": 11, "stride": 7},
+    {"kind": "kpss_like", "n": 60, "tau": 0.4, "alpha": 0.05,
+     "start": 11, "stride": 7},
+)
+TESTBENCH_KINDS_STRIDED_OUTPUTS = (
+    "testbench_summary.json", "rejections_00_threshold_exceedance.csv",
+    "rejections_01_mean_split.csv", "rejections_02_kpss_like.csv")
 MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
 
 
@@ -147,6 +159,9 @@ def corpus() -> dict[str, str]:
         _testbench(out, f"testbench/{TESTBENCH_INPUT} start=7 stride=3",
                    TESTBENCH_STRIDED_SPECS, TESTBENCH_STRIDED_OUTPUTS,
                    "strided")
+        _testbench(out, f"testbench/{TESTBENCH_INPUT} start=11 stride=7",
+                   TESTBENCH_KINDS_STRIDED_SPECS,
+                   TESTBENCH_KINDS_STRIDED_OUTPUTS, "strided_kinds")
         _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
         _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
                     ("montecarlo.json",))
