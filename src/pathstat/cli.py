@@ -244,9 +244,11 @@ def cmd_testbench(args: argparse.Namespace) -> int:
     specs = _load_test_specs(args.tests)
     out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a generated input carries the run's seed, its spec's seed= included
+    seed = provenance.get("seed", _seed(args.seed))
     summary = []
     for i, spec in enumerate(specs):
-        test, calibration = _test_from_spec(spec, _seed(args.seed))
+        test, calibration = _test_from_spec(spec, seed)
         record = apply_moving_window(path, test,
                                      start=int(spec.get("start", 0)),
                                      stride=int(spec.get("stride", 1)),

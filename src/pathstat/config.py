@@ -9,7 +9,7 @@ knobs below are those thresholds; defaults are chosen for paths of length
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,6 @@ class AnalysisConfig:
             raise ValueError("m_schedule must be strictly increasing positive integers")
         if not 0.0 <= self.adversarial_p_lo < self.adversarial_p_hi <= 1.0:
             raise ValueError("adversarial p range must satisfy 0 <= lo < hi <= 1")
-
-    def with_updates(self, **kwargs) -> "AnalysisConfig":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = AnalysisConfig()

@@ -84,10 +84,6 @@ class Contraction:
         return b[:, 1] - b[:, 0] + 1
 
     @property
-    def covered(self) -> int:
-        return int(self.lengths.sum())
-
-    @property
     def span_end(self) -> int:
         return self.blocks[-1][1]
 

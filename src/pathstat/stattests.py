@@ -9,9 +9,8 @@ limiting frequency.
 
 Built-in tests reject when a continuous statistic strictly exceeds a
 threshold, so the boundary of the rejection region is a null set under any
-continuous law.  User-supplied deciders are trusted to satisfy one of the
-closed-region / null-boundary conditions; the ``boundary_condition`` field
-records the caller's assertion but is not checked.
+continuous law.  User-supplied deciders are trusted, not checked, to satisfy
+one of the closed-region / null-boundary conditions.
 """
 
 from __future__ import annotations
@@ -54,10 +53,10 @@ class StationarityTest:
     nominal_size: float
     decide: Callable[[np.ndarray], int]
     params: Mapping[str, float] = field(default_factory=dict)
-    boundary_condition: str = "null-boundary"
-    # optional vectorized evaluator over all window starts; must agree with
-    # ``decide`` exactly (tested), it exists purely for throughput
-    batch_decide: Callable[[np.ndarray], np.ndarray] | None = None
+    # optional vectorized evaluator of the windows at the starts a slice
+    # selects; must agree with ``decide`` exactly (tested), it exists purely
+    # for throughput
+    batch_decide: Callable[[np.ndarray, slice], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.window < 2:
@@ -93,75 +92,66 @@ def _stat_kpss_like(w: np.ndarray) -> float:
     return float(np.sum(s * s) / (n * n * variance))
 
 
-def _sliding_sums(x: np.ndarray, n: int) -> np.ndarray:
-    c = np.concatenate(([0.0], np.cumsum(x)))
-    return c[n:] - c[:-n]
+def _prefix(x: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(x)))
 
 
-def _batch_threshold(x: np.ndarray, n: int) -> np.ndarray:
-    return _sliding_sums(x, n) / n
+def _sums(p: np.ndarray, starts: slice, lo: int, hi: int) -> np.ndarray:
+    """``x[i+lo:i+hi].sum()`` at every start i, from the prefix ``p`` of x."""
+    a, b, step = starts.start, starts.stop, starts.step
+    return p[a + hi:b + hi:step] - p[a + lo:b + lo:step]
 
 
-def _batch_mean_split(x: np.ndarray, n: int) -> np.ndarray:
+def _batch_threshold(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
+    return _sums(_prefix(x), starts, 0, n) / n
+
+
+def _batch_mean_split(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     h = n // 2
-    sums_a = _sliding_sums(x, h)[:x.size - n + 1]
-    sums_b = _sliding_sums(x, n - h)[h:h + x.size - n + 1]
-    return np.abs(sums_a / h - sums_b / (n - h))
+    c = _prefix(x)
+    return np.abs(_sums(c, starts, 0, h) / h - _sums(c, starts, h, n) / (n - h))
 
 
-def _batch_variance_split(x: np.ndarray, n: int) -> np.ndarray:
+def _batch_variance_split(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     # shift-invariant: centring first keeps the prefix sums from cancelling
     x = x - np.mean(x)
     h = n // 2
-    m = x.size - n + 1
-    s1 = _sliding_sums(x, h)
-    q1 = _sliding_sums(x * x, h)
-    var_a = q1[:m] / h - (s1[:m] / h) ** 2
-    s2 = _sliding_sums(x, n - h)[h:h + m]
-    q2 = _sliding_sums(x * x, n - h)[h:h + m]
-    var_b = q2 / (n - h) - (s2 / (n - h)) ** 2
+    c = _prefix(x)
+    q = _prefix(x * x)
+    var_a = _sums(q, starts, 0, h) / h - (_sums(c, starts, 0, h) / h) ** 2
+    var_b = (_sums(q, starts, h, n) / (n - h)
+             - (_sums(c, starts, h, n) / (n - h)) ** 2)
     return np.abs(var_a - var_b)
 
 
-def _batch_kpss_like(x: np.ndarray, n: int) -> np.ndarray:
+def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     # window partial sums S_t = (C[i+t]-C[i]) - t*mu_i expanded so that every
-    # term is a sliding sum of a precomputed sequence; shift-invariant, so
+    # term is a window sum of a precomputed sequence; shift-invariant, so
     # centring first keeps the prefix sums from cancelling at a mean offset.
-    # Each prefix array is dropped once its window sums are taken.
-    x = x - np.mean(x)
-    m = x.size - n + 1
-    idx = np.arange(m)
-    c = np.concatenate(([0.0], np.cumsum(x)))
-    q = np.concatenate(([0.0], np.cumsum(x * x)))
-    del x
-    sum_q = q[n:] - q[:m]
-    del q
-    csq = np.concatenate(([0.0], np.cumsum(c[1:] * c[1:])))
-    sum_csq = csq[n:] - csq[:m]
-    del csq
-    csum = np.concatenate(([0.0], np.cumsum(c[1:])))
-    sum_c = csum[n:] - csum[:m]
-    del csum
-    cjsum = np.concatenate(([0.0], np.cumsum(np.arange(1.0, c.size) * c[1:])))
-    sum_jc = cjsum[n:] - cjsum[:m]
-    del cjsum
+    # Each prefix array but C lives only inside the expression taking its sums.
+    mean = np.mean(x)
+    sum_q = _sums(_prefix(np.square(x - mean)), starts, 0, n)
+    c = _prefix(x - mean)
+    sum_csq = _sums(_prefix(c[1:] * c[1:]), starts, 0, n)
+    sum_c = _sums(_prefix(c[1:]), starts, 0, n)
+    sum_jc = _sums(_prefix(np.arange(1.0, c.size) * c[1:]), starts, 0, n)
 
-    c_i = c[:m]
-    win_sum = c[n:] - c_i
-    mu = win_sum / n
+    idx = np.arange(starts.start, starts.stop, starts.step)
+    c_i = c[starts]
+    mu = _sums(c, starts, 0, n) / n
     sum_a_sq = sum_csq - 2.0 * c_i * sum_c + n * c_i * c_i
     sum_t_a = (sum_jc - idx * sum_c) - c_i * (n * (n + 1) / 2.0)
     sum_t_sq = n * (n + 1) * (2 * n + 1) / 6.0
     total = sum_a_sq - 2.0 * mu * sum_t_a + mu * mu * sum_t_sq
     variance = sum_q / n - mu * mu
-    stats = np.zeros(m)
+    stats = np.zeros(idx.size)
     ok = variance > 0
     stats[ok] = total[ok] / (n * n * variance[ok])
     return stats
 
 
 BUILTIN_KINDS: dict[str, tuple[Callable[[np.ndarray], float],
-                               Callable[[np.ndarray, int], np.ndarray]]] = {
+                               Callable[[np.ndarray, int, slice], np.ndarray]]] = {
     "threshold_exceedance": (_stat_threshold_exceedance, _batch_threshold),
     "mean_split": (_stat_mean_split, _batch_mean_split),
     "variance_split": (_stat_variance_split, _batch_variance_split),
@@ -185,8 +175,8 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
     def decide(window: np.ndarray) -> int:
         return int(stat(np.asarray(window, dtype=np.float64)) > tau)
 
-    def batch_decide(values: np.ndarray) -> np.ndarray:
-        return (batch(values, n) > tau).astype(np.uint8)
+    def batch_decide(values: np.ndarray, starts: slice) -> np.ndarray:
+        return (batch(values, n, starts) > tau).astype(np.uint8)
 
     return StationarityTest(
         name=name or f"{kind}(n={n})",
@@ -254,14 +244,15 @@ def apply_moving_window(path: Path, test: StationarityTest, start: int = 0,
     if start < 0 or start + n > path.length:
         raise ValueError(
             f"window of size {n} at offset {start} does not fit the path")
+    starts = slice(start, path.length - n + 1, stride)
     if test.batch_decide is not None:
-        all_ind = np.asarray(test.batch_decide(path.values), dtype=np.uint8)
-        indicators = all_ind[start::stride]
+        indicators = np.asarray(test.batch_decide(path.values, starts),
+                                dtype=np.uint8)
     else:
-        starts = np.arange(start, path.length - n + 1, stride)
+        offsets = range(starts.start, starts.stop, starts.step)
         indicators = np.fromiter(
-            (test.decide(path.values[i:i + n]) for i in starts),
-            dtype=np.uint8, count=starts.size)
+            (test.decide(path.values[i:i + n]) for i in offsets),
+            dtype=np.uint8, count=len(offsets))
     profile = _tail_profile(indicators, n, config.min_rung_windows)
     return RejectionRecord(
         test_name=test.name,

@@ -171,6 +171,27 @@ def test_testbench_calibration_seed_follows_env(tmp_path, monkeypatch):
             "mean_split", 20, 0.05, gen, replicates=1000, seed=seed).tau
 
 
+@pytest.mark.parametrize("flag, env, expected", [
+    (None, None, 3), (None, "7", 3), (4, "7", 4)])
+def test_testbench_calibration_seed_is_the_run_seed(tmp_path, monkeypatch,
+                                                    flag, env, expected):
+    if env is None:
+        monkeypatch.delenv("PATHSTAT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PATHSTAT_SEED", env)
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([
+        {"kind": "mean_split", "n": 20, "alpha": 0.05, "calibration": {
+            "generator": "iid_normal(0,1),L=20", "replicates": 1000}}]))
+    args = ["testbench", "generate:iid_normal(0,1),L=2000,seed=3",
+            "--tests", tests, "--out-dir", tmp_path]
+    assert run(args + ([] if flag is None else ["--seed", flag])) == 0
+    summary = json.loads((tmp_path / "testbench_summary.json").read_text())
+    # the flag, then the input spec's seed=, then PATHSTAT_SEED
+    assert summary["input"]["seed"] == expected
+    assert summary["tests"][0]["calibration"]["seed"] == expected
+
+
 def test_testbench_flags_trend(tmp_path):
     tests = tmp_path / "tests.json"
     tests.write_text(json.dumps(

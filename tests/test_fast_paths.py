@@ -9,6 +9,7 @@ computation; these tests hold them to it.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,7 @@ from pathstat.properties import (
 )
 from pathstat.stattests import (
     RejectionRecord,
+    apply_moving_window,
     builtin_statistic,
     make_builtin_test,
 )
@@ -380,11 +382,44 @@ def test_batch_decide_matches_scalar_at_offset(kind, n, offset):
     scalar = np.array([stat(x[i:i + n]) for i in starts])
     tau = float(np.quantile(scalar, 0.95))
     test = make_builtin_test(kind, n, tau, 0.05)
-    batch = test.batch_decide(x)
+    batch = test.batch_decide(x, slice(0, x.size - n + 1))
     assert batch.size == x.size - n + 1
     for i, s in zip(starts, scalar):
         near_tau = abs(s - tau) <= 1e-9 * max(1.0, abs(tau))
         assert near_tau or batch[i] == test.decide(x[i:i + n]), (i, s, tau)
+
+
+@pytest.mark.parametrize("start, stride", [(7, 3), (123, 997), (-1, 5)],
+                         ids=["7-3", "123-997", "last-5"])
+@pytest.mark.parametrize("walk", [False, True], ids=["iid+1e4", "walk"])
+@pytest.mark.parametrize("kind, n", [
+    ("threshold_exceedance", 50), ("mean_split", 100),
+    ("variance_split", 200), ("kpss_like", 400)])
+def test_strided_run_equals_the_sliced_stride_one_run(kind, n, walk, start,
+                                                      stride):
+    rng = np.random.default_rng(11)
+    noise = rng.normal(size=200_000)
+    path = Path(np.cumsum(noise) if walk else noise + 1e4)
+    start = path.length - n if start < 0 else start
+    stat = builtin_statistic(kind)
+    sampled = rng.integers(0, path.length - n + 1, 400)
+    tau = float(np.quantile([stat(path.values[i:i + n]) for i in sampled],
+                            0.95))
+    test = make_builtin_test(kind, n, tau, 0.05)
+    expected = apply_moving_window(path, test).indicators[start::stride]
+    assert expected.size == len(range(start, path.length - n + 1, stride))
+    batch = apply_moving_window(path, test, start, stride).indicators
+    assert np.array_equal(batch, expected)
+    scalar = apply_moving_window(
+        path, dataclasses.replace(test, batch_decide=None), start,
+        stride).indicators
+    assert scalar.shape == expected.shape
+    # the batched prefix sums of a walk lose up to ~1e-4 of kpss_like's value
+    # at n = 400 to cancellation, so a window that close to tau may be
+    # decided either way; a misplaced offset flips windows far from tau
+    for i in np.flatnonzero(scalar != expected):
+        s = stat(path.values[start + stride * i:][:n])
+        assert abs(s - tau) <= 1e-3 * max(1.0, abs(tau)), (i, s, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_batch_decide_matches_scalar(kind):
     values = rng.standard_normal(500)
     n = 16
     test = make_builtin_test(kind, n, tau=0.1, alpha=0.05)
-    batch = test.batch_decide(values)
+    batch = test.batch_decide(values, slice(0, values.size - n + 1))
     loop = np.array([test.decide(values[i:i + n])
                      for i in range(values.size - n + 1)], dtype=np.uint8)
     assert np.array_equal(batch, loop)
