@@ -13,8 +13,9 @@ Prints one JSON object mapping each corpus entry to a sha256:
   of three runs that fail, one at each of the search's checks;
 * ``testbench/<file>``: the summary and the indicator CSVs of one
   ``pathstat testbench`` run (one fixed and one calibrated test), of a
-  second run of one test at start 7 and stride 3, and of a third run of the
-  other three kinds at start 11 and stride 7;
+  second run of one test at start 7 and stride 3, of a third run of the
+  other three kinds at start 11 and stride 7, and of a fourth run that
+  calibrates one test of each kind under its own generator;
 * ``montecarlo/<file>``: the table of ``pathstat montecarlo`` over its
   default generators with two replicates.
 
@@ -95,6 +96,27 @@ TESTBENCH_KINDS_STRIDED_SPECS = (
 TESTBENCH_KINDS_STRIDED_OUTPUTS = (
     "testbench_summary.json", "rejections_00_threshold_exceedance.csv",
     "rejections_01_mean_split.csv", "rejections_02_kpss_like.csv")
+# a separate run, so that no existing hash moves; each calibration
+# generator's L= is its test's n
+TESTBENCH_CALIBRATED_SPECS = (
+    {"kind": "threshold_exceedance", "n": 40, "alpha": 0.05,
+     "calibration": {"generator": "ar1(0.5),L=40",
+                     "replicates": 1000, "seed": 3}},
+    {"kind": "mean_split", "n": 24, "alpha": 0.05,
+     "calibration": {"generator": "block_mixture(0,5),L=24",
+                     "replicates": 1000, "seed": 4}},
+    {"kind": "variance_split", "n": 30, "alpha": 0.05,
+     "calibration": {"generator": "unique_peak(10),L=30",
+                     "replicates": 1000, "seed": 5}},
+    {"kind": "kpss_like", "n": 33, "alpha": 0.05,
+     "calibration": {
+         "generator": "random_phase_sine(theta=1.4142135623730951),L=33",
+         "replicates": 1000, "seed": 6}},
+)
+TESTBENCH_CALIBRATED_OUTPUTS = (
+    "testbench_summary.json", "rejections_00_threshold_exceedance.csv",
+    "rejections_01_mean_split.csv", "rejections_02_variance_split.csv",
+    "rejections_03_kpss_like.csv")
 MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
 
 
@@ -162,6 +184,9 @@ def corpus() -> dict[str, str]:
         _testbench(out, f"testbench/{TESTBENCH_INPUT} start=11 stride=7",
                    TESTBENCH_KINDS_STRIDED_SPECS,
                    TESTBENCH_KINDS_STRIDED_OUTPUTS, "strided_kinds")
+        _testbench(out, f"testbench/{TESTBENCH_INPUT} calibrated kinds",
+                   TESTBENCH_CALIBRATED_SPECS, TESTBENCH_CALIBRATED_OUTPUTS,
+                   "calibrated_kinds")
         _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
         _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
                     ("montecarlo.json",))
