@@ -191,10 +191,15 @@ def _test_from_spec(spec: dict, default_seed: int | None):
             raise ValueError(
                 f"test {kind!r} needs either tau or a calibration block")
         gen = parse_spec(cal_spec["generator"])
-        seed = int(cal_spec.get("seed", default_seed if default_seed is not None else 0))
+        if gen.length != n:
+            raise ValueError(f"calibration generator has L={gen.length} but "
+                             f"test {kind!r} has n={n}; they must be equal")
+        # the block's seed, then its generator's seed=, then the run's seed
+        seed = next((s for s in (cal_spec.get("seed"), gen.seed, default_seed)
+                     if s is not None), 0)
         calibration = calibrate_test_size(
             kind, n, alpha, gen,
-            replicates=int(cal_spec.get("replicates", 2000)), seed=seed)
+            replicates=int(cal_spec.get("replicates", 2000)), seed=int(seed))
         tau = calibration.tau
     return make_builtin_test(kind, n, tau, alpha,
                              name=spec.get("name")), calibration

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -23,6 +23,7 @@ __all__ = [
     "GeneratorSpec",
     "ExpectedProfile",
     "generate",
+    "generate_rows",
     "expected_profile",
     "parse_spec",
     "format_spec",
@@ -125,8 +126,8 @@ def _block_layout(length: int) -> tuple[np.ndarray, np.ndarray]:
     return per_index, block_lengths
 
 
-def generate(spec: GeneratorSpec) -> Path:
-    """Deterministic given (spec, seed)."""
+def _draw(spec: GeneratorSpec, rng: np.random.Generator | None) -> np.ndarray:
+    """The values of one path; only stochastic kinds draw from ``rng``."""
     n = spec.length
     p = spec.params
     if spec.kind == "constant":
@@ -136,12 +137,11 @@ def generate(spec: GeneratorSpec) -> Path:
     elif spec.kind == "sine":
         values = np.sin(np.arange(n) * p["theta"] + p["phi0"])
     elif spec.kind == "random_phase_sine":
-        phi0 = _rng(spec).uniform(0.0, 2.0 * math.pi)
+        phi0 = rng.uniform(0.0, 2.0 * math.pi)
         values = np.sin(np.arange(n) * p["theta"] + phi0)
     elif spec.kind == "iid_normal":
-        values = p["mu"] + p["sigma"] * _rng(spec).standard_normal(n)
+        values = p["mu"] + p["sigma"] * rng.standard_normal(n)
     elif spec.kind == "ar1":
-        rng = _rng(spec)
         rho, sigma = p["rho"], p["sigma"]
         innovations = np.empty(n)
         # stationary start, then the recursion x_{t} = rho x_{t-1} + sigma xi_t
@@ -150,17 +150,31 @@ def generate(spec: GeneratorSpec) -> Path:
             innovations[1:] = sigma * rng.standard_normal(n - 1)
         values = lfilter([1.0], [1.0, -rho], innovations)
     elif spec.kind == "unique_peak":
-        rng = _rng(spec)
         values = _truncated_normal(rng, n)
         values[n // 2] = p["peak_height"]
     elif spec.kind == "block_mixture":
-        rng = _rng(spec)
         labels, _ = _block_layout(n)
         levels = np.where(labels == 0, p["level_a"], p["level_b"])
         values = levels + p["noise_sigma"] * rng.standard_normal(n)
     else:  # pragma: no cover - guarded by __post_init__
         raise ValueError(spec.kind)
-    return Path(values)
+    return values
+
+
+def generate(spec: GeneratorSpec) -> Path:
+    """Deterministic given (spec, seed)."""
+    return Path(_draw(spec, _rng(spec) if spec.kind in _STOCHASTIC else None))
+
+
+def generate_rows(spec: GeneratorSpec, seeds: Sequence[int]) -> np.ndarray:
+    """One path of ``spec.length`` values per seed, stacked as rows: row i
+    equals ``generate(spec.with_seed(seeds[i])).values`` bit for bit."""
+    rows = np.empty((len(seeds), spec.length))
+    for i, seed in enumerate(seeds):
+        rows[i] = _draw(spec, np.random.default_rng(int(seed)))
+    if not np.isfinite(rows).all():
+        raise ValueError("path values must all be finite")
+    return rows
 
 
 @dataclass(frozen=True)

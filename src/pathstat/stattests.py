@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .generators import GeneratorSpec, generate
+from .generators import GeneratorSpec, generate_rows
 from .pathcore import Path
 
 __all__ = [
@@ -66,30 +66,31 @@ class StationarityTest:
 
 
 # ---------------------------------------------------------------------------
-# built-in statistics
+# built-in statistics: each reduces a window along its last axis, so a stack
+# of windows gives one value per row, bit for bit the value of each row alone
 
-def _stat_threshold_exceedance(w: np.ndarray) -> float:
-    return float(np.mean(w))
-
-
-def _stat_mean_split(w: np.ndarray) -> float:
-    h = w.size // 2
-    return float(abs(np.mean(w[:h]) - np.mean(w[h:])))
+def _stat_threshold_exceedance(w: np.ndarray) -> float | np.ndarray:
+    return np.mean(w, axis=-1)
 
 
-def _stat_variance_split(w: np.ndarray) -> float:
-    h = w.size // 2
-    return float(abs(np.var(w[:h]) - np.var(w[h:])))
+def _stat_mean_split(w: np.ndarray) -> float | np.ndarray:
+    h = w.shape[-1] // 2
+    return np.abs(np.mean(w[..., :h], axis=-1) - np.mean(w[..., h:], axis=-1))
 
 
-def _stat_kpss_like(w: np.ndarray) -> float:
-    n = w.size
-    e = w - np.mean(w)
-    variance = float(np.mean(e * e))
-    if variance == 0.0:
-        return 0.0
-    s = np.cumsum(e)
-    return float(np.sum(s * s) / (n * n * variance))
+def _stat_variance_split(w: np.ndarray) -> float | np.ndarray:
+    h = w.shape[-1] // 2
+    return np.abs(np.var(w[..., :h], axis=-1) - np.var(w[..., h:], axis=-1))
+
+
+def _stat_kpss_like(w: np.ndarray) -> float | np.ndarray:
+    n = w.shape[-1]
+    e = w - np.mean(w, axis=-1, keepdims=True)
+    variance = np.mean(e * e, axis=-1)
+    flat = variance == 0.0
+    s = np.cumsum(e, axis=-1)
+    ratio = np.sum(s * s, axis=-1) / (n * n * np.where(flat, 1.0, variance))
+    return np.where(flat, 0.0, ratio)[()]
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:
@@ -150,7 +151,7 @@ def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     return stats
 
 
-BUILTIN_KINDS: dict[str, tuple[Callable[[np.ndarray], float],
+BUILTIN_KINDS: dict[str, tuple[Callable[[np.ndarray], float | np.ndarray],
                                Callable[[np.ndarray, int, slice], np.ndarray]]] = {
     "threshold_exceedance": (_stat_threshold_exceedance, _batch_threshold),
     "mean_split": (_stat_mean_split, _batch_mean_split),
@@ -159,7 +160,7 @@ BUILTIN_KINDS: dict[str, tuple[Callable[[np.ndarray], float],
 }
 
 
-def builtin_statistic(kind: str) -> Callable[[np.ndarray], float]:
+def builtin_statistic(kind: str) -> Callable[[np.ndarray], float | np.ndarray]:
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown test kind {kind!r}")
     return BUILTIN_KINDS[kind][0]
@@ -314,16 +315,25 @@ class CalibrationResult:
                                  name=name)
 
 
+# values per block of calibration replicates; bounds a block's windows and
+# the statistic's temporaries to a few MiB at any window size
+CALIBRATION_BLOCK_VALUES = 2 ** 18
+
+
 def calibrate_test_size(kind: str, window: int, alpha: float,
                         generator: GeneratorSpec, replicates: int = 2000,
                         seed: int = 0) -> CalibrationResult:
     """Empirical (1 - alpha) quantile of the statistic over seeded replicates.
 
-    Each replicate is an independent window drawn from the generator with a
-    seed derived via SeedSequence, so the result does not depend on
-    execution order.  The standard error is the half-width between the order
-    statistics one binomial standard deviation either side of the quantile
-    rank.
+    Each replicate is an independent window of ``window`` values drawn from
+    the generator's kind and parameters (its own length and seed are not
+    used) with a seed derived via SeedSequence, so the result does not
+    depend on execution order.  The replicates are drawn and reduced in
+    blocks of rows, at most ``CALIBRATION_BLOCK_VALUES`` values a block
+    (one row when the window is longer); each row is reduced on its own, so
+    the block size changes no bit of the result.  The standard error is the
+    half-width between the order statistics one binomial standard deviation
+    either side of the quantile rank.
     """
     if window < 2:
         raise ValueError("window size must be at least 2")
@@ -335,9 +345,11 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     child_seeds = np.random.SeedSequence(seed).generate_state(replicates)
     base = GeneratorSpec(kind=generator.kind, length=window,
                          params=generator.params)
+    rows = max(1, CALIBRATION_BLOCK_VALUES // window)
     stats = np.empty(replicates)
-    for i, child in enumerate(child_seeds):
-        stats[i] = stat(generate(base.with_seed(int(child))).values)
+    for i in range(0, replicates, rows):
+        block = generate_rows(base, child_seeds[i:i + rows])
+        stats[i:i + rows] = stat(block)
     if np.ptp(stats) == 0.0:
         raise CalibrationError(
             f"statistic {kind!r} is constant under {generator.kind!r}")

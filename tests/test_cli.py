@@ -112,8 +112,12 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
     (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
              "calibration": {"generator": "constant(1),L=20",
                              "replicates": 1000, "seed": 1}}], "is constant"),
+    (None, [{"kind": "mean_split", "n": 100, "alpha": 0.05,
+             "calibration": {"generator": "iid_normal(0,1),L=7",
+                             "replicates": 1000, "seed": 1}}],
+     "L=7 but test 'mean_split' has n=100"),
 ], ids=["config-wrong-type", "config-not-object", "config-unknown-key",
-        "spec-not-object", "constant-calibration"])
+        "spec-not-object", "constant-calibration", "calibration-length"])
 def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
     spec_file = tmp_path / "tests.json"
     spec_file.write_text(json.dumps(tests))
@@ -190,6 +194,28 @@ def test_testbench_calibration_seed_is_the_run_seed(tmp_path, monkeypatch,
     # the flag, then the input spec's seed=, then PATHSTAT_SEED
     assert summary["input"]["seed"] == expected
     assert summary["tests"][0]["calibration"]["seed"] == expected
+
+
+@pytest.mark.parametrize("block_seed, expected", [(None, 9), (2, 2)])
+def test_testbench_calibration_seed_follows_the_generator_spec(
+        tmp_path, monkeypatch, block_seed, expected):
+    monkeypatch.delenv("PATHSTAT_SEED", raising=False)
+    calibration = {"generator": "iid_normal(0,1),L=100,seed=9",
+                   "replicates": 1000}
+    if block_seed is not None:
+        calibration["seed"] = block_seed
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([{"kind": "mean_split", "n": 100,
+                                  "alpha": 0.05, "calibration": calibration}]))
+    assert run(["testbench", "generate:iid_normal(0,1),L=2000,seed=3",
+                "--tests", tests, "--out-dir", tmp_path]) == 0
+    entry = json.loads(
+        (tmp_path / "testbench_summary.json").read_text())["tests"][0]
+    # the block's seed, then its generator's seed=, then the run's seed (3)
+    assert entry["calibration"]["seed"] == expected
+    assert entry["tau"] == calibrate_test_size(
+        "mean_split", 100, 0.05, parse_spec(calibration["generator"]),
+        replicates=1000, seed=expected).tau
 
 
 def test_testbench_flags_trend(tmp_path):

@@ -3,14 +3,17 @@
 The shared cell table and harmonic prefix, the small-integer sort inside
 ``cell_tail_stats``, the gathered codes of contracted copies, the running
 minimum of the adversarial thinning, its staged join on arrays of window
-starts, the bulk text parse, the batched moving-window statistics and the
-bulk indicator CSV writer all replace a slower, obviously correct
-computation; these tests hold them to it.
+starts, the bulk text parse, the batched moving-window statistics, the
+bulk indicator CSV writer and the size calibration in blocks of replicate
+rows all replace a slower, obviously correct computation; these tests hold
+them to it.
 """
 
 import csv
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +28,14 @@ from pathstat.contraction import (
     default_contraction_family,
     ergodicity_diagnostic,
 )
-from pathstat.generators import generate, parse_spec
+from pathstat import stattests
+from pathstat.generators import (
+    KINDS,
+    GeneratorSpec,
+    generate,
+    generate_rows,
+    parse_spec,
+)
 from pathstat.pathcore import (
     OccurrenceSet,
     Path,
@@ -50,9 +60,12 @@ from pathstat.properties import (
     window_codes,
 )
 from pathstat.stattests import (
+    BUILTIN_KINDS,
+    CALIBRATION_BLOCK_VALUES,
     RejectionRecord,
     apply_moving_window,
     builtin_statistic,
+    calibrate_test_size,
     make_builtin_test,
 )
 
@@ -449,3 +462,126 @@ def test_indicator_csv_equals_csv_writer(tmp_path, start, stride, rows):
     expected = (tmp_path / "oracle.csv").read_bytes()
     assert expected.startswith(b"offset,indicator\r\n")
     assert (tmp_path / "bulk.csv").read_bytes() == expected
+
+
+# ---------------------------------------------------------------------------
+# size calibration in blocks of replicate rows against the per-replicate loop
+
+ROW_PARAMS = {
+    "constant": {"c": 2.0},
+    "monotone": {"slope": 0.5},
+    "unique_peak": {"peak_height": 10.0},
+    "sine": {"theta": 1.4142135623730951, "phi0": 0.5},
+    "random_phase_sine": {"theta": 1.4142135623730951},
+    "iid_normal": {"mu": 100.0, "sigma": 1.0},
+    "ar1": {"rho": 0.5, "sigma": 1.0},
+    "block_mixture": {"level_a": 0.0, "level_b": 5.0},
+}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_generated_rows_equal_generate(kind):
+    assert set(ROW_PARAMS) == set(KINDS)
+    spec = GeneratorSpec(kind=kind, length=37, params=ROW_PARAMS[kind])
+    seeds = np.array([0, 1, 12345, 2 ** 32 - 1], dtype=np.uint32)
+    rows = generate_rows(spec, seeds)
+    assert rows.shape == (seeds.size, 37)
+    for row, seed in zip(rows, seeds):
+        assert _bits(row) == _bits(generate(spec.with_seed(int(seed))).values)
+
+
+def test_generated_rows_must_be_finite():
+    spec = GeneratorSpec(kind="constant", length=3, params={"c": math.inf})
+    for draw in (lambda: generate(spec), lambda: generate_rows(spec, [1, 2])):
+        with pytest.raises(ValueError, match="path values must all be finite"):
+            draw()
+
+
+def _stacks():
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.normal(size=(6, 33)), axis=1)
+    mixed = rng.normal(size=(5, 8)) + 1e4
+    mixed[[1, 3]] = 7.0                      # constant rows among varying ones
+    return {"odd n": walk, "n = 2": rng.normal(size=(4, 2)),
+            "constant rows": mixed, "all constant": np.full((3, 9), -2.5),
+            "single row": rng.normal(size=(1, 101))}
+
+
+@pytest.mark.parametrize("stack", sorted(_stacks()))
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_statistic_of_a_stack_equals_each_row(kind, stack):
+    stat = builtin_statistic(kind)
+    windows = _stacks()[stack]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # kpss_like's flat rows included
+        batched = stat(windows)
+        singles = [stat(row) for row in windows]
+    assert all(isinstance(value, float) for value in singles)
+    assert batched.shape == (windows.shape[0],)
+    assert _bits(batched) == _bits(singles)
+    if kind == "kpss_like":
+        flat = np.ptp(windows, axis=1) == 0.0
+        assert np.all(batched[flat] == 0.0)
+
+
+def _per_replicate_calibration(kind, window, alpha, generator, replicates,
+                               seed):
+    """The statistics in replicate order, tau and stderr, one replicate at
+    a time."""
+    stat = builtin_statistic(kind)
+    base = GeneratorSpec(kind=generator.kind, length=window,
+                         params=generator.params)
+    children = np.random.SeedSequence(seed).generate_state(replicates)
+    drawn = np.array([stat(generate(base.with_seed(int(child))).values)
+                      for child in children])
+    stats = np.sort(drawn)
+    rank = (1.0 - alpha) * (replicates - 1)
+    spread = math.sqrt(replicates * alpha * (1.0 - alpha))
+    lo = int(max(0, math.floor(rank - spread)))
+    hi = int(min(replicates - 1, math.ceil(rank + spread)))
+    return (drawn, float(np.quantile(stats, 1.0 - alpha)),
+            float((stats[hi] - stats[lo]) / 2.0))
+
+
+@pytest.mark.parametrize("generator", [
+    "iid_normal(0,1)", "ar1(0.5)", "block_mixture(0,5)", "unique_peak(10)"])
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_calibration_equals_the_per_replicate_loop(monkeypatch, kind,
+                                                   generator):
+    window, replicates = 1000, 1000
+    rows = CALIBRATION_BLOCK_VALUES // window
+    assert 1 < rows < replicates and replicates % rows != 0  # uneven blocks
+    blocks = []
+
+    def recorded(name):
+        stat = BUILTIN_KINDS[name][0]
+
+        def record(windows):
+            blocks.append(stat(windows))
+            return blocks[-1]
+        return record
+
+    monkeypatch.setattr(stattests, "builtin_statistic", recorded)
+    gen = parse_spec(f"{generator},L={window}")
+    result = calibrate_test_size(kind, window, 0.05, gen, replicates, seed=3)
+    assert [b.size for b in blocks] == [rows] * (replicates // rows) + [
+        replicates % rows]
+    drawn, tau, stderr = _per_replicate_calibration(kind, window, 0.05, gen,
+                                                    replicates, 3)
+    assert _bits(np.concatenate(blocks)) == _bits(drawn)
+    assert _bits([result.tau, result.stderr]) == _bits([tau, stderr])
+
+
+def test_calibration_memory_is_bounded_by_its_blocks():
+    gen = parse_spec("iid_normal(0,1),L=5000")
+    tracemalloc.start()
+    try:
+        calibrate_test_size("kpss_like", 5000, 0.05, gen, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
