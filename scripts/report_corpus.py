@@ -5,7 +5,8 @@ Prints one JSON object mapping each corpus entry to a sha256:
 
 * ``suite/<spec>``: ``json.dumps(report_dict(run_suite(path, edges=...)),
   sort_keys=True)`` for six generators (block_mixture on its level-set grid)
-  at seeds 1-3 and L = 2e4;
+  at seeds 1-3 and L = 2e4, and for monotone and block_mixture, whose
+  adversarial attempts succeed, at seeds 1-3 and L = 1e5;
 * ``analyze/<file>``: both files ``pathstat analyze`` writes for one
   generated text file;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
@@ -50,6 +51,12 @@ GENERATORS = (
     ("iid_normal(0,1)", None),
     ("random_phase_sine(theta=1.4142135623730951)", None),
     ("constant(2)", None),
+    ("monotone(1)", None),
+    ("block_mixture(0,5)", LEVEL_EDGES),
+)
+# the inputs whose families carry adversarial copies, at the benchmark's size
+LONG_LENGTH = 100_000
+LONG_GENERATORS = (
     ("monotone(1)", None),
     ("block_mixture(0,5)", LEVEL_EDGES),
 )
@@ -160,9 +167,11 @@ def _testbench(out: dict[str, str], prefix: str, specs, names,
 
 def corpus() -> dict[str, str]:
     out: dict[str, str] = {}
-    for text, edges in GENERATORS:
+    runs = [(text, edges, LENGTH) for text, edges in GENERATORS] + \
+        [(text, edges, LONG_LENGTH) for text, edges in LONG_GENERATORS]
+    for text, edges, length in runs:
         for seed in SEEDS:
-            spec_text = f"{text},L={LENGTH},seed={seed}"
+            spec_text = f"{text},L={length},seed={seed}"
             report = report_dict(run_suite(generate(parse_spec(spec_text)),
                                            edges=edges))
             out[f"suite/{spec_text}"] = _sha(
