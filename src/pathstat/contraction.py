@@ -18,6 +18,7 @@ rejected unless those windows persist across the whole schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -37,7 +38,8 @@ from .properties import (
     CellTable,
     PatternGrid,
     cell_table,
-    cell_tail_stats,
+    cell_tail_means,
+    cell_tail_stats,  # noqa: F401  (re-exported; perfbench traces it here too)
     harmonic_prefix,
     window_codes,
 )
@@ -61,27 +63,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Contraction:
-    """Ordered disjoint integer blocks [s_i, e_i] with a declared coverage c."""
+    """Ordered disjoint integer blocks [s_i, e_i] with a declared coverage c.
+
+    ``starts`` and ``lengths`` hold the blocks as read-only arrays; they are
+    derived from ``blocks`` and take no part in equality or the JSON form.
+    """
 
     blocks: tuple[tuple[int, int], ...]
     target_density: float
     label: str = ""
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("contraction needs at least one block")
         if not 0.0 < self.target_density <= 1.0:
             raise ValueError("target density must be in (0, 1]")
-        blocks = tuple((int(s), int(e)) for s, e in self.blocks)
-        for s, e in blocks:
-            if s < 0 or e < s:
-                raise ValueError(f"bad block [{s}, {e}]")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        b = np.asarray(self.blocks)
-        return b[:, 1] - b[:, 0] + 1
+        b = np.array(self.blocks, dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero((b[:, 0] < 0) | (b[:, 1] < b[:, 0]))
+        if bad.size:
+            s, e = b[bad[0]].tolist()
+            raise ValueError(f"bad block [{s}, {e}]")
+        starts, lengths = b[:, 0], b[:, 1] - b[:, 0] + 1
+        starts.flags.writeable = lengths.flags.writeable = False
+        object.__setattr__(self, "blocks", tuple(map(tuple, b.tolist())))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "lengths", lengths)
 
     @property
     def span_end(self) -> int:
@@ -95,12 +103,15 @@ class Contraction:
         }
 
 
+@functools.lru_cache(maxsize=64)
 def build_alternating_contraction(target_c: float, horizon: int,
                                   phase: int = 0) -> Contraction:
     """Blocks of length ~round(m*c/(1-c)) against gaps of length m, m = 1,2,...
 
     Coverage telescopes to target_c.  phase=1 starts with a gap instead of a
     block.  target_c=1 is pure inclusion: a single block over the horizon.
+    The result depends on the arguments alone and is frozen, so each
+    (target_c, horizon, phase) is built once and then shared.
     """
     if not 0.0 < target_c <= 1.0:
         raise ValueError("target_c must be in (0, 1]")
@@ -140,8 +151,8 @@ def coverage_ratios(contraction: Contraction, horizon: int) -> np.ndarray:
     """Running coverage |[0, n-1] ∩ G| / n for n = 1..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    blocks = np.asarray(contraction.blocks)
-    return _coverage(blocks[:, 0], blocks[:, 1] + 1, horizon)
+    return _coverage(contraction.starts,
+                     contraction.starts + contraction.lengths, horizon)
 
 
 def _coverage(starts: np.ndarray, stops: np.ndarray, horizon: int) -> np.ndarray:
@@ -182,9 +193,8 @@ def validate_contraction(contraction: Contraction, horizon: int,
     least growth_factor times the first (a single full block passes
     trivially).  Coverage must tail-converge to the declared density.
     """
-    blocks = np.asarray(contraction.blocks)
-    ordering_ok = bool(np.all(blocks[1:, 0] > blocks[:-1, 1])) if len(blocks) > 1 else True
-    lengths = contraction.lengths
+    starts, lengths = contraction.starts, contraction.lengths
+    ordering_ok = bool(np.all(starts[1:] > (starts + lengths - 1)[:-1]))
     if len(lengths) == 1:
         growth_ok = True
     else:
@@ -205,9 +215,8 @@ def _positions(contraction: Contraction, length: int) -> np.ndarray:
     if contraction.span_end >= length:
         raise ValueError(
             f"block end {contraction.span_end} outside path of length {length}")
-    starts = np.asarray(contraction.blocks)[:, 0]
     lengths = contraction.lengths
-    shift = starts - (np.cumsum(lengths) - lengths)
+    shift = contraction.starts - (np.cumsum(lengths) - lengths)
     return np.arange(lengths.sum()) + np.repeat(shift, lengths)
 
 
@@ -279,13 +288,12 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
             if marg.size < k:
                 continue
             grid = grids[k]
-            stats = cell_tail_stats(window_codes(marg, grid), grid.n_cells,
-                                    config.tail_fraction, config.tolerance,
-                                    harm)
-            for cell, b, st in zip(grid.cells, base_vals, stats):
+            values = cell_tail_means(window_codes(marg, grid), grid.n_cells,
+                                     config.tail_fraction, harm)
+            for cell, b, v in zip(grid.cells, base_vals, values):
                 records.append(DiagnosticRecord(
                     contraction_label=label, k=k, pattern=cell,
-                    base_value=b, contracted_value=st.value))
+                    base_value=b, contracted_value=v))
     if records:
         worst = max(records, key=lambda r: r.discrepancy)
         worst_disc = worst.discrepancy

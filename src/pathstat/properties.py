@@ -209,68 +209,125 @@ def harmonic_prefix(horizon: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, horizon + 1))))
 
 
+@dataclass(frozen=True, eq=False)
+class _TailSegments:
+    """Every cell's tail d(n) = N(n)/n, n0 <= n <= horizon, as runs of
+    constant count N, concatenated cell after cell.
+
+    Run i covers n in [starts[i], ends[i]] with N(n) = counts[i]; cell c's
+    runs are [bounds[c], bounds[c + 1]), the first starting at n0 and each
+    later one at a jump of N.  ``occurrences[c]`` is the cell's count over
+    the whole horizon.
+    """
+
+    horizon: int
+    w: int
+    occurrences: np.ndarray
+    bounds: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    counts: np.ndarray
+
+
+def _tail_segments(cell_ids: np.ndarray, n_cells: int,
+                   tail_fraction: float) -> _TailSegments:
+    """Group the tail window by cell: the head (indices below n0) is only
+    counted, and only the tail's ids are sorted."""
+    horizon = int(cell_ids.size)
+    if horizon < 1:
+        raise ValueError("no windows")
+    w = tail_window_size(horizon, tail_fraction)
+    n0 = horizon - w + 1
+    ids = np.asarray(cell_ids).astype(_small_int_dtype(n_cells), copy=False)
+    tail = ids[n0:]
+    # per-cell counts before n0 (N(n0)) and from n0 on; slot 0 counts the -1s
+    head = np.bincount(np.add(ids[:n0], 1, dtype=np.intp),
+                       minlength=n_cells + 1)[1:]
+    r = np.bincount(np.add(tail, 1, dtype=np.intp), minlength=n_cells + 1)
+    # positions up to the horizon, in 32 bits where they fit
+    pos = np.int32 if horizon < np.iinfo(np.int32).max else np.int64
+    # numpy radix-sorts 8- and 16-bit integers; the stable sort keeps each
+    # cell's indices ascending, so its jump points in (n0, horizon] follow
+    jumps = np.add(np.argsort(tail, kind="stable")[r[0]:], n0 + 1, dtype=pos)
+    r = r[1:]
+    cuts = np.cumsum(r)
+    bounds = np.concatenate(([0], cuts + np.arange(1, n_cells + 1)))
+    starts = np.insert(jumps, cuts - r, n0)
+    # a run ends where the cell's next run starts, its last run at the horizon
+    ends = np.empty_like(starts)
+    np.subtract(starts[1:], 1, out=ends[:-1])
+    ends[bounds[1:] - 1] = horizon
+    counts = np.repeat((head - bounds[:-1]).astype(pos), r + 1)
+    counts += np.arange(bounds[-1], dtype=pos)
+    return _TailSegments(horizon=horizon, w=w, occurrences=head + r,
+                         bounds=bounds, starts=starts, ends=ends,
+                         counts=counts)
+
+
+def _tail_means(seg: _TailSegments, harm: np.ndarray | None) -> list[float]:
+    """Each cell's tail mean of d(n): between jumps d(n) decays as N/n, so
+    the sum over a run is its count times a harmonic increment.  Each cell
+    sums its own runs, in order, with ``np.sum``'s pairwise summation."""
+    if harm is None:
+        harm = harmonic_prefix(seg.horizon)
+    terms = np.take(harm, seg.ends)
+    terms -= np.take(harm, seg.starts - 1)
+    terms *= seg.counts
+    b = seg.bounds.tolist()
+    means: list[float] = []
+    for c, n_occ in enumerate(seg.occurrences.tolist()):
+        if n_occ == 0 or n_occ == seg.horizon:
+            # d(n) is identically 0 or identically 1
+            means.append(float(n_occ == seg.horizon))
+        else:
+            # np.add.reduce is np.sum without its Python wrapper
+            means.append(float(np.add.reduce(terms[b[c]:b[c + 1]])) / seg.w)
+    return means
+
+
+def cell_tail_means(cell_ids: np.ndarray, n_cells: int, tail_fraction: float,
+                    harm: np.ndarray | None = None) -> list[float]:
+    """The ``value`` of every cell's ``cell_tail_stats``, and nothing else."""
+    return _tail_means(_tail_segments(cell_ids, n_cells, tail_fraction), harm)
+
+
 def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
                     tail_fraction: float, tolerance: float,
                     harm: np.ndarray | None = None) -> list[_CellStats]:
     """Per-cell tail statistics of d(n) = N(n)/n in one pass.
 
     Exactly equivalent to building each cell's occurrence set and running
-    ``density_trajectory`` + ``estimate_limit_density`` on it, but O(total
-    occurrences) instead of O(n_cells * horizon): between jumps d(n) decays
-    as N/n, so the tail max sits at segment starts, the min at segment ends,
-    and the mean is a sum of counts times harmonic increments.  Ids lie in
-    [-1, n_cells); -1 belongs to no cell.  ``harm`` is a ``harmonic_prefix``
+    ``density_trajectory`` + ``estimate_limit_density`` on it, but O(horizon
+    + n_cells) instead of O(n_cells * horizon): between jumps d(n) decays as
+    N/n, so the tail max sits at run starts, the min at run ends, and the
+    mean is a sum of counts times harmonic increments.  Ids lie in [-1,
+    n_cells); -1 belongs to no cell.  ``harm`` is a ``harmonic_prefix``
     reaching at least the horizon, shared by the calls on one path; built
     here when absent.
     """
-    horizon = int(cell_ids.size)
-    if horizon < 1:
-        raise ValueError("no windows")
-    w = tail_window_size(horizon, tail_fraction)
-    n0 = horizon - w + 1
+    seg = _tail_segments(cell_ids, n_cells, tail_fraction)
+    horizon = seg.horizon
+    values = _tail_means(seg, harm)
+    first = seg.bounds[:-1]
+    osc = np.maximum.reduceat(seg.counts / seg.starts, first) - \
+        np.minimum.reduceat(seg.counts / seg.ends, first)
+    # a jump at n leaves d flat only when the prefix was saturated
+    # (N(n-1) = n-1, so N(n) = n and d stays at 1); any other jump raises d
+    rises = seg.counts != seg.starts
+    rises[first] = False
+    rising = np.logical_or.reduceat(rises, first)
 
-    # numpy radix-sorts 8- and 16-bit integers
-    ids = np.asarray(cell_ids).astype(_small_int_dtype(n_cells), copy=False)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    bounds = np.searchsorted(sorted_ids, np.arange(n_cells + 1))
-    if harm is None:
-        harm = harmonic_prefix(horizon)
-
+    # an empty or full cell has d = 0 or 1 at every n: no oscillation, no rise
     out: list[_CellStats] = []
-    for c in range(n_cells):
-        occ = order[bounds[c]:bounds[c + 1]]
-        n_occ = occ.size
-        if n_occ == 0 or n_occ == horizon:
-            # d(n) is identically 0 or identically 1
-            level = float(n_occ == horizon)
-            out.append(_CellStats(
-                value=level, oscillation=0.0, converged=True,
-                final_count=int(n_occ), final_ratio=level,
-                tail_nonincreasing=True))
-            continue
-        before = int(np.searchsorted(occ, n0))  # N(n0) counts indices < n0
-        jumps = occ[before:] + 1  # jump points in (n0, horizon]
-        r = jumps.size
-        starts = np.concatenate(([n0], jumps))
-        counts_at_start = before + np.arange(r + 1)
-        ends = np.concatenate((jumps - 1, [horizon]))
-        counts_at_end = np.concatenate((before + np.arange(r), [before + r]))
-        d_start = counts_at_start / starts
-        d_end = counts_at_end / ends
-        osc = float(d_start.max() - d_end.min())
-        total = float(np.sum(counts_at_start * (harm[ends] - harm[starts - 1])))
-        final_count = before + r
-        # a jump at n leaves d flat only when the prefix was saturated
-        # (N(n-1) = n-1, d stuck at 1); any other jump raises d
-        saturated = bool(np.all(before + np.arange(r) == jumps - 1))
+    for c, n_occ in enumerate(seg.occurrences.tolist()):
+        o = float(osc[c])
         out.append(_CellStats(
-            value=total / w,
-            oscillation=osc,
-            converged=osc <= tolerance,
-            final_count=int(final_count),
-            final_ratio=final_count / horizon,
-            tail_nonincreasing=(r == 0) or saturated,
+            value=values[c],
+            oscillation=o,
+            converged=o <= tolerance,
+            final_count=n_occ,
+            final_ratio=n_occ / horizon,
+            tail_nonincreasing=not rising[c],
         ))
     return out
 

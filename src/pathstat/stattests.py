@@ -160,6 +160,15 @@ BUILTIN_KINDS: dict[str, tuple[Callable[[np.ndarray], float | np.ndarray],
 }
 
 
+def _check_window(kind: str, n: int) -> None:
+    # variance_split compares the variances of the two halves, and a half
+    # of one value has variance 0, so a smaller window never rejects
+    least = 4 if kind == "variance_split" else 2
+    if n < least:
+        raise ValueError(f"test kind {kind!r} needs a window of at least "
+                         f"n = {least}, got n = {n}")
+
+
 def builtin_statistic(kind: str) -> Callable[[np.ndarray], float | np.ndarray]:
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown test kind {kind!r}")
@@ -171,6 +180,7 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
     """A built-in test rejecting when its statistic strictly exceeds tau."""
     if kind not in BUILTIN_KINDS:
         raise ValueError(f"unknown test kind {kind!r}")
+    _check_window(kind, n)
     stat, batch = BUILTIN_KINDS[kind]
 
     def decide(window: np.ndarray) -> int:
@@ -342,6 +352,7 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     stat = builtin_statistic(kind)
+    _check_window(kind, window)
     child_seeds = np.random.SeedSequence(seed).generate_state(replicates)
     base = GeneratorSpec(kind=generator.kind, length=window,
                          params=generator.params)

@@ -116,8 +116,18 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
              "calibration": {"generator": "iid_normal(0,1),L=7",
                              "replicates": 1000, "seed": 1}}],
      "L=7 but test 'mean_split' has n=100"),
+] + [
+    # a one-value half: a fixed tau never rejects, a calibration is constant
+    (None, [{"kind": "variance_split", "n": n, "alpha": 0.05, **how}],
+     f"'variance_split' needs a window of at least n = 4, got n = {n}")
+    for n in (2, 3)
+    for how in ({"tau": 0.1},
+                {"calibration": {"generator": f"iid_normal(0,1),L={n}",
+                                 "replicates": 1000, "seed": 1}})
 ], ids=["config-wrong-type", "config-not-object", "config-unknown-key",
-        "spec-not-object", "constant-calibration", "calibration-length"])
+        "spec-not-object", "constant-calibration", "calibration-length",
+        "variance-split-n2", "variance-split-n2-calibrated",
+        "variance-split-n3", "variance-split-n3-calibrated"])
 def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
     spec_file = tmp_path / "tests.json"
     spec_file.write_text(json.dumps(tests))

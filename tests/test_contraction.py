@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
     Contraction,
+    _positions,
     adversarial_contraction,
     build_alternating_contraction,
     contract_path,
@@ -83,6 +85,52 @@ def test_alternating_other_densities(c):
 def test_alternating_infeasible_horizon():
     with pytest.raises(ValueError):
         build_alternating_contraction(0.5, 5)
+
+
+@pytest.mark.parametrize("horizon", [10, 11, 37, 1_000, 100_000, 1_000_003])
+def test_alternating_family_is_built_once_per_horizon(horizon):
+    uncached = build_alternating_contraction.__wrapped__
+    for c in CONFIG.contraction_densities + (1.0,):
+        for phase in (0, 1):
+            try:
+                fresh = uncached(c, horizon, phase)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    build_alternating_contraction(c, horizon, phase)
+                continue
+            shared = build_alternating_contraction(c, horizon, phase)
+            assert shared is not fresh
+            assert shared.blocks == fresh.blocks and shared == fresh
+            assert shared.label == fresh.label
+            assert build_alternating_contraction(c, horizon, phase) is shared
+            kept = np.concatenate([np.arange(s, e + 1)
+                                   for s, e in fresh.blocks])
+            assert np.array_equal(_positions(shared, horizon), kept)
+            assert np.array_equal(contract_path(
+                Path(np.arange(horizon, dtype=float)), shared).values, kept)
+
+
+def test_contraction_arrays_stay_out_of_equality_and_json():
+    c = Contraction([(0, 3), (np.int64(6), 9.0)], 0.5, label="x")
+    assert c.blocks == ((0, 3), (6, 9))
+    assert all(type(v) is int for block in c.blocks for v in block)
+    assert c.starts.tolist() == [0, 6] and c.lengths.tolist() == [4, 4]
+    assert not c.starts.flags.writeable and not c.lengths.flags.writeable
+    same = Contraction(((0, 3), (6, 9)), 0.5, label="x")
+    assert c == same and hash(c) == hash(same)
+    assert "starts" not in repr(c) and "lengths" not in repr(c)
+    assert c.to_json_dict() == {"blocks": [[0, 3], [6, 9]],
+                                "target_density": 0.5, "label": "x"}
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (((0, 3), (7, 6)), r"bad block \[7, 6\]"),
+    (((-1, 3),), r"bad block \[-1, 3\]"),
+    ((), "at least one block"),
+])
+def test_contraction_rejects_bad_blocks(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        Contraction(blocks, 0.5)
 
 
 def test_validation_catches_bounded_blocks():

@@ -45,6 +45,20 @@ def test_variance_split_zero_threshold_rejects_unequal_halves():
     assert test.decide(np.ones(6)) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_variance_split_needs_two_values_per_half(n):
+    message = "'variance_split' needs a window of at least n = 4"
+    with pytest.raises(ValueError, match=message):
+        make_builtin_test("variance_split", n, tau=0.1, alpha=0.05)
+    gen = GeneratorSpec("iid_normal", length=n)
+    with pytest.raises(ValueError, match=message):
+        calibrate_test_size("variance_split", n, 0.05, gen, replicates=1000)
+    assert make_builtin_test("variance_split", 4, 0.1, 0.05).window == 4
+    assert calibrate_test_size("variance_split", 4, 0.05,
+                               GeneratorSpec("iid_normal", length=4),
+                               replicates=1000).tau > 0
+
+
 def test_kpss_like_hand_value():
     # window (0, 1): e = (-1/2, 1/2), partial sums (-1/2, 0),
     # variance 1/4 -> statistic = (1/4) / (4 * 1/4) = 1/4
