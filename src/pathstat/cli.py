@@ -45,21 +45,24 @@ EXIT_ERROR = 1
 EXIT_VIOLATIONS = 2
 
 
-# the AnalysisConfig fields the analysis commands take as flags and --config
-# keys; each flag's default and type are DEFAULT_CONFIG's
+# the AnalysisConfig fields a command may take as flags and --config keys;
+# each flag's default and type are DEFAULT_CONFIG's
 CONFIG_FLAGS = ("grid_cells", "k_max", "tail_fraction", "tolerance",
                 "violation_floor_count", "positive_floor_count", "t_slack",
                 "ergodicity_tolerance")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser,
+                      fields: tuple[str, ...]) -> None:
+    """--config, a flag per field of ``fields`` (the CONFIG_FLAGS the command
+    reads) and --seed; the fields are recorded on the parsed args."""
     parser.add_argument("--config", help="JSON file whose keys override flags")
-    for name in CONFIG_FLAGS:
+    for name in fields:
         default = getattr(DEFAULT_CONFIG, name)
         parser.add_argument("--" + name.replace("_", "-"), type=type(default),
                             default=default)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", default=".")
+    parser.set_defaults(config_fields=fields)
 
 
 # the types each --config key accepts; the CONFIG_FLAGS take DEFAULT_CONFIG's
@@ -72,22 +75,23 @@ CONFIG_KEY_TYPES = {
 
 
 def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
-    """The AnalysisConfig of the flags after the --config overrides, which
-    replace the flags' values in ``args``."""
+    """The AnalysisConfig of the command's flags after the --config overrides,
+    which replace the flags' values in ``args``; only those flags are keys."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in overrides.items():
-            if key not in CONFIG_KEY_TYPES:
+            if key not in CONFIG_KEY_TYPES or not hasattr(args, key):
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(value, bool) or \
                     not isinstance(value, CONFIG_KEY_TYPES[key]):
                 raise ValueError(f"config key {key!r} has the wrong type: "
                                  f"{value!r}")
             setattr(args, key, value)
-    return AnalysisConfig(**{name: getattr(args, name) for name in CONFIG_FLAGS})
+    return AnalysisConfig(**{name: getattr(args, name)
+                             for name in args.config_fields})
 
 
 def _seed(flag: int | None, spec_seed: int | None = None) -> int | None:
@@ -178,18 +182,31 @@ def _load_test_specs(path: str) -> list[dict]:
     return specs
 
 
+def _check_keys(block: dict, allowed: tuple[str, ...], what: str) -> None:
+    for key in block:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}")
+
+
 def _test_from_spec(spec: dict, default_seed: int | None):
+    _check_keys(spec, ("kind", "n", "alpha", "tau", "calibration", "name",
+                       "start", "stride"), "test spec")
     kind = spec["kind"]
     n = int(spec["n"])
     alpha = float(spec.get("alpha", 0.05))
     if "tau" in spec:
+        if "calibration" in spec:
+            raise ValueError(
+                f"test {kind!r} has both tau and a calibration block")
         tau = float(spec["tau"])
         calibration = None
     else:
         cal_spec = spec.get("calibration")
-        if not cal_spec:
+        if not isinstance(cal_spec, dict) or not cal_spec:
             raise ValueError(
                 f"test {kind!r} needs either tau or a calibration block")
+        _check_keys(cal_spec, ("generator", "replicates", "seed"),
+                    "calibration")
         gen = parse_spec(cal_spec["generator"])
         if gen.length != n:
             raise ValueError(f"calibration generator has L={gen.length} but "
@@ -393,20 +410,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="full diagnostic suite on one path")
     p_an.add_argument("input", help='path file or "generate:<spec>"')
-    _add_config_flags(p_an)
+    _add_config_flags(p_an, CONFIG_FLAGS)
+    p_an.add_argument("--out-dir", default=".")
     p_an.set_defaults(func=cmd_analyze)
 
     p_tb = sub.add_parser("testbench", help="moving-window rejection densities")
     p_tb.add_argument("input")
     p_tb.add_argument("--tests", required=True,
                       help="JSON file with a list of test specs")
-    _add_config_flags(p_tb)
+    _add_config_flags(p_tb, ())
+    p_tb.add_argument("--out-dir", default=".")
     p_tb.set_defaults(func=cmd_testbench)
 
     p_mc = sub.add_parser("montecarlo", help="suite pass rates over seeds")
     p_mc.add_argument("--generators", nargs="*", default=None)
     p_mc.add_argument("--replicates", type=int, default=20)
-    _add_config_flags(p_mc)
+    _add_config_flags(p_mc, CONFIG_FLAGS)
+    p_mc.add_argument("--out-dir", default=".")
     p_mc.set_defaults(func=cmd_montecarlo)
 
     p_ct = sub.add_parser("contract", help="adversarial contraction search")
@@ -418,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--trace", default=None,
                       help="write the full construction trace to this file")
     p_ct.add_argument("--out", default=None)
-    _add_config_flags(p_ct)
+    # read by the search and validate_contraction
+    _add_config_flags(p_ct, ("tail_fraction", "tolerance"))
     p_ct.set_defaults(func=cmd_contract)
 
     return parser

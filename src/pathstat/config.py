@@ -57,17 +57,25 @@ class AnalysisConfig:
     test_slack: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tail_fraction <= 1.0:
-            raise ValueError("tail_fraction must be in (0, 1]")
+        for name in ("k_levels", "contraction_densities", "contraction_phases",
+                     "m_schedule"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for name in ("tail_fraction", "adversarial_persistence",
+                     "adversarial_threshold_cap", "adversarial_headroom"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1]")
         for name in ("tolerance", "violation_floor_count", "positive_floor_count",
                      "t_slack", "ergodicity_tolerance", "adversarial_eps1",
                      "test_slack"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if self.grid_cells < 2:
-            raise ValueError("grid_cells must be at least 2")
+        for name, least in (("k_max", 1), ("grid_cells", 2),
+                            ("growth_factor", 1), ("min_rung_windows", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+        if not 0.0 <= self.burn_in_fraction < 1.0:
+            raise ValueError("burn_in_fraction must be in [0, 1)")
         if list(self.k_levels) != sorted(self.k_levels) or min(self.k_levels) <= 0:
             raise ValueError("k_levels must be increasing and positive")
         if not all(0.0 < c <= 1.0 for c in self.contraction_densities):

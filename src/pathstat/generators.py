@@ -30,32 +30,6 @@ __all__ = [
     "KINDS",
 ]
 
-# positional parameter order accepted by the spec-string syntax
-KINDS: dict[str, tuple[str, ...]] = {
-    "constant": ("c",),
-    "monotone": ("slope",),
-    "unique_peak": ("peak_height",),
-    "sine": ("theta", "phi0"),
-    "random_phase_sine": ("theta",),
-    "iid_normal": ("mu", "sigma"),
-    "ar1": ("rho", "sigma"),
-    "block_mixture": ("level_a", "level_b", "noise_sigma"),
-}
-
-_DEFAULTS: dict[str, dict[str, float]] = {
-    "constant": {"c": 0.0},
-    "monotone": {"slope": 1.0},
-    "unique_peak": {"peak_height": 10.0},
-    "sine": {"phi0": 0.0},
-    "random_phase_sine": {},
-    "iid_normal": {"mu": 0.0, "sigma": 1.0},
-    "ar1": {"sigma": 1.0},
-    "block_mixture": {"level_a": 0.0, "level_b": 5.0, "noise_sigma": 0.25},
-}
-
-_STOCHASTIC = {"unique_peak", "random_phase_sine", "iid_normal", "ar1",
-               "block_mixture"}
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -69,12 +43,14 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise ValueError("length must be at least 1")
-        merged = dict(_DEFAULTS[self.kind])
+        declared = KINDS[self.kind].params
+        # the defaults in declared order, then the supplied keys
+        merged = {k: v for k, v in declared.items() if v is not None}
         for key, val in dict(self.params).items():
-            if key not in KINDS[self.kind]:
+            if key not in declared:
                 raise ValueError(f"{self.kind} has no parameter {key!r}")
             merged[key] = float(val)
-        missing = [p for p in KINDS[self.kind] if p not in merged]
+        missing = [p for p in declared if p not in merged]
         if missing:
             raise ValueError(f"{self.kind} requires parameters {missing}")
         _validate_params(self.kind, merged)
@@ -82,9 +58,6 @@ class GeneratorSpec:
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=int(seed))
-
-    def __getitem__(self, key: str) -> float:
-        return self.params[key]
 
 
 def _validate_params(kind: str, p: Mapping[str, float]) -> None:
@@ -163,7 +136,8 @@ def _draw(spec: GeneratorSpec, rng: np.random.Generator | None) -> np.ndarray:
 
 def generate(spec: GeneratorSpec) -> Path:
     """Deterministic given (spec, seed)."""
-    return Path(_draw(spec, _rng(spec) if spec.kind in _STOCHASTIC else None))
+    return Path(_draw(spec, _rng(spec) if KINDS[spec.kind].stochastic
+                      else None))
 
 
 def generate_rows(spec: GeneratorSpec, seeds: Sequence[int]) -> np.ndarray:
@@ -191,20 +165,36 @@ class ExpectedProfile:
                     and self.ergodicity_pass)
 
 
-_PROFILES: dict[str, ExpectedProfile] = {
-    "constant": ExpectedProfile(True, True, True),
-    "sine": ExpectedProfile(True, True, True),
-    "random_phase_sine": ExpectedProfile(True, True, True),
-    "iid_normal": ExpectedProfile(True, True, True),
-    "ar1": ExpectedProfile(True, True, True),
-    "monotone": ExpectedProfile(False, False, None),
-    "unique_peak": ExpectedProfile(False, True, None),
-    "block_mixture": ExpectedProfile(True, True, False),
+@dataclass(frozen=True)
+class GeneratorKind:
+    """A kind's parameters in positional order with their defaults (None
+    marks a required one), whether it draws from a seed, its verdicts."""
+
+    params: Mapping[str, float | None]
+    stochastic: bool
+    profile: ExpectedProfile
+
+
+_PASSES = ExpectedProfile(True, True, True)
+
+KINDS: dict[str, GeneratorKind] = {
+    "constant": GeneratorKind({"c": 0.0}, False, _PASSES),
+    "monotone": GeneratorKind({"slope": 1.0}, False,
+                              ExpectedProfile(False, False, None)),
+    "unique_peak": GeneratorKind({"peak_height": 10.0}, True,
+                                 ExpectedProfile(False, True, None)),
+    "sine": GeneratorKind({"theta": None, "phi0": 0.0}, False, _PASSES),
+    "random_phase_sine": GeneratorKind({"theta": None}, True, _PASSES),
+    "iid_normal": GeneratorKind({"mu": 0.0, "sigma": 1.0}, True, _PASSES),
+    "ar1": GeneratorKind({"rho": None, "sigma": 1.0}, True, _PASSES),
+    "block_mixture": GeneratorKind(
+        {"level_a": 0.0, "level_b": 5.0, "noise_sigma": 0.25}, True,
+        ExpectedProfile(True, True, False)),
 }
 
 
 def expected_profile(spec: GeneratorSpec) -> ExpectedProfile:
-    return _PROFILES[spec.kind]
+    return KINDS[spec.kind].profile
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +211,7 @@ def parse_spec(text: str) -> GeneratorSpec:
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     params: dict[str, float] = {}
-    positional = list(KINDS[kind])
+    positional = list(KINDS[kind].params)
     pos = 0
     for token in filter(None, (t.strip() for t in arg_text.split(","))):
         if "=" in token:

@@ -189,18 +189,8 @@ def window_cell_ids(values: np.ndarray, grid: PatternGrid) -> np.ndarray:
 class _CellStats:
     value: float
     oscillation: float
-    converged: bool
     final_count: int
-    final_ratio: float
     tail_nonincreasing: bool
-
-    def estimate(self, tail_fraction: float, tolerance: float) -> DensityEstimate:
-        return DensityEstimate(
-            value=self.value,
-            oscillation=self.oscillation,
-            converged=self.oscillation <= tolerance,
-            tail_fraction=tail_fraction,
-        )
 
 
 def harmonic_prefix(horizon: int) -> np.ndarray:
@@ -291,8 +281,7 @@ def cell_tail_means(cell_ids: np.ndarray, n_cells: int, tail_fraction: float,
     return _tail_means(_tail_segments(cell_ids, n_cells, tail_fraction), harm)
 
 
-def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
-                    tail_fraction: float, tolerance: float,
+def cell_tail_stats(cell_ids: np.ndarray, n_cells: int, tail_fraction: float,
                     harm: np.ndarray | None = None) -> list[_CellStats]:
     """Per-cell tail statistics of d(n) = N(n)/n in one pass.
 
@@ -306,7 +295,6 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
     here when absent.
     """
     seg = _tail_segments(cell_ids, n_cells, tail_fraction)
-    horizon = seg.horizon
     values = _tail_means(seg, harm)
     first = seg.bounds[:-1]
     osc = np.maximum.reduceat(seg.counts / seg.starts, first) - \
@@ -318,18 +306,9 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int,
     rising = np.logical_or.reduceat(rises, first)
 
     # an empty or full cell has d = 0 or 1 at every n: no oscillation, no rise
-    out: list[_CellStats] = []
-    for c, n_occ in enumerate(seg.occurrences.tolist()):
-        o = float(osc[c])
-        out.append(_CellStats(
-            value=values[c],
-            oscillation=o,
-            converged=o <= tolerance,
-            final_count=n_occ,
-            final_ratio=n_occ / horizon,
-            tail_nonincreasing=not rising[c],
-        ))
-    return out
+    return [_CellStats(value=values[c], oscillation=float(osc[c]),
+                       final_count=n_occ, tail_nonincreasing=not rising[c])
+            for c, n_occ in enumerate(seg.occurrences.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +349,8 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
         if marg.size < k:
             continue
         ids[k] = window_codes(marg, grid)
-        stats[k] = cell_tail_stats(ids[k], grid.n_cells,
-                                   config.tail_fraction, config.tolerance, harm)
+        stats[k] = cell_tail_stats(ids[k], grid.n_cells, config.tail_fraction,
+                                   harm)
     return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats)
 
 
@@ -398,25 +377,25 @@ class PropertyEVerdict:
 
 def _classify(stats: _CellStats, pattern: IntervalPattern, horizon: int,
               config: AnalysisConfig) -> PropertyEVerdict:
-    est = stats.estimate(config.tail_fraction, config.tolerance)
+    """The verdict of one cell's tail measurements at ``horizon``: the one
+    place where the tolerance and the floors meet them."""
+    est = DensityEstimate(value=stats.value, oscillation=stats.oscillation,
+                          converged=stats.oscillation <= config.tolerance,
+                          tail_fraction=config.tail_fraction)
+    final_ratio = stats.final_count / horizon
     violation_floor = config.violation_floor_count / horizon
     positive_floor = config.positive_floor_count / horizon
     if stats.final_count == 0:
         status: Status = "Empty"
     elif est.converged and est.value >= positive_floor:
         status = "PositiveDensity"
-    elif (stats.final_ratio < violation_floor and stats.tail_nonincreasing):
+    elif (final_ratio < violation_floor and stats.tail_nonincreasing):
         status = "Violation"
     else:
         status = "Inconclusive"
-    return PropertyEVerdict(
-        status=status,
-        pattern=pattern,
-        estimate=est,
-        final_count=stats.final_count,
-        final_ratio=stats.final_ratio,
-        horizon=horizon,
-    )
+    return PropertyEVerdict(status=status, pattern=pattern, estimate=est,
+                            final_count=stats.final_count,
+                            final_ratio=final_ratio, horizon=horizon)
 
 
 def check_property_e(path: Path, pattern: IntervalPattern,
@@ -426,7 +405,7 @@ def check_property_e(path: Path, pattern: IntervalPattern,
     occ = occurrence_set(path, pattern)
     ids = np.full(occ.source_horizon, -1, dtype=np.int8)
     ids[occ.indices] = 0
-    stats = cell_tail_stats(ids, 1, config.tail_fraction, config.tolerance)
+    stats = cell_tail_stats(ids, 1, config.tail_fraction)
     return _classify(stats[0], pattern, occ.source_horizon, config)
 
 

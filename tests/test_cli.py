@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from pathstat.cli import main
+from pathstat.cli import CONFIG_FLAGS, _analysis_config, build_parser, main
+from pathstat.config import AnalysisConfig
 from pathstat.generators import parse_spec
 from pathstat.pathcore import read_path_file
 from pathstat.stattests import calibrate_test_size
@@ -124,10 +125,24 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
     for how in ({"tau": 0.1},
                 {"calibration": {"generator": f"iid_normal(0,1),L={n}",
                                  "replicates": 1000, "seed": 1}})
+] + [
+    # keys a run would otherwise ignore
+    ({"tolerance": 0.1}, VALID_TESTS, "unknown config key 'tolerance'"),
+    (None, [{**VALID_TESTS[0], "strid": 3}], "unknown test spec key 'strid'"),
+    (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
+             "calibration": {"generator": "iid_normal(0,1),L=20",
+                             "replicate": 1000, "seed": 1}}],
+     "unknown calibration key 'replicate'"),
+    (None, [{**VALID_TESTS[0],
+             "calibration": {"generator": "iid_normal(0,1),L=20",
+                             "replicates": 1000, "seed": 1}}],
+     "test 'mean_split' has both tau and a calibration block"),
 ], ids=["config-wrong-type", "config-not-object", "config-unknown-key",
         "spec-not-object", "constant-calibration", "calibration-length",
         "variance-split-n2", "variance-split-n2-calibrated",
-        "variance-split-n3", "variance-split-n3-calibrated"])
+        "variance-split-n3", "variance-split-n3-calibrated",
+        "config-key-not-taken", "spec-unknown-key", "calibration-unknown-key",
+        "spec-tau-and-calibration"])
 def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
     spec_file = tmp_path / "tests.json"
     spec_file.write_text(json.dumps(tests))
@@ -270,8 +285,7 @@ def test_contract_dump_and_trace(tmp_path):
     trace = tmp_path / "trace.json"
     code = run(["contract", "generate:block_mixture(0,5),L=50000,seed=1",
                 "--cell", "4", "6", "--threshold", "0.75",
-                "--m-schedule", "4,8,16,32", "--out", out, "--trace", trace,
-                "--out-dir", tmp_path])
+                "--m-schedule", "4,8,16,32", "--out", out, "--trace", trace])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["failed"] is False
@@ -285,3 +299,84 @@ def test_contract_dump_and_trace(tmp_path):
 def test_contract_unreadable_input_is_error(tmp_path, capsys):
     assert run(["contract", tmp_path / "missing.txt",
                 "--cell", "0", "1"]) == 1
+
+
+def test_contract_failure_is_printed(capsys):
+    assert run(["contract", "generate:iid_normal(0,1),L=20000,seed=1",
+                "--cell", "-100", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failed"] is True
+    assert payload["failure_reason"]
+    assert "last_feasible_m" in payload and "contraction" not in payload
+
+
+def test_montecarlo_records_its_generated_seed(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.delenv("PATHSTAT_SEED", raising=False)
+    assert run(["montecarlo", "--generators", "constant(2),L=200",
+                "--replicates", "1", "--out-dir", tmp_path]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert printed.startswith("montecarlo: no seed given")
+    seed = json.loads((tmp_path / "montecarlo.json").read_text())["seed"]
+    assert printed.endswith(f"recording generated seed {seed}")
+
+
+def test_montecarlo_without_replicates_is_error(tmp_path, capsys):
+    assert run(["montecarlo", "--replicates", "0", "--seed", "0",
+                "--out-dir", tmp_path]) == 1
+    assert "replicates must be at least 1" in capsys.readouterr().err
+
+
+def test_generate_without_out_writes_stdout(capsys):
+    assert run(["generate", "--spec", "monotone(0.5),L=4"]) == 0
+    assert capsys.readouterr().out == "0.0\n0.5\n1.0\n1.5\n"
+
+
+ANALYSIS_FLAGS = ("--grid-cells", "--k-max", "--tail-fraction", "--tolerance",
+                  "--violation-floor-count", "--positive-floor-count",
+                  "--t-slack", "--ergodicity-tolerance")
+COMMAND_ARGS = {
+    "analyze": ["generate:constant(2),L=500"],
+    "montecarlo": [],
+    "testbench": ["generate:constant(2),L=500", "--tests", "tests.json"],
+    "contract": ["generate:constant(2),L=500", "--cell", "1", "3"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[("testbench", flag) for flag in ANALYSIS_FLAGS],
+    *[("contract", flag) for flag in ANALYSIS_FLAGS + ("--out-dir",)
+      if flag not in ("--tail-fraction", "--tolerance")],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(command, flag,
+                                                        capsys):
+    with pytest.raises(SystemExit) as info:
+        run([command, *COMMAND_ARGS[command], flag, "1"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "montecarlo"])
+def test_suite_commands_take_every_analysis_flag(command):
+    values = ["12", "1", "0.25", "0.05", "3", "7", "0.02", "0.1"]
+    args = build_parser().parse_args(
+        [command, *COMMAND_ARGS[command], "--out-dir", "d",
+         *(x for pair in zip(ANALYSIS_FLAGS, values) for x in pair)])
+    assert args.config_fields == CONFIG_FLAGS
+    assert args.out_dir == "d"
+    assert _analysis_config(args) == AnalysisConfig(
+        grid_cells=12, k_max=1, tail_fraction=0.25, tolerance=0.05,
+        violation_floor_count=3.0, positive_floor_count=7.0, t_slack=0.02,
+        ergodicity_tolerance=0.1)
+
+
+def test_contract_takes_its_two_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tail_fraction": 0.25, "tolerance": 0.05}))
+    args = build_parser().parse_args(
+        ["contract", *COMMAND_ARGS["contract"], "--config", str(cfg)])
+    assert _analysis_config(args) == AnalysisConfig(tail_fraction=0.25,
+                                                    tolerance=0.05)
+    cfg.write_text(json.dumps({"out_dir": "d"}))
+    assert run(["contract", *COMMAND_ARGS["contract"], "--config", cfg]) == 1
+    assert "unknown config key 'out_dir'" in capsys.readouterr().err

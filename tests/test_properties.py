@@ -8,7 +8,13 @@ from scipy.stats import norm
 
 from pathstat.config import AnalysisConfig
 from pathstat.generators import GeneratorSpec, generate
-from pathstat.pathcore import IntervalPattern, Path
+from pathstat.pathcore import (
+    IntervalPattern,
+    Path,
+    density_trajectory,
+    estimate_limit_density,
+    occurrence_set,
+)
 from pathstat.properties import (
     PatternGrid,
     analyze_path,
@@ -72,11 +78,11 @@ def test_window_cell_ids_finite_range_outside_is_uncovered():
 # batched tail stats agree with the one-cell pipeline exactly
 
 @given(st.lists(st.integers(-1, 3), min_size=1, max_size=200),
-       st.floats(0.05, 1.0), st.floats(0.001, 0.2))
-def test_cell_tail_stats_match_naive(ids, tail_fraction, tolerance):
+       st.floats(0.05, 1.0))
+def test_cell_tail_stats_match_naive(ids, tail_fraction):
     ids = np.asarray(ids, dtype=np.int64)
     horizon = ids.size
-    stats = cell_tail_stats(ids, 4, tail_fraction, tolerance)
+    stats = cell_tail_stats(ids, 4, tail_fraction)
     for cell in range(4):
         occ_idx = np.flatnonzero(ids == cell)
         counts = np.searchsorted(occ_idx, np.arange(1, horizon + 1))
@@ -89,11 +95,34 @@ def test_cell_tail_stats_match_naive(ids, tail_fraction, tolerance):
         assert st_.value == pytest.approx(tail.mean(), rel=1e-9, abs=1e-11)
         assert st_.oscillation == pytest.approx(tail.max() - tail.min(), abs=1e-12)
         assert st_.tail_nonincreasing == bool(np.all(np.diff(tail) <= 0))
-        assert st_.converged == (st_.oscillation <= tolerance)
 
 
 # ---------------------------------------------------------------------------
 # Property E
+
+# tolerances near the median oscillation, so that both outcomes occur
+@pytest.mark.parametrize("tail_fraction, tolerance", [(0.5, 0.0015),
+                                                      (0.2, 0.0007)])
+def test_verdicts_carry_the_trajectory_estimate(tail_fraction, tolerance):
+    # the tolerance and the horizon meet the tail measurements in the
+    # verdict; each pattern's own trajectory is the reference
+    config = AnalysisConfig(tail_fraction=tail_fraction, tolerance=tolerance)
+    path = generate(GeneratorSpec("ar1", length=20_000, seed=3,
+                                  params={"rho": 0.5}))
+    grids = grid_family(quantile_edges(path.values, 8), 2)
+    verdicts = scan_property_e(path, 2, grids, config)
+    converged = []
+    for v in verdicts:
+        traj = density_trajectory(occurrence_set(path, v.pattern), v.horizon)
+        est = estimate_limit_density(traj, tail_fraction, tolerance)
+        assert v.estimate.converged == est.converged
+        assert v.estimate.tail_fraction == tail_fraction
+        assert v.estimate.value == pytest.approx(est.value, rel=1e-9,
+                                                 abs=1e-12)
+        assert v.final_ratio == traj.final_count / traj.horizon
+        converged.append(est.converged)
+    assert any(converged) and not all(converged)
+
 
 def test_property_e_constant_positive_density():
     path = Path(np.full(1000, 2.0))

@@ -49,7 +49,7 @@ ZOO_PARAMS = {
 }
 
 
-def _sort_everything(cell_ids, n_cells, tail_fraction, tolerance, harm=None):
+def _sort_everything(cell_ids, n_cells, tail_fraction, harm=None):
     """The oracle: a stable sort of every id, then each cell on its own."""
     horizon = int(cell_ids.size)
     w = tail_window_size(horizon, tail_fraction)
@@ -66,8 +66,7 @@ def _sort_everything(cell_ids, n_cells, tail_fraction, tolerance, harm=None):
         if n_occ == 0 or n_occ == horizon:
             level = float(n_occ == horizon)
             out.append(_CellStats(
-                value=level, oscillation=0.0, converged=True,
-                final_count=int(n_occ), final_ratio=level,
+                value=level, oscillation=0.0, final_count=int(n_occ),
                 tail_nonincreasing=True))
             continue
         before = int(np.searchsorted(occ, n0))
@@ -83,8 +82,7 @@ def _sort_everything(cell_ids, n_cells, tail_fraction, tolerance, harm=None):
         final_count = before + r
         saturated = bool(np.all(before + np.arange(r) == jumps - 1))
         out.append(_CellStats(
-            value=total / w, oscillation=osc, converged=osc <= tolerance,
-            final_count=int(final_count), final_ratio=final_count / horizon,
+            value=total / w, oscillation=osc, final_count=int(final_count),
             tail_nonincreasing=(r == 0) or saturated))
     return out
 
@@ -98,9 +96,9 @@ def _bits(stats):
                   for v in map(s.__getattribute__, FIELDS)) for s in stats]
 
 
-def _assert_bitwise(ids, n_cells, tail_fraction, tolerance=0.02, harm=None):
-    got = cell_tail_stats(ids, n_cells, tail_fraction, tolerance, harm)
-    want = _sort_everything(ids, n_cells, tail_fraction, tolerance, harm)
+def _assert_bitwise(ids, n_cells, tail_fraction, harm=None):
+    got = cell_tail_stats(ids, n_cells, tail_fraction, harm)
+    want = _sort_everything(ids, n_cells, tail_fraction, harm)
     assert _bits(got) == _bits(want)
     means = cell_tail_means(ids, n_cells, tail_fraction, harm)
     assert [v.hex() for v in means] == [s.value.hex() for s in want]
@@ -122,18 +120,16 @@ def test_zoo_tables_and_copies_equal_the_oracle(kind):
     harm = harmonic_prefix(path.length)
     for k, grid in grids.items():
         _assert_bitwise(table.ids[k], grid.n_cells, CONFIG.tail_fraction,
-                        CONFIG.tolerance, harm)
+                        harm)
         assert _bits(table.stats[k]) == _bits(_sort_everything(
-            table.ids[k], grid.n_cells, CONFIG.tail_fraction,
-            CONFIG.tolerance))
+            table.ids[k], grid.n_cells, CONFIG.tail_fraction))
     family = default_contraction_family(path, grids[1], CONFIG, table)
     copy_values = []
     for contraction in family:
         marg = contracted_codes(table, contraction)
         for k, grid in grids.items():
             stats = _assert_bitwise(window_codes(marg, grid), grid.n_cells,
-                                    CONFIG.tail_fraction, CONFIG.tolerance,
-                                    harm)
+                                    CONFIG.tail_fraction, harm)
             copy_values += [s.value.hex() for s in stats]
     verdict = ergodicity_diagnostic(path, family, grids, 2, None, CONFIG,
                                     table)
