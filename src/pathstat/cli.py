@@ -30,6 +30,7 @@ from .pathcore import (
     write_path,
 )
 from .stattests import (
+    TEST_SLACK,
     CalibrationError,
     RejectionRecord,
     apply_moving_window,
@@ -286,7 +287,7 @@ def cmd_testbench(args: argparse.Namespace) -> int:
             "upper_density": record.upper_density,
             "tail_profile": [[r, v] for r, v in record.tail_profile],
             "compliant": record.upper_density
-                         <= test.nominal_size + config.test_slack,
+                         <= test.nominal_size + TEST_SLACK,
             "indicators_csv": csv_name,
         }
         if calibration is not None:

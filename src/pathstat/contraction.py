@@ -60,6 +60,24 @@ __all__ = [
     "default_contraction_family",
 ]
 
+# validate_contraction's surrogate for unbounded block growth
+GROWTH_FACTOR = 4.0
+BURN_IN_FRACTION = 0.1
+
+# adversarial search: the default threshold's cap above the global density,
+# the share of qualifying windows that must persist across the schedule,
+# and the coverage error a join after stage m tolerates, ADVERSARIAL_EPS1 / m / 3
+ADVERSARIAL_THRESHOLD_CAP = 0.25
+ADVERSARIAL_PERSISTENCE = 0.5
+ADVERSARIAL_EPS1 = 0.1
+# the common coverage target sits below the thinnest stage's tail-window
+# candidate supply, so stages recover from early candidate droughts
+ADVERSARIAL_HEADROOM = 0.85
+# default_contraction_family searches the level-1 cells whose density lies
+# strictly between these
+ADVERSARIAL_P_LO = 0.05
+ADVERSARIAL_P_HI = 0.95
+
 
 @dataclass(frozen=True)
 class Contraction:
@@ -189,8 +207,8 @@ def validate_contraction(contraction: Contraction, horizon: int,
     """Finite-horizon surrogates for the three defining conditions.
 
     Ordering is literal.  Unbounded block growth becomes: lengths
-    non-decreasing after the first 10% of blocks and the final block at
-    least growth_factor times the first (a single full block passes
+    non-decreasing after the first BURN_IN_FRACTION of blocks and the final
+    block at least GROWTH_FACTOR times the first (a single full block passes
     trivially).  Coverage must tail-converge to the declared density.
     """
     starts, lengths = contraction.starts, contraction.lengths
@@ -198,10 +216,10 @@ def validate_contraction(contraction: Contraction, horizon: int,
     if len(lengths) == 1:
         growth_ok = True
     else:
-        burn = int(math.floor(config.burn_in_fraction * len(lengths)))
+        burn = int(math.floor(BURN_IN_FRACTION * len(lengths)))
         nondecreasing = bool(np.all(np.diff(lengths[burn:]) >= 0))
         growth_ok = nondecreasing and \
-            bool(lengths[-1] >= config.growth_factor * lengths[0])
+            bool(lengths[-1] >= GROWTH_FACTOR * lengths[0])
     est = tail_estimate(coverage_ratios(contraction, horizon),
                         config.tail_fraction, config.tolerance)
     coverage_ok = est.converged and \
@@ -360,8 +378,8 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
                             config: AnalysisConfig = DEFAULT_CONFIG) -> AdversarialTrace:
     """Search for a contraction that concentrates one pattern's occurrences.
 
-    threshold defaults to min((p+1)/2, p + threshold_cap) for the pattern's
-    estimated global density p.  The construction fails when no window
+    threshold defaults to min((p+1)/2, p + ADVERSARIAL_THRESHOLD_CAP) for the
+    pattern's estimated global density p.  The construction fails when no window
     reaches the threshold at some stage, or when the density of qualifying
     windows collapses across the schedule (the signature of a mixing path,
     for which local averages concentrate as windows grow).
@@ -383,7 +401,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     n0 = horizon - tail_window_size(horizon, config.tail_fraction) + 1
     p = float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
     if threshold is None:
-        threshold = min((p + 1.0) / 2.0, p + config.adversarial_threshold_cap)
+        threshold = min((p + 1.0) / 2.0, p + ADVERSARIAL_THRESHOLD_CAP)
     if not p <= threshold <= 1.0:
         raise ValueError(
             f"threshold {threshold} must be between the global density "
@@ -409,7 +427,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     first, last = m_schedule[0], m_schedule[-1]
     persistence = (trace_v0[last].size / (horizon - last + 1)) / \
         (trace_v0[first].size / (horizon - first + 1))
-    if persistence < config.adversarial_persistence:
+    if persistence < ADVERSARIAL_PERSISTENCE:
         return failure(
             "qualifying windows vanish as m grows "
             f"(persistence {persistence:.4f}); local averages concentrate, "
@@ -424,7 +442,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
         n_win = horizon - m + 1
         in_tail = int(np.searchsorted(trace_v1[m], tail_start))
         supply.append(m * (trace_v1[m].size - in_tail) / max(n_win - tail_start, 1))
-    target_d = min(1.0, config.adversarial_headroom * min(supply))
+    target_d = min(1.0, ADVERSARIAL_HEADROOM * min(supply))
     if target_d <= 0.0:
         return failure("qualifying windows do not recur in the tail; "
                        "the concentration is transient, not a "
@@ -441,7 +459,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     stops = starts + first
     n_markers: list[int] = []
     for prev_m, next_m in zip(m_schedule, m_schedule[1:]):
-        eps_m = config.adversarial_eps1 / prev_m
+        eps_m = ADVERSARIAL_EPS1 / prev_m
         covered = stops - starts
         np.cumsum(covered, out=covered)
         cov_g = covered / stops
@@ -471,16 +489,17 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
 def default_contraction_family(path: Path, level1_grid: PatternGrid,
                                config: AnalysisConfig = DEFAULT_CONFIG,
                                table: CellTable | None = None) -> list[Contraction]:
-    """Alternating contractions over a span of densities and phases, plus one
-    adversarial attempt per level-1 cell whose density sits strictly inside
-    (p_lo, p_hi).  Failed adversarial constructions are dropped, and so are
-    attempts whose largest window exceeds the path.  ``table`` is the path's
-    cell table on ``level1_grid``; built here when absent.  A path too short
-    for some alternating contraction raises ValueError."""
+    """Alternating contractions over the configured densities in both
+    phases, plus one adversarial attempt per level-1 cell whose density sits
+    strictly inside (ADVERSARIAL_P_LO, ADVERSARIAL_P_HI).  Failed adversarial
+    constructions are dropped, and so are attempts whose largest window
+    exceeds the path.  ``table`` is the path's cell table on ``level1_grid``;
+    built here when absent.  A path too short for some alternating
+    contraction raises ValueError."""
     horizon = path.length
     family: list[Contraction] = []
     for c in config.contraction_densities:
-        for phase in config.contraction_phases:
+        for phase in (0, 1):
             try:
                 family.append(build_alternating_contraction(c, horizon, phase))
             except ValueError as exc:
@@ -492,7 +511,7 @@ def default_contraction_family(path: Path, level1_grid: PatternGrid,
     if table is None:
         table = cell_table(path, {1: level1_grid}, config)
     for cell, st in zip(level1_grid.cells, table.stats[1]):
-        if not config.adversarial_p_lo < st.value < config.adversarial_p_hi:
+        if not ADVERSARIAL_P_LO < st.value < ADVERSARIAL_P_HI:
             continue
         trace = adversarial_contraction(path, cell, config.m_schedule,
                                         threshold=None, config=config)

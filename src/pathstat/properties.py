@@ -448,7 +448,11 @@ class TightnessProfile:
     verdict: bool
 
 
-def check_property_t(path: Path, k_levels: Sequence[float] | None = None,
+# the ladder of levels K at which tightness is read
+K_LEVELS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+
+def check_property_t(path: Path, k_levels: Sequence[float] = K_LEVELS,
                      config: AnalysisConfig = DEFAULT_CONFIG) -> TightnessProfile:
     """Tightness: the top-level fraction must reach 1 - t_slack.
 
@@ -456,9 +460,9 @@ def check_property_t(path: Path, k_levels: Sequence[float] | None = None,
     sequence drifting off to infinity scores near zero even if its early
     values were bounded.
     """
-    levels = tuple(float(k) for k in (k_levels if k_levels is not None
-                                      else config.k_levels))
-    if list(levels) != sorted(levels) or min(levels) <= 0:
+    levels = tuple(float(k) for k in k_levels)
+    if not levels or levels[0] <= 0 or \
+            any(not a < b for a, b in zip(levels, levels[1:])):
         raise ValueError("K levels must be strictly increasing and positive")
     w = tail_window_size(path.length, config.tail_fraction)
     tail = np.abs(path.values[path.length - w:])
@@ -643,7 +647,7 @@ def analyze_path(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
     grids = grid_family(edges, k_max)
     table = cell_table(path, grids, config)
     verdicts = tuple(scan_property_e(path, k_max, grids, config, table))
-    tightness = check_property_t(path, None, config)
+    tightness = check_property_t(path, config=config)
     fdd = induced_fdd(path, k_max, edges, config, table)
     consistency: dict[int, float] = {}
     bounds: dict[int, float] = {}

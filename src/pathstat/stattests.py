@@ -202,6 +202,11 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
 # ---------------------------------------------------------------------------
 # moving-window application
 
+# the slack above a test's nominal size within which its upper rejection
+# density still counts as compliant
+TEST_SLACK = 0.01
+
+
 @dataclass(frozen=True, eq=False)
 class RejectionRecord:
     """Indicator sequence over window offsets plus its tail-density summary."""
@@ -287,7 +292,7 @@ class SuiteResult:
 
 
 def asymptotic_suite(path: Path, tests: Sequence[StationarityTest],
-                     epsilon: float = 0.01, start: int = 0, stride: int = 1,
+                     epsilon: float = TEST_SLACK,
                      config: AnalysisConfig = DEFAULT_CONFIG) -> SuiteResult:
     """Apply a ladder of tests with increasing window sizes."""
     if not tests:
@@ -295,8 +300,7 @@ def asymptotic_suite(path: Path, tests: Sequence[StationarityTest],
     windows = [t.window for t in tests]
     if windows != sorted(windows):
         raise ValueError("tests must be sorted by window size")
-    records = tuple(apply_moving_window(path, t, start, stride, config)
-                    for t in tests)
+    records = tuple(apply_moving_window(path, t, config=config) for t in tests)
     stabilization_n: int | None = None
     for i in range(len(records) - 1, -1, -1):
         if records[i].upper_density <= records[i].nominal_size + epsilon:

@@ -5,15 +5,13 @@ import pytest
 from pathstat.config import DEFAULT_CONFIG, AnalysisConfig
 
 POSITIVE = ("tolerance", "violation_floor_count", "positive_floor_count",
-            "t_slack", "ergodicity_tolerance", "adversarial_eps1", "test_slack")
-UNIT = ("tail_fraction", "adversarial_persistence",
-        "adversarial_threshold_cap", "adversarial_headroom")
+            "t_slack", "ergodicity_tolerance")
+UNIT = ("tail_fraction",)
 
 BAD = [
     # empty tuples
     *[({name: ()}, f"{name} must not be empty")
-      for name in ("k_levels", "contraction_densities", "contraction_phases",
-                   "m_schedule")],
+      for name in ("contraction_densities", "m_schedule")],
     # fractions in (0, 1]
     *[({name: value}, f"{name} must be in (0, 1]")
       for name in UNIT for value in (0.0, -1.0, 1.5)],
@@ -21,22 +19,12 @@ BAD = [
       for name in POSITIVE for value in (0.0, -1.0)],
     ({"k_max": 0}, "k_max must be at least 1"),
     ({"grid_cells": 1}, "grid_cells must be at least 2"),
-    ({"growth_factor": -1.0}, "growth_factor must be at least 1"),
-    ({"growth_factor": 0.5}, "growth_factor must be at least 1"),
     ({"min_rung_windows": 0}, "min_rung_windows must be at least 1"),
-    ({"burn_in_fraction": -0.5}, "burn_in_fraction must be in [0, 1)"),
-    ({"burn_in_fraction": 1.0}, "burn_in_fraction must be in [0, 1)"),
-    ({"k_levels": (2.0, 1.0)}, "k_levels must be increasing and positive"),
-    ({"k_levels": (0.0, 1.0)}, "k_levels must be increasing and positive"),
     ({"contraction_densities": (0.0,)}, "contraction_densities must lie in"),
     ({"contraction_densities": (1.5,)}, "contraction_densities must lie in"),
-    ({"contraction_phases": (2,)}, "contraction_phases must be 0 or 1"),
     ({"m_schedule": (8, 4)}, "m_schedule must be strictly increasing"),
     ({"m_schedule": (4, 4)}, "m_schedule must be strictly increasing"),
     ({"m_schedule": (0, 4)}, "m_schedule must be strictly increasing"),
-    ({"adversarial_p_lo": 0.9, "adversarial_p_hi": 0.5}, "adversarial p range"),
-    ({"adversarial_p_hi": 1.5}, "adversarial p range"),
-    ({"adversarial_p_lo": -0.1}, "adversarial p range"),
 ]
 
 
@@ -51,10 +39,5 @@ def test_bad_fields_are_rejected_by_name(fields, message):
 
 def test_the_defaults_and_the_closed_ends_are_accepted():
     assert AnalysisConfig() == DEFAULT_CONFIG
-    AnalysisConfig(tail_fraction=1.0, adversarial_persistence=1.0,
-                   adversarial_threshold_cap=1.0, adversarial_headroom=1.0,
-                   burn_in_fraction=0.0, growth_factor=1.0,
-                   min_rung_windows=1, k_max=1, grid_cells=2,
-                   contraction_densities=(1.0,), contraction_phases=(0,),
-                   m_schedule=(1,), adversarial_p_lo=0.0,
-                   adversarial_p_hi=1.0)
+    AnalysisConfig(tail_fraction=1.0, min_rung_windows=1, k_max=1,
+                   grid_cells=2, contraction_densities=(1.0,), m_schedule=(1,))

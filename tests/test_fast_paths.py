@@ -21,6 +21,7 @@ import pytest
 from pathstat.cli import INDICATOR_CHUNK_ROWS, _write_indicators
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
+    ADVERSARIAL_EPS1,
     _thin_to_density,
     adversarial_contraction,
     contract_path,
@@ -291,7 +292,7 @@ def _tuple_join(trace, horizon, config):
             np.where(ends + 1 < horizon,
                      suffix[np.minimum(ends + 1, horizon - 1)], 0.0))
         close = np.flatnonzero(
-            quality <= config.adversarial_eps1 / prev_m / 3.0)
+            quality <= ADVERSARIAL_EPS1 / prev_m / 3.0)
         join_at = int(close[0]) if close.size else int(np.argmin(quality))
         markers.append(int(ends[join_at]))
         blocks = blocks[:join_at + 1] + \

@@ -16,6 +16,7 @@ from pathstat.pathcore import (
     occurrence_set,
 )
 from pathstat.properties import (
+    K_LEVELS,
     PatternGrid,
     analyze_path,
     cell_table,
@@ -211,6 +212,19 @@ def test_tightness_iid_normal_matches_cdf():
 def test_tightness_fractions_nondecreasing(values):
     profile = check_property_t(Path(np.array(values)), (1.0, 5.0, 25.0), CONFIG)
     assert list(profile.fractions) == sorted(profile.fractions)
+
+
+@pytest.mark.parametrize("levels", [(), (2.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                    (1.0, 1.0, 4.0), (1.0, math.nan)])
+def test_tightness_levels_must_strictly_increase_from_above_zero(levels):
+    with pytest.raises(ValueError, match="strictly increasing and positive"):
+        check_property_t(Path(np.zeros(10)), levels, CONFIG)
+
+
+def test_tightness_default_levels_are_k_levels():
+    path = generate(GeneratorSpec("iid_normal", length=1000, seed=2))
+    assert check_property_t(path).levels == K_LEVELS
+    assert analyze_path(path, CONFIG).tightness == check_property_t(path)
 
 
 # ---------------------------------------------------------------------------

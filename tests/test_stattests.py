@@ -9,6 +9,7 @@ from pathstat.generators import GeneratorSpec, generate
 from pathstat.pathcore import Path
 from pathstat.stattests import (
     BUILTIN_KINDS,
+    TEST_SLACK,
     CalibrationError,
     apply_moving_window,
     asymptotic_suite,
@@ -237,7 +238,7 @@ def test_size_soundness_calibrated_kpss_on_ar1():
         path = generate(GeneratorSpec("ar1", length=200000, seed=1000 + s,
                                       params={"rho": 0.5}))
         record = apply_moving_window(path, test, config=CONFIG)
-        exceed += record.upper_density > 0.05 + CONFIG.test_slack
+        exceed += record.upper_density > 0.05 + TEST_SLACK
     assert exceed <= 1  # at least 95% of seeds within the bound
 
 
