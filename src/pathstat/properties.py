@@ -117,8 +117,11 @@ def quantile_edges(values: np.ndarray, cells: int = 8) -> tuple[float, ...]:
     v = np.asarray(values, dtype=np.float64)
     if cells < 2:
         raise ValueError("cells must be at least 2")
-    qs = np.quantile(v, np.linspace(0.0, 1.0, cells + 1)[1:-1])
-    cuts = np.unique(qs)
+    # interpolating between values near the ends of the float range can
+    # overflow to an infinite or NaN cut; such cuts are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = np.quantile(v, np.linspace(0.0, 1.0, cells + 1)[1:-1])
+    cuts = np.unique(qs[np.isfinite(qs)])
     if cuts.size < 2:
         center = float(cuts[0]) if cuts.size else float(np.median(v))
         with np.errstate(over="ignore"):

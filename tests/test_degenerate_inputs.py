@@ -2,6 +2,7 @@
 report, never an internal exception."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,3 +72,16 @@ def test_constant_path_at_any_magnitude(c):
 
 def test_constant_fallback_keeps_half_width():
     assert quantile_edges(np.full(1000, 2.0)) == (-math.inf, 1.5, 2.5, math.inf)
+
+
+@pytest.mark.parametrize("c", [1e308, 1.7e308, np.finfo(float).max])
+def test_alternating_path_at_the_edge_of_the_float_range(c):
+    # interpolated quantile cuts between -c and c overflow; the finite cuts
+    # still make a grid, and no overflow warning escapes
+    path = Path(np.tile([c, -c], 500))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quantile_edges(path.values) == (-math.inf, -c, c, math.inf)
+        report = report_dict(run_suite(path))
+    assert report["propertyE"]["pass"]
+    assert not report["propertyT"]["verdict"]
