@@ -189,17 +189,41 @@ def _check_keys(block: dict, allowed: tuple[str, ...], what: str) -> None:
             raise ValueError(f"unknown {what} key {key!r}")
 
 
+# the JSON values a spec key may take, by name; a boolean is none of them
+INTEGER, NUMBER, TEXT = "an integer", "a finite number", "a string"
+_SPEC_TYPES = {
+    INTEGER: lambda v: isinstance(v, int),
+    NUMBER: lambda v: isinstance(v, float) and math.isfinite(v)
+    or isinstance(v, int) and abs(v) <= sys.float_info.max,
+    TEXT: lambda v: isinstance(v, str),
+}
+
+
+def _spec_value(block: dict, key: str, kind: str, what: str,
+                default=None, required: bool = False):
+    """``block[key]``, which must be ``kind``; ``default`` when absent, or an
+    error naming the key when it is ``required``."""
+    if key not in block:
+        if required:
+            raise ValueError(f"{what} is missing {key!r}")
+        return default
+    value = block[key]
+    if isinstance(value, bool) or not _SPEC_TYPES[kind](value):
+        raise ValueError(f"{what} key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _test_from_spec(spec: dict, default_seed: int | None):
     _check_keys(spec, ("kind", "n", "alpha", "tau", "calibration", "name",
                        "start", "stride"), "test spec")
-    kind = spec["kind"]
-    n = int(spec["n"])
-    alpha = float(spec.get("alpha", 0.05))
+    kind = _spec_value(spec, "kind", TEXT, "test spec", required=True)
+    n = _spec_value(spec, "n", INTEGER, "test spec", required=True)
+    alpha = float(_spec_value(spec, "alpha", NUMBER, "test spec", 0.05))
     if "tau" in spec:
         if "calibration" in spec:
             raise ValueError(
                 f"test {kind!r} has both tau and a calibration block")
-        tau = float(spec["tau"])
+        tau = float(_spec_value(spec, "tau", NUMBER, "test spec"))
         calibration = None
     else:
         cal_spec = spec.get("calibration")
@@ -208,16 +232,20 @@ def _test_from_spec(spec: dict, default_seed: int | None):
                 f"test {kind!r} needs either tau or a calibration block")
         _check_keys(cal_spec, ("generator", "replicates", "seed"),
                     "calibration")
-        gen = parse_spec(cal_spec["generator"])
+        gen = parse_spec(_spec_value(cal_spec, "generator", TEXT,
+                                     "calibration", required=True))
         if gen.length != n:
             raise ValueError(f"calibration generator has L={gen.length} but "
                              f"test {kind!r} has n={n}; they must be equal")
         # the block's seed, then its generator's seed=, then the run's seed
-        seed = next((s for s in (cal_spec.get("seed"), gen.seed, default_seed)
+        seed = next((s for s in (_spec_value(cal_spec, "seed", INTEGER,
+                                             "calibration"),
+                                 gen.seed, default_seed)
                      if s is not None), 0)
         calibration = calibrate_test_size(
             kind, n, alpha, gen,
-            replicates=int(cal_spec.get("replicates", 2000)), seed=int(seed))
+            replicates=_spec_value(cal_spec, "replicates", INTEGER,
+                                   "calibration", 2000), seed=seed)
         tau = calibration.tau
     return make_builtin_test(kind, n, tau, alpha,
                              name=spec.get("name")), calibration
@@ -271,10 +299,10 @@ def cmd_testbench(args: argparse.Namespace) -> int:
     seed = provenance.get("seed", _seed(args.seed))
     summary = []
     for i, spec in enumerate(specs):
+        start = _spec_value(spec, "start", INTEGER, "test spec", 0)
+        stride = _spec_value(spec, "stride", INTEGER, "test spec", 1)
         test, calibration = _test_from_spec(spec, seed)
-        record = apply_moving_window(path, test,
-                                     start=int(spec.get("start", 0)),
-                                     stride=int(spec.get("stride", 1)),
+        record = apply_moving_window(path, test, start=start, stride=stride,
                                      config=config)
         csv_name = f"rejections_{i:02d}_{test.params.get('kind', 'test')}.csv"
         _write_indicators(out_dir / csv_name, record)

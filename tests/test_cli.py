@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -137,12 +138,48 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
              "calibration": {"generator": "iid_normal(0,1),L=20",
                              "replicates": 1000, "seed": 1}}],
      "test 'mean_split' has both tau and a calibration block"),
+] + [
+    # a missing key is named, and a value of the wrong JSON type is an error
+    # rather than truncated, coerced or run as given
+    (None, [{"n": 20, "tau": 0.9}], "test spec is missing 'kind'"),
+    (None, [{"kind": "mean_split", "tau": 0.9}], "test spec is missing 'n'"),
+    (None, [{"kind": "mean_split", "n": 20,
+             "calibration": {"replicates": 1000, "seed": 1}}],
+     "calibration is missing 'generator'"),
+    (None, [{**VALID_TESTS[0], "n": 20.7}],
+     "test spec key 'n' must be an integer, got 20.7"),
+    (None, [{**VALID_TESTS[0], "start": 1.9}],
+     "test spec key 'start' must be an integer, got 1.9"),
+    (None, [{**VALID_TESTS[0], "stride": True}],
+     "test spec key 'stride' must be an integer, got True"),
+    (None, [{**VALID_TESTS[0], "tau": math.nan}],
+     "test spec key 'tau' must be a finite number, got nan"),
+    (None, [{**VALID_TESTS[0], "alpha": "0.05"}],
+     "test spec key 'alpha' must be a finite number, got '0.05'"),
+    (None, [{**VALID_TESTS[0], "kind": 3}],
+     "test spec key 'kind' must be a string, got 3"),
+    (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
+             "calibration": {"generator": "iid_normal(0,1),L=20",
+                             "replicates": 1000.0, "seed": 1}}],
+     "calibration key 'replicates' must be an integer, got 1000.0"),
+    (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
+             "calibration": {"generator": "iid_normal(0,1),L=20",
+                             "replicates": 1000, "seed": "1"}}],
+     "calibration key 'seed' must be an integer, got '1'"),
+    (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
+             "calibration": {"generator": 20, "replicates": 1000}}],
+     "calibration key 'generator' must be a string, got 20"),
 ], ids=["config-wrong-type", "config-not-object", "config-unknown-key",
         "spec-not-object", "constant-calibration", "calibration-length",
         "variance-split-n2", "variance-split-n2-calibrated",
         "variance-split-n3", "variance-split-n3-calibrated",
         "config-key-not-taken", "spec-unknown-key", "calibration-unknown-key",
-        "spec-tau-and-calibration"])
+        "spec-tau-and-calibration",
+        "spec-missing-kind", "spec-missing-n", "calibration-missing-generator",
+        "spec-fractional-n", "spec-fractional-start", "spec-boolean-stride",
+        "spec-nan-tau", "spec-string-alpha", "spec-numeric-kind",
+        "calibration-fractional-replicates", "calibration-string-seed",
+        "calibration-numeric-generator"])
 def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
     spec_file = tmp_path / "tests.json"
     spec_file.write_text(json.dumps(tests))
