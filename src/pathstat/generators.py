@@ -198,7 +198,7 @@ def expected_profile(spec: GeneratorSpec) -> ExpectedProfile:
 
 
 # ---------------------------------------------------------------------------
-# spec strings, e.g. "ar1(0.5),L=100000,seed=7" or "sine(theta=1.5707,0)"
+# spec strings, e.g. "ar1(0.5),L=100000,seed=7" or "sine(1.5707,phi0=0),L=64"
 
 _SPEC_RE = re.compile(r"^\s*([a-z_0-9]+)\s*\(([^)]*)\)\s*(?:,(.*))?$")
 
@@ -210,32 +210,40 @@ def parse_spec(text: str) -> GeneratorSpec:
     kind, arg_text, kv_text = m.group(1), m.group(2), m.group(3) or ""
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
+    # the parameters, and the length (as L) and seed, each given once
     params: dict[str, float] = {}
+    run: dict[str, int] = {}
+
+    def give(store: dict, key: str, value: float) -> None:
+        if key in store:
+            raise ValueError(f"generator spec gives {key} twice")
+        store[key] = value
+
     positional = list(KINDS[kind].params)
     pos = 0
     for token in filter(None, (t.strip() for t in arg_text.split(","))):
         if "=" in token:
             key, val = (s.strip() for s in token.split("=", 1))
-            params[key] = float(val)
+            give(params, key, float(val))
         else:
             if pos >= len(positional):
                 raise ValueError(f"too many positional arguments for {kind}")
-            params[positional[pos]] = float(token)
+            give(params, positional[pos], float(token))
             pos += 1
-    length, seed = None, None
     for token in filter(None, (t.strip() for t in kv_text.split(","))):
         if "=" not in token:
             raise ValueError(f"expected key=value, got {token!r}")
         key, val = (s.strip() for s in token.split("=", 1))
         if key in ("L", "length"):
-            length = int(val)
+            give(run, "L", int(val))
         elif key == "seed":
-            seed = int(val)
+            give(run, "seed", int(val))
         else:
-            params[key] = float(val)
-    if length is None:
+            give(params, key, float(val))
+    if "L" not in run:
         raise ValueError("generator spec must set L=<length>")
-    return GeneratorSpec(kind=kind, length=length, seed=seed, params=params)
+    return GeneratorSpec(kind=kind, length=run["L"], seed=run.get("seed"),
+                         params=params)
 
 
 def format_spec(spec: GeneratorSpec) -> str:

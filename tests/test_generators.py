@@ -136,3 +136,15 @@ def test_parse_spec_errors():
         parse_spec("constant(2)")  # missing L
     with pytest.raises(ValueError):
         parse_spec("constant(1,2,3),L=10")
+    # a parameter, the length or the seed given twice is named, not
+    # overwritten by the later value
+    for text, name in (("ar1(0.5,rho=0.3),L=10", "rho"),
+                       ("ar1(rho=0.5,rho=0.3),L=10", "rho"),
+                       ("ar1(0.5),rho=0.3,L=10", "rho"),
+                       ("sine(theta=1.5,0),L=10", "theta"),
+                       ("ar1(0.5),L=5,L=10", "L"),
+                       ("ar1(0.5),L=5,length=10", "L"),
+                       ("ar1(0.5),length=5,length=5", "L"),
+                       ("ar1(0.5),L=10,seed=1,seed=2", "seed")):
+        with pytest.raises(ValueError, match=f"gives {name} twice"):
+            parse_spec(text)
