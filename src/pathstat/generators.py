@@ -246,8 +246,16 @@ def parse_spec(text: str) -> GeneratorSpec:
                          params=params)
 
 
+def _format_param(v: float) -> str:
+    """``v`` in 6 significant digits when that parses back to ``v``, else in
+    the shortest digits that do."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def format_spec(spec: GeneratorSpec) -> str:
-    args = ",".join(f"{k}={v:g}" for k, v in spec.params.items())
+    """The spec as a string that ``parse_spec`` reads back to an equal spec."""
+    args = ",".join(f"{k}={_format_param(v)}" for k, v in spec.params.items())
     text = f"{spec.kind}({args}),L={spec.length}"
     if spec.seed is not None:
         text += f",seed={spec.seed}"

@@ -124,6 +124,20 @@ def test_parse_spec_roundtrip():
     assert again == spec
 
 
+def test_format_spec_keeps_every_digit_a_path_needs():
+    theta = math.sqrt(2.0)
+    spec = GeneratorSpec("random_phase_sine", length=50, seed=3,
+                         params={"theta": theta})
+    text = format_spec(spec)
+    assert text == f"random_phase_sine(theta={theta!r}),L=50,seed=3"
+    again = parse_spec(text)
+    assert again == spec
+    assert np.array_equal(generate(again).values, generate(spec).values)
+    # a value that six digits hold keeps its short form
+    assert format_spec(parse_spec("ar1(0.5),L=10")) == \
+        "ar1(sigma=1,rho=0.5),L=10"
+
+
 def test_parse_spec_named_arguments():
     spec = parse_spec("sine(theta=1.5707963267948966,phi0=0),L=8")
     assert spec.params["theta"] == pytest.approx(math.pi / 2)
