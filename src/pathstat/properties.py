@@ -464,7 +464,7 @@ def check_property_t(path: Path, k_levels: Sequence[float] = K_LEVELS,
     values were bounded.
     """
     levels = tuple(float(k) for k in k_levels)
-    if not levels or levels[0] <= 0 or \
+    if not levels or not levels[0] > 0 or \
             any(not a < b for a, b in zip(levels, levels[1:])):
         raise ValueError("K levels must be strictly increasing and positive")
     w = tail_window_size(path.length, config.tail_fraction)

@@ -215,7 +215,8 @@ def test_tightness_fractions_nondecreasing(values):
 
 
 @pytest.mark.parametrize("levels", [(), (2.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
-                                    (1.0, 1.0, 4.0), (1.0, math.nan)])
+                                    (1.0, 1.0, 4.0), (1.0, math.nan),
+                                    (math.nan,)])
 def test_tightness_levels_must_strictly_increase_from_above_zero(levels):
     with pytest.raises(ValueError, match="strictly increasing and positive"):
         check_property_t(Path(np.zeros(10)), levels, CONFIG)
