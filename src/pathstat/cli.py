@@ -193,8 +193,8 @@ def _check_keys(block: dict, allowed: tuple[str, ...], what: str) -> None:
 INTEGER, NUMBER, TEXT = "an integer", "a finite number", "a string"
 _SPEC_TYPES = {
     INTEGER: lambda v: isinstance(v, int),
-    NUMBER: lambda v: isinstance(v, float) and math.isfinite(v)
-    or isinstance(v, int) and abs(v) <= sys.float_info.max,
+    NUMBER: lambda v: (isinstance(v, float) and math.isfinite(v)
+                       or isinstance(v, int) and abs(v) <= sys.float_info.max),
     TEXT: lambda v: isinstance(v, str),
 }
 

@@ -66,7 +66,7 @@ BURN_IN_FRACTION = 0.1
 
 # adversarial search: the default threshold's cap above the global density,
 # the share of qualifying windows that must persist across the schedule,
-# and the coverage error a join after stage m tolerates, ADVERSARIAL_EPS1 / m / 3
+# and eps1: a join after stage m needs coverage within eps1 / m / 3 of target
 ADVERSARIAL_THRESHOLD_CAP = 0.25
 ADVERSARIAL_PERSISTENCE = 0.5
 ADVERSARIAL_EPS1 = 0.1
@@ -379,10 +379,10 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     """Search for a contraction that concentrates one pattern's occurrences.
 
     threshold defaults to min((p+1)/2, p + ADVERSARIAL_THRESHOLD_CAP) for the
-    pattern's estimated global density p.  The construction fails when no window
-    reaches the threshold at some stage, or when the density of qualifying
-    windows collapses across the schedule (the signature of a mixing path,
-    for which local averages concentrate as windows grow).
+    pattern's estimated global density p.  The construction fails when no
+    window reaches the threshold at some stage, or when the density of
+    qualifying windows collapses across the schedule (the signature of a
+    mixing path, for which local averages concentrate as windows grow).
     """
     if m_schedule is None:
         m_schedule = config.m_schedule
