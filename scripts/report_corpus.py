@@ -17,8 +17,9 @@ Prints one JSON object mapping each corpus entry to a sha256:
   second run of one test at start 7 and stride 3, of a third run of the
   other three kinds at start 11 and stride 7, and of a fourth run that
   calibrates one test of each kind under its own generator;
-* ``montecarlo/<file>``: the table of ``pathstat montecarlo`` over its
-  default generators with two replicates.
+* ``montecarlo/<file>``: the table of ``pathstat montecarlo`` (pass rates
+  overall and per stage, profile mismatches) over its default generators
+  with two replicates.
 
 A refactor that must keep every report byte-identical regenerates this and
 diffs it against ``tests/data/report_corpus.json``; the tier-1 test

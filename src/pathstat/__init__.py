@@ -66,6 +66,6 @@ from .stattests import (
     make_builtin_test,
     rejection_upper_density,
 )
-from .suite import FullDiagnostics, report_dict, run_suite
+from .suite import FullDiagnostics, MonteCarloRow, montecarlo, report_dict, run_suite
 
 __version__ = "0.1.0"

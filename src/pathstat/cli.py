@@ -36,8 +36,9 @@ from .stattests import (
     apply_moving_window,
     calibrate_test_size,
     make_builtin_test,
+    window_starts,
 )
-from .suite import report_dict, run_suite
+from .suite import montecarlo, report_dict, run_suite
 
 __all__ = ["main"]
 
@@ -103,7 +104,11 @@ def _seed(flag: int | None, spec_seed: int | None = None) -> int | None:
     if spec_seed is not None:
         return spec_seed
     raw = os.environ.get("PATHSTAT_SEED")
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise ValueError(f"PATHSTAT_SEED must be an integer, got {raw!r}") \
+            from None
 
 
 def _seeded_spec(text: str, flag: int | None) -> GeneratorSpec:
@@ -213,12 +218,17 @@ def _spec_value(block: dict, key: str, kind: str, what: str,
     return value
 
 
-def _test_from_spec(spec: dict, default_seed: int | None):
+def _test_from_spec(spec: dict, default_seed: int | None, length: int):
+    """The spec's test, its calibration (or None), start and stride, checked
+    against a path of ``length`` values."""
     _check_keys(spec, ("kind", "n", "alpha", "tau", "calibration", "name",
                        "start", "stride"), "test spec")
     kind = _spec_value(spec, "kind", TEXT, "test spec", required=True)
     n = _spec_value(spec, "n", INTEGER, "test spec", required=True)
     alpha = float(_spec_value(spec, "alpha", NUMBER, "test spec", 0.05))
+    start = _spec_value(spec, "start", INTEGER, "test spec", 0)
+    stride = _spec_value(spec, "stride", INTEGER, "test spec", 1)
+    window_starts(length, n, start, stride)
     if "tau" in spec:
         if "calibration" in spec:
             raise ValueError(
@@ -247,8 +257,8 @@ def _test_from_spec(spec: dict, default_seed: int | None):
             replicates=_spec_value(cal_spec, "replicates", INTEGER,
                                    "calibration", 2000), seed=seed)
         tau = calibration.tau
-    return make_builtin_test(kind, n, tau, alpha,
-                             name=spec.get("name")), calibration
+    test = make_builtin_test(kind, n, tau, alpha, name=spec.get("name"))
+    return test, calibration, start, stride
 
 
 # rows encoded per write of an indicator CSV; keeps the buffers to a few MiB
@@ -293,22 +303,21 @@ def cmd_testbench(args: argparse.Namespace) -> int:
     config = _analysis_config(args)
     path, provenance = _resolve_input(args.input, args.seed)
     specs = _load_test_specs(args.tests)
-    out_dir = FsPath(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # a generated input carries the run's seed, its spec's seed= included
     seed = provenance.get("seed", _seed(args.seed))
+    # every spec is checked and calibrated before the first file is written
+    tests = [_test_from_spec(spec, seed, path.length) for spec in specs]
+    out_dir = FsPath(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
-    for i, spec in enumerate(specs):
-        start = _spec_value(spec, "start", INTEGER, "test spec", 0)
-        stride = _spec_value(spec, "stride", INTEGER, "test spec", 1)
-        test, calibration = _test_from_spec(spec, seed)
+    for i, (test, calibration, start, stride) in enumerate(tests):
         record = apply_moving_window(path, test, start=start, stride=stride,
                                      config=config)
         csv_name = f"rejections_{i:02d}_{test.params.get('kind', 'test')}.csv"
         _write_indicators(out_dir / csv_name, record)
         entry = {
             "name": test.name,
-            "kind": spec["kind"],
+            "kind": test.params["kind"],
             "n": test.window,
             "alpha": test.nominal_size,
             "tau": test.params["tau"],
@@ -343,32 +352,17 @@ DEFAULT_MC_GENERATORS = (
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     config = _analysis_config(args)
+    specs = [parse_spec(text)
+             for text in args.generators or DEFAULT_MC_GENERATORS]
     seed = _seed(args.seed)
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1)[0])
         print(f"montecarlo: no seed given, recording generated seed {seed}")
-    gen_texts = args.generators or list(DEFAULT_MC_GENERATORS)
-    if args.replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    table = []
-    for gi, text in enumerate(gen_texts):
-        spec = parse_spec(text)
-        passes = 0
-        for r in range(args.replicates):
-            child = int(np.random.SeedSequence([seed, gi, r]).generate_state(1)[0])
-            path = generate(spec.with_seed(child))
-            passes += run_suite(path, config).passed
-        fraction = passes / args.replicates
-        stderr = math.sqrt(max(fraction * (1 - fraction), 0.0) / args.replicates)
-        table.append({
-            "generator": format_spec(spec),
-            "replicates": args.replicates,
-            "passes": passes,
-            "fraction": fraction,
-            "stderr": stderr,
-        })
-        print(f"{spec.kind}: {passes}/{args.replicates} pass "
-              f"({fraction:.3f} +- {stderr:.3f})")
+    table = [row.summary()
+             for row in montecarlo(specs, args.replicates, seed, config)]
+    for spec, row in zip(specs, table):
+        print(f"{spec.kind}: {row['passes']}/{row['replicates']} pass "
+              f"({row['fraction']:.3f} +- {row['stderr']:.3f})")
     out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "montecarlo.json", {"seed": seed, "table": table})

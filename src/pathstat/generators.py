@@ -214,32 +214,37 @@ def parse_spec(text: str) -> GeneratorSpec:
     params: dict[str, float] = {}
     run: dict[str, int] = {}
 
-    def give(store: dict, key: str, value: float) -> None:
+    def give(store: dict, key: str, raw: str, cast: type = float) -> None:
         if key in store:
             raise ValueError(f"generator spec gives {key} twice")
-        store[key] = value
+        try:
+            store[key] = cast(raw)
+        except ValueError:
+            what = "an integer" if cast is int else "a number"
+            raise ValueError(f"generator spec {text!r}: {key} must be "
+                             f"{what}, got {raw!r}") from None
 
     positional = list(KINDS[kind].params)
     pos = 0
     for token in filter(None, (t.strip() for t in arg_text.split(","))):
         if "=" in token:
             key, val = (s.strip() for s in token.split("=", 1))
-            give(params, key, float(val))
+            give(params, key, val)
         else:
             if pos >= len(positional):
                 raise ValueError(f"too many positional arguments for {kind}")
-            give(params, positional[pos], float(token))
+            give(params, positional[pos], token)
             pos += 1
     for token in filter(None, (t.strip() for t in kv_text.split(","))):
         if "=" not in token:
             raise ValueError(f"expected key=value, got {token!r}")
         key, val = (s.strip() for s in token.split("=", 1))
         if key in ("L", "length"):
-            give(run, "L", int(val))
+            give(run, "L", val, int)
         elif key == "seed":
-            give(run, "seed", int(val))
+            give(run, "seed", val, int)
         else:
-            give(params, key, float(val))
+            give(params, key, val)
     if "L" not in run:
         raise ValueError("generator spec must set L=<length>")
     return GeneratorSpec(kind=kind, length=run["L"], seed=run.get("seed"),

@@ -33,6 +33,7 @@ __all__ = [
     "CalibrationError",
     "make_builtin_test",
     "apply_moving_window",
+    "window_starts",
     "rejection_upper_density",
     "asymptotic_suite",
     "calibrate_test_size",
@@ -250,17 +251,23 @@ def rejection_upper_density(indicators: np.ndarray, window: int = 1,
     return max(v for _, v in _tail_profile(ind, window, config.min_rung_windows))
 
 
+def window_starts(length: int, n: int, start: int, stride: int) -> slice:
+    """The starts start, start+stride, ... of the size-n windows that fit a
+    path of ``length`` values; ValueError when the first does not fit."""
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    if start < 0 or start + n > length:
+        raise ValueError(
+            f"window of size {n} at offset {start} does not fit the path")
+    return slice(start, length - n + 1, stride)
+
+
 def apply_moving_window(path: Path, test: StationarityTest, start: int = 0,
                         stride: int = 1,
                         config: AnalysisConfig = DEFAULT_CONFIG) -> RejectionRecord:
     """Evaluate the test at offsets start, start+stride, ... along the path."""
     n = test.window
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    if start < 0 or start + n > path.length:
-        raise ValueError(
-            f"window of size {n} at offset {start} does not fit the path")
-    starts = slice(start, path.length - n + 1, stride)
+    starts = window_starts(path.length, n, start, stride)
     if test.batch_decide is not None:
         indicators = np.asarray(test.batch_decide(path.values, starts),
                                 dtype=np.uint8)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, AnalysisConfig
 from .contraction import (
     Contraction,
@@ -13,10 +15,18 @@ from .contraction import (
     default_contraction_family,
     ergodicity_diagnostic,
 )
+from .generators import (
+    ExpectedProfile,
+    GeneratorSpec,
+    expected_profile,
+    format_spec,
+    generate,
+)
 from .pathcore import Path
 from .properties import PathDiagnostics, analyze_path
 
-__all__ = ["FullDiagnostics", "run_suite", "report_dict"]
+__all__ = ["FullDiagnostics", "MonteCarloRow", "montecarlo", "run_suite",
+           "report_dict"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,11 +36,18 @@ class FullDiagnostics:
     family: tuple[Contraction, ...]
 
     @property
+    def stages(self) -> dict[str, bool]:
+        """Each stage's verdict, under report.json's names."""
+        diag = self.diagnostics
+        return {"propertyE": diag.property_e_pass,
+                "propertyT": diag.tightness.verdict,
+                "consistency": diag.consistency_pass,
+                "ergodicity":
+                    self.ergodicity.verdict == "ConsistentWithErgodic"}
+
+    @property
     def passed(self) -> bool:
-        return (self.diagnostics.property_e_pass
-                and self.diagnostics.tightness.verdict
-                and self.diagnostics.consistency_pass
-                and self.ergodicity.verdict == "ConsistentWithErgodic")
+        return all(self.stages.values())
 
 
 def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
@@ -107,3 +124,62 @@ def report_dict(result: FullDiagnostics) -> dict:
         },
         "overall_pass": result.passed,
     }
+
+
+@dataclass(frozen=True)
+class MonteCarloRow:
+    """One spec's replicates, each by its stage verdicts, and the kind's
+    expected profile."""
+
+    spec: GeneratorSpec
+    expected: ExpectedProfile
+    stages: tuple[dict[str, bool], ...]
+
+    @property
+    def passed(self) -> tuple[bool, ...]:
+        return tuple(all(v.values()) for v in self.stages)
+
+    def summary(self) -> dict:
+        """The montecarlo.json row.  A replicate mismatches when it
+        disagrees with a stage the profile asserts (None asserts nothing)."""
+        n = len(self.stages)
+        passes = sum(self.passed)
+        fraction = passes / n
+        asserted = {"propertyE": self.expected.property_e_pass,
+                    "propertyT": self.expected.property_t_pass,
+                    "ergodicity": self.expected.ergodicity_pass}
+        return {
+            "generator": format_spec(self.spec),
+            "replicates": n,
+            "passes": passes,
+            "fraction": fraction,
+            "stderr": math.sqrt(fraction * (1 - fraction) / n),
+            "stages": {k: sum(v[k] for v in self.stages) / n
+                       for k in self.stages[0]},
+            "expected_mismatches": sum(
+                any(want is not None and v[k] != want
+                    for k, want in asserted.items()) for v in self.stages),
+        }
+
+
+def montecarlo(specs: Sequence[GeneratorSpec], replicates: int, seed: int,
+               config: AnalysisConfig = DEFAULT_CONFIG) -> list[MonteCarloRow]:
+    """The suite on ``replicates`` paths of each spec; replicate r of spec i
+    draws from the child seed ``SeedSequence([seed, i, r])``.  A spec that
+    sets its own seed is an error, raised before the first replicate."""
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
+    for spec in specs:
+        if spec.seed is not None:
+            raise ValueError(f"montecarlo spec {format_spec(spec)!r} sets "
+                             f"seed=; each replicate draws its own seed")
+    rows = []
+    for gi, spec in enumerate(specs):
+        stages = []
+        for r in range(replicates):
+            child = np.random.SeedSequence([seed, gi, r]).generate_state(1)[0]
+            stages.append(run_suite(generate(spec.with_seed(child)),
+                                    config).stages)
+        rows.append(MonteCarloRow(spec, expected_profile(spec),
+                                  tuple(stages)))
+    return rows

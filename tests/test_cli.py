@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from scipy.stats import norm
 
 from pathstat.cli import CONFIG_FLAGS, _analysis_config, build_parser, main
 from pathstat.config import AnalysisConfig
@@ -280,15 +281,44 @@ def test_testbench_calibration_seed_follows_the_generator_spec(
         replicates=1000, seed=expected).tau
 
 
-def test_testbench_flags_trend(tmp_path):
+def test_testbench_rejection_sweep(tmp_path):
+    # the one-sided mean test and the split-mean test at analytic
+    # thresholds: near the nominal 5% on a null path, always on a ramp
+    z95, z975 = norm.ppf(0.95), norm.ppf(0.975)
     tests = tmp_path / "tests.json"
-    tests.write_text(json.dumps(
-        [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]))
-    assert run(["testbench", "generate:monotone(1),L=20000",
-                "--tests", tests, "--out-dir", tmp_path]) == 0
-    summary = json.loads((tmp_path / "testbench_summary.json").read_text())
-    assert summary["tests"][0]["upper_density"] == 1.0
-    assert summary["tests"][0]["compliant"] is False
+    tests.write_text(json.dumps([
+        spec for n in (10, 20) for spec in (
+            {"kind": "threshold_exceedance", "n": n,
+             "tau": z95 / math.sqrt(n)},
+            {"kind": "mean_split", "n": n, "tau": 2 * z975 / math.sqrt(n)})]))
+    for path in ("iid_normal(0,1),L=20000,seed=0", "monotone(1),L=20000"):
+        out = tmp_path / path.split("(")[0]
+        assert run(["testbench", f"generate:{path}", "--tests", tests,
+                    "--out-dir", out]) == 0
+        summary = json.loads((out / "testbench_summary.json").read_text())
+        for entry in summary["tests"]:
+            if path.startswith("monotone"):
+                assert entry["upper_density"] == 1.0
+                assert entry["compliant"] is False
+            else:
+                assert 0.0 < entry["upper_density"] < 0.1
+
+
+@pytest.mark.parametrize("bad", [
+    {"kind": "mean_split", "n": 1},
+    {"kind": "mean_split", "n": 20, "tau": 0.5, "start": 90},
+], ids=["no-tau", "start-past-the-path"])
+def test_testbench_bad_spec_writes_nothing(tmp_path, bad):
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([
+        {"kind": "mean_split", "n": 20, "tau": 0.5},
+        {"kind": "kpss_like", "n": 20, "calibration": {
+            "generator": "iid_normal(0,1),L=20", "replicates": 1000}}, bad]))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["testbench", "generate:iid_normal(0,1),L=100,seed=1",
+                "--tests", tests, "--out-dir", out]) == 1
+    assert list(out.iterdir()) == []
 
 
 def test_testbench_empty_tests_is_usage_error(tmp_path, capsys):
@@ -362,6 +392,48 @@ def test_montecarlo_without_replicates_is_error(tmp_path, capsys):
     assert run(["montecarlo", "--replicates", "0", "--seed", "0",
                 "--out-dir", tmp_path]) == 1
     assert "replicates must be at least 1" in capsys.readouterr().err
+
+
+ZOO = ["ar1(0.5)", "iid_normal(0,1)",
+       "random_phase_sine(theta=1.4142135623730951)", "constant(2)",
+       "sine(theta=1.5707963267948966)", "monotone(1)", "unique_peak(10)",
+       "block_mixture(0,5)"]
+
+
+def test_montecarlo_zoo_stage_table(tmp_path):
+    assert run(["montecarlo", "--generators",
+                *[f"{text},L=2000" for text in ZOO], "--replicates", "1",
+                "--seed", "0", "--out-dir", tmp_path]) == 0
+    table = json.loads((tmp_path / "montecarlo.json").read_text())["table"]
+    by_kind = {row["generator"].split("(")[0]: row for row in table}
+    assert by_kind["constant"]["fraction"] == 1.0
+    assert by_kind["constant"]["expected_mismatches"] == 0
+    assert by_kind["monotone"]["stages"]["propertyT"] == 0.0
+    assert by_kind["block_mixture"]["stages"]["ergodicity"] == 0.0
+    # the peak hides in a quantile cell: Property E passes against the profile
+    assert by_kind["unique_peak"]["expected_mismatches"] == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("iid_normal,L=2000", "cannot parse generator spec 'iid_normal,L=2000'"),
+    ("iid_normal(0,1),L=2000,seed=3",
+     "spec 'iid_normal(mu=0,sigma=1),L=2000,seed=3' sets seed="),
+], ids=["unparsable", "spec-seed"])
+def test_montecarlo_checks_every_spec_before_the_first_replicate(
+        tmp_path, capsys, monkeypatch, spec, message):
+    monkeypatch.setattr("pathstat.suite.run_suite", None)  # no replicate
+    assert run(["montecarlo", "--generators", "ar1(0.5),L=2000", spec,
+                "--seed", "0", "--out-dir", tmp_path]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and message in printed.err
+    assert not (tmp_path / "montecarlo.json").exists()
+
+
+def test_env_seed_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("PATHSTAT_SEED", "abc")
+    assert run(["generate", "--spec", "iid_normal(0,1),L=5"]) == 1
+    assert capsys.readouterr().err == \
+        "error: PATHSTAT_SEED must be an integer, got 'abc'\n"
 
 
 def test_generate_without_out_writes_stdout(capsys):

@@ -162,3 +162,15 @@ def test_parse_spec_errors():
                        ("ar1(0.5),L=10,seed=1,seed=2", "seed")):
         with pytest.raises(ValueError, match=f"gives {name} twice"):
             parse_spec(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("iid_normal(0,1),L=1e5", "L must be an integer, got '1e5'"),
+    ("iid_normal(0,1),L=10,seed=1.5", "seed must be an integer, got '1.5'"),
+    ("iid_normal(0,x),L=10", "sigma must be a number, got 'x'"),
+    ("iid_normal(mu=y),L=10", "mu must be a number, got 'y'"),
+], ids=["length", "seed", "positional-parameter", "keyword-parameter"])
+def test_parse_spec_names_the_key_and_the_spec(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_spec(text)
+    assert str(err.value) == f"generator spec {text!r}: {message}"
