@@ -281,6 +281,17 @@ def test_testbench_calibration_seed_follows_the_generator_spec(
         replicates=1000, seed=expected).tau
 
 
+def test_testbench_flags_trend(tmp_path):
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps(
+        [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]))
+    assert run(["testbench", "generate:monotone(1),L=20000",
+                "--tests", tests, "--out-dir", tmp_path]) == 0
+    summary = json.loads((tmp_path / "testbench_summary.json").read_text())
+    assert summary["tests"][0]["upper_density"] == 1.0
+    assert summary["tests"][0]["compliant"] is False
+
+
 def test_testbench_rejection_sweep(tmp_path):
     # the one-sided mean test and the split-mean test at analytic
     # thresholds: near the nominal 5% on a null path, always on a ramp
