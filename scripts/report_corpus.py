@@ -19,7 +19,9 @@ Prints one JSON object mapping each corpus entry to a sha256:
   calibrates one test of each kind under its own generator;
 * ``montecarlo/<file>``: the table of ``pathstat montecarlo`` (pass rates
   overall and per stage, profile mismatches) over its default generators
-  with two replicates.
+  with two replicates;
+* ``generate/<spec>``: the text ``pathstat generate --spec <spec>`` writes,
+  for one spec per generator kind with non-default parameters.
 
 A refactor that must keep every report byte-identical regenerates this and
 diffs it against ``tests/data/report_corpus.json``; the tier-1 test
@@ -126,6 +128,17 @@ TESTBENCH_CALIBRATED_OUTPUTS = (
     "rejections_01_mean_split.csv", "rejections_02_variance_split.csv",
     "rejections_03_kpss_like.csv")
 MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
+# one spec per generator kind, every parameter away from its default
+GENERATE_SPECS = tuple(f"{text},L=2000,seed=1" for text in (
+    "constant(-2.5)",
+    "monotone(0.25)",
+    "unique_peak(7)",
+    "sine(1.5707,phi0=0.3)",
+    "random_phase_sine(2.1)",
+    "iid_normal(0.5,2)",
+    "ar1(0.9,0.5)",
+    "block_mixture(-1,3,0.5)",
+))
 
 
 def _sha(data: bytes) -> str:
@@ -200,6 +213,10 @@ def corpus() -> dict[str, str]:
         _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
         _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
                     ("montecarlo.json",))
+        for spec in GENERATE_SPECS:
+            _cli(["generate", "--spec", spec, "--out", "path.txt"])
+            with open("path.txt", "rb") as fh:
+                out[f"generate/{spec}"] = _sha(fh.read())
     return out
 
 

@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from pathstat.generators import KINDS, parse_spec
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,3 +28,9 @@ def test_reports_match_the_committed_corpus():
     got = _load_script().corpus()
     assert sorted(got) == sorted(expected)
     assert {k: v for k, v in got.items() if v != expected[k]} == {}
+
+
+def test_every_generator_kind_is_pinned():
+    pinned = {parse_spec(spec).kind
+              for spec in _load_script().GENERATE_SPECS}
+    assert pinned == set(KINDS)
