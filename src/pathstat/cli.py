@@ -100,15 +100,20 @@ def _seed(flag: int | None, spec_seed: int | None = None) -> int | None:
     """The run's seed: the --seed flag, then the generator spec's seed=,
     then the PATHSTAT_SEED environment variable."""
     if flag is not None:
+        if flag < 0:
+            raise ValueError(f"--seed must be non-negative, got {flag}")
         return flag
     if spec_seed is not None:
         return spec_seed
     raw = os.environ.get("PATHSTAT_SEED")
     try:
-        return int(raw) if raw else None
+        seed = int(raw) if raw else None
     except ValueError:
         raise ValueError(f"PATHSTAT_SEED must be an integer, got {raw!r}") \
             from None
+    if seed is not None and seed < 0:
+        raise ValueError(f"PATHSTAT_SEED must be non-negative, got {raw!r}")
+    return seed
 
 
 def _seeded_spec(text: str, flag: int | None) -> GeneratorSpec:
@@ -247,10 +252,12 @@ def _test_from_spec(spec: dict, default_seed: int | None, length: int):
         if gen.length != n:
             raise ValueError(f"calibration generator has L={gen.length} but "
                              f"test {kind!r} has n={n}; they must be equal")
+        block_seed = _spec_value(cal_spec, "seed", INTEGER, "calibration")
+        if block_seed is not None and block_seed < 0:
+            raise ValueError(f"calibration key 'seed' must be non-negative, "
+                             f"got {block_seed}")
         # the block's seed, then its generator's seed=, then the run's seed
-        seed = next((s for s in (_spec_value(cal_spec, "seed", INTEGER,
-                                             "calibration"),
-                                 gen.seed, default_seed)
+        seed = next((s for s in (block_seed, gen.seed, default_seed)
                      if s is not None), 0)
         calibration = calibrate_test_size(
             kind, n, alpha, gen,
@@ -373,8 +380,12 @@ def cmd_contract(args: argparse.Namespace) -> int:
     config = _analysis_config(args)
     path, provenance = _resolve_input(args.input, args.seed)
     pattern = IntervalPattern.of((args.cell[0], args.cell[1]))
-    schedule = None if args.m_schedule is None else \
-        tuple(int(m) for m in args.m_schedule.split(","))
+    try:
+        schedule = None if args.m_schedule is None else \
+            tuple(int(m) for m in args.m_schedule.split(","))
+    except ValueError:
+        raise ValueError(f"--m-schedule must be integers separated by "
+                         f"commas, got {args.m_schedule!r}") from None
     trace = adversarial_contraction(path, pattern, schedule,
                                     threshold=args.threshold, config=config)
     payload: dict = {

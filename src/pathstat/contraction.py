@@ -57,6 +57,7 @@ __all__ = [
     "coverage_ratios",
     "ergodicity_diagnostic",
     "adversarial_contraction",
+    "alternating_family",
     "default_contraction_family",
 ]
 
@@ -486,6 +487,23 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
         n_markers=tuple(n_markers), result=result)
 
 
+def alternating_family(horizon: int,
+                       config: AnalysisConfig = DEFAULT_CONFIG) -> list[Contraction]:
+    """The alternating contractions over the configured densities in both
+    phases; ValueError naming the length when ``horizon`` is too short for
+    one of them."""
+    family = []
+    for c in config.contraction_densities:
+        for phase in (0, 1):
+            try:
+                family.append(build_alternating_contraction(c, horizon, phase))
+            except ValueError as exc:
+                raise ValueError(
+                    f"path of length {horizon} is too short for the "
+                    f"contraction family: {exc}") from None
+    return family
+
+
 def default_contraction_family(path: Path, level1_grid: PatternGrid,
                                config: AnalysisConfig = DEFAULT_CONFIG,
                                table: CellTable | None = None) -> list[Contraction]:
@@ -497,15 +515,7 @@ def default_contraction_family(path: Path, level1_grid: PatternGrid,
     built here when absent.  A path too short for some alternating
     contraction raises ValueError."""
     horizon = path.length
-    family: list[Contraction] = []
-    for c in config.contraction_densities:
-        for phase in (0, 1):
-            try:
-                family.append(build_alternating_contraction(c, horizon, phase))
-            except ValueError as exc:
-                raise ValueError(
-                    f"path of length {horizon} is too short for the "
-                    f"contraction family: {exc}") from None
+    family = alternating_family(horizon, config)
     if config.m_schedule[-1] > horizon:
         return family
     if table is None:

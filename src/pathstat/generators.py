@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -43,35 +43,29 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise ValueError("length must be at least 1")
-        declared = KINDS[self.kind].params
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"generator spec seed= must be non-negative, "
+                             f"got {self.seed}")
+        kind = KINDS[self.kind]
         # the defaults in declared order, then the supplied keys
-        merged = {k: v for k, v in declared.items() if v is not None}
+        merged = {k: v for k, v in kind.params.items() if v is not None}
         for key, val in dict(self.params).items():
-            if key not in declared:
+            if key not in kind.params:
                 raise ValueError(f"{self.kind} has no parameter {key!r}")
             merged[key] = float(val)
-        missing = [p for p in declared if p not in merged]
+            if not math.isfinite(merged[key]):
+                raise ValueError(f"{self.kind} parameter {key!r} must be "
+                                 f"finite, got {merged[key]}")
+        missing = [p for p in kind.params if p not in merged]
         if missing:
             raise ValueError(f"{self.kind} requires parameters {missing}")
-        _validate_params(self.kind, merged)
+        for holds, message in kind.checks:
+            if not holds(merged):
+                raise ValueError(message)
         object.__setattr__(self, "params", merged)
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=int(seed))
-
-
-def _validate_params(kind: str, p: Mapping[str, float]) -> None:
-    if kind in ("sine", "random_phase_sine") and not 0.0 < p["theta"] < 2.0 * math.pi:
-        raise ValueError("theta must be in (0, 2*pi)")
-    if kind == "ar1" and not abs(p["rho"]) < 1.0:
-        raise ValueError("|rho| must be below 1")
-    if kind in ("iid_normal", "ar1") and p["sigma"] <= 0.0:
-        raise ValueError("sigma must be positive")
-    if kind == "block_mixture":
-        if p["noise_sigma"] < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if p["level_a"] == p["level_b"]:
-            raise ValueError("mixture levels must differ")
 
 
 def _rng(spec: GeneratorSpec) -> np.random.Generator:
@@ -80,72 +74,21 @@ def _rng(spec: GeneratorSpec) -> np.random.Generator:
     return np.random.default_rng(spec.seed)
 
 
-def _truncated_normal(rng: np.random.Generator, size: int,
-                      bound: float = 4.0) -> np.ndarray:
-    x = rng.standard_normal(size)
-    bad = np.abs(x) >= bound
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(x) >= bound
-    return x
-
-
-def _block_layout(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating block labels (0/1) with the m-th pair having length m."""
-    n_pairs = math.isqrt(length) + 2  # pairs cover m*(m+1) >= length
-    block_lengths = np.repeat(np.arange(1, n_pairs + 1), 2)
-    labels = np.tile(np.array([0, 1]), n_pairs)
-    per_index = np.repeat(labels, block_lengths)[:length]
-    return per_index, block_lengths
-
-
-def _draw(spec: GeneratorSpec, rng: np.random.Generator | None) -> np.ndarray:
-    """The values of one path; only stochastic kinds draw from ``rng``."""
-    n = spec.length
-    p = spec.params
-    if spec.kind == "constant":
-        values = np.full(n, p["c"])
-    elif spec.kind == "monotone":
-        values = p["slope"] * np.arange(n, dtype=np.float64)
-    elif spec.kind == "sine":
-        values = np.sin(np.arange(n) * p["theta"] + p["phi0"])
-    elif spec.kind == "random_phase_sine":
-        phi0 = rng.uniform(0.0, 2.0 * math.pi)
-        values = np.sin(np.arange(n) * p["theta"] + phi0)
-    elif spec.kind == "iid_normal":
-        values = p["mu"] + p["sigma"] * rng.standard_normal(n)
-    elif spec.kind == "ar1":
-        rho, sigma = p["rho"], p["sigma"]
-        innovations = np.empty(n)
-        # stationary start, then the recursion x_{t} = rho x_{t-1} + sigma xi_t
-        innovations[0] = rng.normal(0.0, sigma / math.sqrt(1.0 - rho * rho))
-        if n > 1:
-            innovations[1:] = sigma * rng.standard_normal(n - 1)
-        values = lfilter([1.0], [1.0, -rho], innovations)
-    elif spec.kind == "unique_peak":
-        values = _truncated_normal(rng, n)
-        values[n // 2] = p["peak_height"]
-    elif spec.kind == "block_mixture":
-        labels, _ = _block_layout(n)
-        levels = np.where(labels == 0, p["level_a"], p["level_b"])
-        values = levels + p["noise_sigma"] * rng.standard_normal(n)
-    else:  # pragma: no cover - guarded by __post_init__
-        raise ValueError(spec.kind)
-    return values
-
-
 def generate(spec: GeneratorSpec) -> Path:
     """Deterministic given (spec, seed)."""
-    return Path(_draw(spec, _rng(spec) if KINDS[spec.kind].stochastic
-                      else None))
+    kind = KINDS[spec.kind]
+    return Path(kind.draw(spec.length, spec.params,
+                          _rng(spec) if kind.stochastic else None))
 
 
 def generate_rows(spec: GeneratorSpec, seeds: Sequence[int]) -> np.ndarray:
     """One path of ``spec.length`` values per seed, stacked as rows: row i
     equals ``generate(spec.with_seed(seeds[i])).values`` bit for bit."""
+    draw = KINDS[spec.kind].draw
     rows = np.empty((len(seeds), spec.length))
     for i, seed in enumerate(seeds):
-        rows[i] = _draw(spec, np.random.default_rng(int(seed)))
+        rows[i] = draw(spec.length, spec.params,
+                       np.random.default_rng(int(seed)))
     if not np.isfinite(rows).all():
         raise ValueError("path values must all be finite")
     return rows
@@ -165,31 +108,105 @@ class ExpectedProfile:
                     and self.ergodicity_pass)
 
 
+class Check(NamedTuple):
+    """A condition the parameters must meet, and the error when they do
+    not; written so that it fails on NaN."""
+
+    holds: Callable[[Mapping[str, float]], bool]
+    message: str
+
+
 @dataclass(frozen=True)
 class GeneratorKind:
     """A kind's parameters in positional order with their defaults (None
-    marks a required one), whether it draws from a seed, its verdicts."""
+    marks a required one), whether it draws from a seed, its verdicts, its
+    ``draw(n, params, rng)`` of n values (only a stochastic kind draws from
+    ``rng``) and its parameter checks."""
 
     params: Mapping[str, float | None]
     stochastic: bool
     profile: ExpectedProfile
+    draw: Callable[[int, Mapping[str, float], np.random.Generator | None],
+                   np.ndarray]
+    checks: tuple[Check, ...] = ()
+
+
+def _ar1(n: int, p: Mapping[str, float],
+         rng: np.random.Generator) -> np.ndarray:
+    rho, sigma = p["rho"], p["sigma"]
+    innovations = np.empty(n)
+    # stationary start, then the recursion x_{t} = rho x_{t-1} + sigma xi_t
+    innovations[0] = rng.normal(0.0, sigma / math.sqrt(1.0 - rho * rho))
+    if n > 1:
+        innovations[1:] = sigma * rng.standard_normal(n - 1)
+    return lfilter([1.0], [1.0, -rho], innovations)
+
+
+def _unique_peak(n: int, p: Mapping[str, float],
+                 rng: np.random.Generator) -> np.ndarray:
+    # normal noise truncated to (-4, 4) by redrawing, one spike at the middle
+    values = rng.standard_normal(n)
+    bad = np.abs(values) >= 4.0
+    while bad.any():
+        values[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(values) >= 4.0
+    values[n // 2] = p["peak_height"]
+    return values
+
+
+def _block_layout(length: int) -> np.ndarray:
+    """Alternating block labels (0/1) with the m-th pair having length m."""
+    n_pairs = math.isqrt(length) + 2  # pairs cover m*(m+1) >= length
+    block_lengths = np.repeat(np.arange(1, n_pairs + 1), 2)
+    labels = np.tile(np.array([0, 1]), n_pairs)
+    return np.repeat(labels, block_lengths)[:length]
+
+
+def _block_mixture(n: int, p: Mapping[str, float],
+                   rng: np.random.Generator) -> np.ndarray:
+    levels = np.where(_block_layout(n) == 0, p["level_a"], p["level_b"])
+    return levels + p["noise_sigma"] * rng.standard_normal(n)
 
 
 _PASSES = ExpectedProfile(True, True, True)
+_THETA = Check(lambda p: 0.0 < p["theta"] < 2.0 * math.pi,
+               "theta must be in (0, 2*pi)")
+_SIGMA = Check(lambda p: p["sigma"] > 0.0, "sigma must be positive")
 
 KINDS: dict[str, GeneratorKind] = {
-    "constant": GeneratorKind({"c": 0.0}, False, _PASSES),
-    "monotone": GeneratorKind({"slope": 1.0}, False,
-                              ExpectedProfile(False, False, None)),
-    "unique_peak": GeneratorKind({"peak_height": 10.0}, True,
-                                 ExpectedProfile(False, True, None)),
-    "sine": GeneratorKind({"theta": None, "phi0": 0.0}, False, _PASSES),
-    "random_phase_sine": GeneratorKind({"theta": None}, True, _PASSES),
-    "iid_normal": GeneratorKind({"mu": 0.0, "sigma": 1.0}, True, _PASSES),
-    "ar1": GeneratorKind({"rho": None, "sigma": 1.0}, True, _PASSES),
+    "constant": GeneratorKind(
+        {"c": 0.0}, False, _PASSES,
+        lambda n, p, rng: np.full(n, p["c"])),
+    "monotone": GeneratorKind(
+        {"slope": 1.0}, False, ExpectedProfile(False, False, None),
+        lambda n, p, rng: p["slope"] * np.arange(n, dtype=np.float64)),
+    "unique_peak": GeneratorKind(
+        {"peak_height": 10.0}, True, ExpectedProfile(False, True, None),
+        _unique_peak),
+    "sine": GeneratorKind(
+        {"theta": None, "phi0": 0.0}, False, _PASSES,
+        lambda n, p, rng: np.sin(np.arange(n) * p["theta"] + p["phi0"]),
+        (_THETA,)),
+    "random_phase_sine": GeneratorKind(
+        {"theta": None}, True, _PASSES,
+        lambda n, p, rng: np.sin(np.arange(n) * p["theta"]
+                                 + rng.uniform(0.0, 2.0 * math.pi)),
+        (_THETA,)),
+    "iid_normal": GeneratorKind(
+        {"mu": 0.0, "sigma": 1.0}, True, _PASSES,
+        lambda n, p, rng: p["mu"] + p["sigma"] * rng.standard_normal(n),
+        (_SIGMA,)),
+    "ar1": GeneratorKind(
+        {"rho": None, "sigma": 1.0}, True, _PASSES, _ar1,
+        (Check(lambda p: abs(p["rho"]) < 1.0, "|rho| must be below 1"),
+         _SIGMA)),
     "block_mixture": GeneratorKind(
         {"level_a": 0.0, "level_b": 5.0, "noise_sigma": 0.25}, True,
-        ExpectedProfile(True, True, False)),
+        ExpectedProfile(True, True, False), _block_mixture,
+        (Check(lambda p: p["noise_sigma"] >= 0.0,
+               "noise_sigma must be non-negative"),
+         Check(lambda p: abs(p["level_a"] - p["level_b"]) > 0.0,
+               "mixture levels must differ"))),
 }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,37 +152,51 @@ def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     return stats
 
 
-BUILTIN_KINDS: dict[str, tuple[Callable[[np.ndarray], float | np.ndarray],
-                               Callable[[np.ndarray, int, slice], np.ndarray]]] = {
-    "threshold_exceedance": (_stat_threshold_exceedance, _batch_threshold),
-    "mean_split": (_stat_mean_split, _batch_mean_split),
-    "variance_split": (_stat_variance_split, _batch_variance_split),
-    "kpss_like": (_stat_kpss_like, _batch_kpss_like),
+class BuiltinKind(NamedTuple):
+    """A built-in test kind: its statistic of a window (or of a stack of
+    windows, one per row), the same statistic at a slice of window starts
+    along a path, and the least window it can test."""
+
+    statistic: Callable[[np.ndarray], float | np.ndarray]
+    batch: Callable[[np.ndarray, int, slice], np.ndarray]
+    least_window: int = 2
+
+
+BUILTIN_KINDS: dict[str, BuiltinKind] = {
+    "threshold_exceedance": BuiltinKind(_stat_threshold_exceedance,
+                                        _batch_threshold),
+    "mean_split": BuiltinKind(_stat_mean_split, _batch_mean_split),
+    # the variances of two halves of one value each are both 0, so a
+    # smaller window never rejects
+    "variance_split": BuiltinKind(_stat_variance_split,
+                                  _batch_variance_split, 4),
+    "kpss_like": BuiltinKind(_stat_kpss_like, _batch_kpss_like),
 }
 
 
-def _check_window(kind: str, n: int) -> None:
-    # variance_split compares the variances of the two halves, and a half
-    # of one value has variance 0, so a smaller window never rejects
-    least = 4 if kind == "variance_split" else 2
-    if n < least:
-        raise ValueError(f"test kind {kind!r} needs a window of at least "
-                         f"n = {least}, got n = {n}")
+def builtin_kind(kind: str, window: int | None = None) -> BuiltinKind:
+    """The kind's row; given a window size, also checks that the kind can
+    test windows of that size."""
+    if kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown test kind {kind!r}")
+    row = BUILTIN_KINDS[kind]
+    if window is not None:
+        if window < 2:
+            raise ValueError("window size must be at least 2")
+        if window < row.least_window:
+            raise ValueError(f"test kind {kind!r} needs a window of at least "
+                             f"n = {row.least_window}, got n = {window}")
+    return row
 
 
 def builtin_statistic(kind: str) -> Callable[[np.ndarray], float | np.ndarray]:
-    if kind not in BUILTIN_KINDS:
-        raise ValueError(f"unknown test kind {kind!r}")
-    return BUILTIN_KINDS[kind][0]
+    return builtin_kind(kind).statistic
 
 
 def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
                       name: str | None = None) -> StationarityTest:
     """A built-in test rejecting when its statistic strictly exceeds tau."""
-    if kind not in BUILTIN_KINDS:
-        raise ValueError(f"unknown test kind {kind!r}")
-    _check_window(kind, n)
-    stat, batch = BUILTIN_KINDS[kind]
+    stat, batch, _ = builtin_kind(kind, n)
 
     def decide(window: np.ndarray) -> int:
         return int(stat(np.asarray(window, dtype=np.float64)) > tau)
@@ -356,14 +370,12 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     half-width between the order statistics one binomial standard deviation
     either side of the quantile rank.
     """
-    if window < 2:
-        raise ValueError("window size must be at least 2")
+    builtin_kind(kind, window)
     if replicates < 1000:
         raise ValueError("replicates must be at least 1000")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     stat = builtin_statistic(kind)
-    _check_window(kind, window)
     child_seeds = np.random.SeedSequence(seed).generate_state(replicates)
     base = GeneratorSpec(kind=generator.kind, length=window,
                          params=generator.params)

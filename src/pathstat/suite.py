@@ -12,6 +12,7 @@ from .config import DEFAULT_CONFIG, AnalysisConfig
 from .contraction import (
     Contraction,
     ErgodicityVerdict,
+    alternating_family,
     default_contraction_family,
     ergodicity_diagnostic,
 )
@@ -166,13 +167,15 @@ def montecarlo(specs: Sequence[GeneratorSpec], replicates: int, seed: int,
                config: AnalysisConfig = DEFAULT_CONFIG) -> list[MonteCarloRow]:
     """The suite on ``replicates`` paths of each spec; replicate r of spec i
     draws from the child seed ``SeedSequence([seed, i, r])``.  A spec that
-    sets its own seed is an error, raised before the first replicate."""
+    sets its own seed, or is too short for the contraction family, is an
+    error, raised before the first replicate."""
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     for spec in specs:
         if spec.seed is not None:
             raise ValueError(f"montecarlo spec {format_spec(spec)!r} sets "
                              f"seed=; each replicate draws its own seed")
+        alternating_family(spec.length, config)
     rows = []
     for gi, spec in enumerate(specs):
         stages = []

@@ -447,6 +447,58 @@ def test_env_seed_must_be_an_integer(monkeypatch, capsys):
         "error: PATHSTAT_SEED must be an integer, got 'abc'\n"
 
 
+NEGATIVE_SEED_TESTS = [{"kind": "mean_split", "n": 20, "alpha": 0.05,
+                        "calibration": {"generator": "iid_normal(0,1),L=20",
+                                        "replicates": 1000, "seed": -1}}]
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (["generate", "--spec", "iid_normal(0,1),L=5", "--seed", "-1"], None,
+     "--seed must be non-negative, got -1"),
+    (["generate", "--spec", "iid_normal(0,1),L=5"], "-3",
+     "PATHSTAT_SEED must be non-negative, got '-3'"),
+    (["generate", "--spec", "iid_normal(0,1),L=5,seed=-1"], None,
+     "generator spec seed= must be non-negative, got -1"),
+    (["montecarlo", "--generators", "constant(2),L=200", "--replicates", "1",
+      "--seed", "-1"], None, "--seed must be non-negative, got -1"),
+    (["testbench", "generate:iid_normal(0,1),L=200,seed=1", "--tests",
+      "tests.json"], None, "calibration key 'seed' must be non-negative, "
+                           "got -1"),
+], ids=["flag", "environment", "spec", "montecarlo-flag", "calibration-block"])
+def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys, args,
+                                       env, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PATHSTAT_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("PATHSTAT_SEED", env)
+    (tmp_path / "tests.json").write_text(json.dumps(NEGATIVE_SEED_TESTS))
+    assert run(args) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tests.json"]
+
+
+def test_contract_m_schedule_must_be_integers(capsys):
+    assert run(["contract", "generate:iid_normal(0,1),L=2000,seed=1",
+                "--cell", "-1", "0", "--m-schedule", "4,x"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --m-schedule must be integers separated by commas, "
+        "got '4,x'\n")
+
+
+def test_montecarlo_rejects_a_too_short_spec_before_the_first_replicate(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pathstat.suite.run_suite", None)  # no replicate
+    assert run(["montecarlo", "--generators", "iid_normal(0,1),L=100000",
+                "iid_normal(0,1),L=5", "--replicates", "3", "--seed", "0",
+                "--out-dir", tmp_path]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert "path of length 5 is too short for the contraction family" \
+        in printed.err
+    assert not (tmp_path / "montecarlo.json").exists()
+
+
 def test_generate_without_out_writes_stdout(capsys):
     assert run(["generate", "--spec", "monotone(0.5),L=4"]) == 0
     assert capsys.readouterr().out == "0.0\n0.5\n1.0\n1.5\n"

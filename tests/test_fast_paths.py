@@ -493,7 +493,7 @@ def test_generated_rows_equal_generate(kind):
 
 
 def test_generated_rows_must_be_finite():
-    spec = GeneratorSpec(kind="constant", length=3, params={"c": math.inf})
+    spec = GeneratorSpec(kind="monotone", length=3, params={"slope": 1e308})
     for draw in (lambda: generate(spec), lambda: generate_rows(spec, [1, 2])):
         with pytest.raises(ValueError, match="path values must all be finite"):
             draw()

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pathstat.generators import (
+    KINDS,
     GeneratorSpec,
     expected_profile,
     format_spec,
     generate,
+    generate_rows,
     parse_spec,
 )
 
@@ -174,3 +176,44 @@ def test_parse_spec_names_the_key_and_the_spec(text, message):
     with pytest.raises(ValueError) as err:
         parse_spec(text)
     assert str(err.value) == f"generator spec {text!r}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("iid_normal(0,nan),L=10,seed=1", "iid_normal parameter 'sigma' must be "
+                                      "finite, got nan"),
+    ("block_mixture(0,5,nan),L=10,seed=1", "block_mixture parameter "
+                                           "'noise_sigma' must be finite, "
+                                           "got nan"),
+    ("block_mixture(nan,5),L=10,seed=1", "block_mixture parameter "
+                                         "'level_a' must be finite, got nan"),
+    ("ar1(0.5,inf),L=10,seed=1", "ar1 parameter 'sigma' must be finite, "
+                                 "got inf"),
+    ("constant(inf),L=10", "constant parameter 'c' must be finite, got inf"),
+    ("monotone(slope=-inf),L=10", "monotone parameter 'slope' must be "
+                                  "finite, got -inf"),
+    ("sine(nan),L=10", "sine parameter 'theta' must be finite, got nan"),
+])
+def test_non_finite_parameters_are_named_at_the_spec(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_spec(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_parameter_check_fails_on_nan(kind):
+    params = {name: math.nan for name in KINDS[kind].params}
+    assert not any(check.holds(params) for check in KINDS[kind].checks)
+
+
+def test_generate_rows_looks_up_the_kind_once(monkeypatch):
+    calls = []
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            calls.append(key)
+            return super().__getitem__(key)
+
+    spec = GeneratorSpec("iid_normal", length=4)
+    monkeypatch.setattr("pathstat.generators.KINDS", Recording(KINDS))
+    assert generate_rows(spec, range(50)).shape == (50, 4)
+    assert calls == ["iid_normal"]
