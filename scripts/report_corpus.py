@@ -8,7 +8,9 @@ Prints one JSON object mapping each corpus entry to a sha256:
   at seeds 1-3 and L = 2e4, and for monotone and block_mixture, whose
   adversarial attempts succeed, at seeds 1-3 and L = 1e5;
 * ``analyze/<file>``: both files ``pathstat analyze`` writes for one
-  generated text file;
+  generated text file, for a hand-written file of edge tokens in the plain
+  one-number-per-line layout (signed zeros, subnormals, a 44-digit
+  mantissa, no trailing newline), and for a CRLF file with a header row;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
   contract`` on one block_mixture path, with the configured m schedule, and
   of three runs that fail, one at each of the search's checks;
@@ -65,6 +67,21 @@ LONG_GENERATORS = (
 )
 ANALYZE_SPEC = f"ar1(0.5),L={LENGTH},seed=1"
 ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
+# tokens at the edges of the float grammar and of float64 rounding
+EDGE_TOKENS = (
+    "-0", "-0.0", "-1e-400", "5e-324",
+    # the two sides of the halfway point between 0 and the least subnormal
+    "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "1.2345678901234567890123456789012345678901234",
+    ".5", "7.", "1E5", "-.5e-3", "3e+2", "-2.5E-7", "0.1",
+)
+# (file name, bytes): the plain layout, then a layout only the per-line
+# parse reads (header row, CRLF, leading '+')
+ANALYZE_FILES = (
+    ("edge_tokens.txt", "\n".join(EDGE_TOKENS).encode()),
+    ("crlf_header.csv",
+     "\r\n".join(("value", *EDGE_TOKENS, "+5", "+.5e-3", "")).encode()),
+)
 CONTRACT_INPUT = f"generate:block_mixture(0,5),L={LENGTH},seed=1"
 CONTRACT_IID = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
 CONTRACT_MONOTONE = f"generate:monotone(1),L={LENGTH},seed=1"
@@ -194,6 +211,11 @@ def corpus() -> dict[str, str]:
         write_path(generate(parse_spec(ANALYZE_SPEC)).values, "path.txt")
         _cli(["analyze", "path.txt", "--out-dir", "out"], ok=(0, 2))
         _hash_files(out, f"analyze/{ANALYZE_SPEC}", ANALYZE_OUTPUTS)
+        for name, data in ANALYZE_FILES:
+            with open(name, "wb") as fh:
+                fh.write(data)
+            _cli(["analyze", name, "--out-dir", "out"], ok=(0, 2))
+            _hash_files(out, f"analyze/{name}", ANALYZE_OUTPUTS)
         for key, args in CONTRACT_RUNS:
             _cli(["contract", *args, "--out", "out/contraction.json",
                   "--trace", "out/trace.json"])
