@@ -14,6 +14,15 @@ caller sets are named constants in the one module that reads each:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+
+def check_m_schedule(m_schedule: Sequence[int]) -> None:
+    """The rule for an m schedule of the adversarial contraction search."""
+    if (not m_schedule or list(m_schedule) != sorted(set(m_schedule))
+            or m_schedule[0] < 1):
+        raise ValueError(
+            "m_schedule must be strictly increasing positive integers")
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,7 @@ class AnalysisConfig:
                 raise ValueError(f"{name} must be at least {least}")
         if not all(0.0 < c <= 1.0 for c in self.contraction_densities):
             raise ValueError("contraction_densities must lie in (0, 1]")
-        if list(self.m_schedule) != sorted(set(self.m_schedule)) or min(self.m_schedule) < 1:
-            raise ValueError("m_schedule must be strictly increasing positive integers")
+        check_m_schedule(self.m_schedule)
 
 
 DEFAULT_CONFIG = AnalysisConfig()

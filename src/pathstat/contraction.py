@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, AnalysisConfig
+from .config import DEFAULT_CONFIG, AnalysisConfig, check_m_schedule
 from .pathcore import (
     DensityEstimate,
     IntervalPattern,
@@ -388,8 +388,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     if m_schedule is None:
         m_schedule = config.m_schedule
     m_schedule = tuple(int(m) for m in m_schedule)
-    if list(m_schedule) != sorted(set(m_schedule)) or m_schedule[0] < 1:
-        raise ValueError("m_schedule must be strictly increasing")
+    check_m_schedule(m_schedule)
     occ = occurrence_set(path, pattern)
     horizon = occ.source_horizon
     if m_schedule[-1] > horizon:

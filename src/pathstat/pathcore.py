@@ -8,10 +8,10 @@ density of the occurrence set.
 
 from __future__ import annotations
 
+import io
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import BinaryIO, Iterable, TextIO
 
 import numpy as np
 
@@ -243,35 +243,131 @@ def _parse_cell(cell: str, lineno: int) -> float:
     return x
 
 
-# the only bytes of text the bulk parse accepts: plain decimal numbers, one
-# per line; anything else takes the per-line parse
-_BULK_BYTES = b"0123456789.eE+-\n"
+# The bulk parse reads text holding one plain decimal number per line,
+#     -?(D+(.D*)?|.D+)([eE][+-]?D+)?
+# with '\n' line ends and no blank line, in two passes over its bytes.  The
+# first checks that grammar one bounded chunk of whole lines at a time: each
+# byte maps to a class, digits to 0, and each non-digit symbol must be
+# allowed after the symbol before it, given whether digits lie between them
+# (a line end counts as the symbol before a line's first, and a point needs
+# digits on at least one side).  The second hands the bytes, behind a Matrix
+# Market header, to scipy's reader, which rounds every such token as float()
+# does but reads some malformed lines as a prefix ("1-2" as 1), so the check
+# is what keeps it exact.  Any other text takes the per-line parse.
+_DIGIT, _NEWLINE, _MINUS, _PLUS, _POINT, _EXP, _EXP_SIGN, _OTHER = range(8)
+# symbol: the (symbol before it, digits between) it may follow.  A sign right
+# after an exponent mark is an _EXP_SIGN; the only other sign a line may hold
+# is a leading '-', because the reader refuses a leading '+'.
+_FOLLOWS = {
+    _NEWLINE: ((_NEWLINE, True), (_MINUS, True), (_POINT, False),
+               (_POINT, True), (_EXP_SIGN, True), (_EXP, True)),
+    _MINUS: ((_NEWLINE, False),),
+    _POINT: ((_NEWLINE, False), (_NEWLINE, True), (_MINUS, False),
+             (_MINUS, True)),
+    _EXP: ((_NEWLINE, True), (_MINUS, True), (_POINT, False), (_POINT, True)),
+    _EXP_SIGN: ((_EXP, False),),
+}
+_BYTE_CLASS = bytes(
+    _DIGIT if chr(b) in "0123456789" else
+    {"\n": _NEWLINE, "-": _MINUS, "+": _PLUS, ".": _POINT, "e": _EXP,
+     "E": _EXP}.get(chr(b), _OTHER)
+    for b in range(256))
+# The keys of the pairs _bulk_lines accepts.  A key packs the symbol before
+# (3 bits), the symbol (3 bits), whether digits lie right before the symbol
+# before (1 bit) and whether digits lie between the two (1 bit); the third
+# bit lets a point demand digits on at least one side.
+_ALLOWED_KEYS = bytes(
+    (before << 5) | (sym << 2) | (digits_before << 1) | digits
+    for sym, pairs in _FOLLOWS.items()
+    for before, digits in pairs
+    for digits_before in (0, 1)
+    if before != _POINT or digits_before or digits)
+_CHUNK_BYTES = 1 << 17
 
 
-def _bulk_parse(text: str) -> np.ndarray | None:
-    """Values of text holding one plain decimal number per line, no blank
-    lines, in one C-level pass; None when the text is anything else.
-
-    numpy's parser rounds every token that Python's float() reads from
-    these bytes identically.  It stops (older numpy) or raises (newer) at a
-    token it cannot read to its end, so a value count equal to the line
-    count means every line was read whole.
-    """
-    if not text or text[0] == "\n" or "\n\n" in text or not text.isascii():
+def _bulk_lines(chunk: bytes) -> np.ndarray | None:
+    """For whole lines that all end in '\n', whether each starts with '-';
+    None when a line breaks the bulk grammar."""
+    classes = np.frombuffer(chunk.translate(_BYTE_CLASS), dtype=np.uint8)
+    pos = np.flatnonzero(classes != _DIGIT)
+    # sym[0] is the line end before the chunk; digits[j]: whether digits lie
+    # right before sym[j]
+    sym = np.empty(pos.size + 1, dtype=np.uint8)
+    sym[0] = _NEWLINE
+    sym[1:] = classes[pos]
+    sign = sym[1:] == _MINUS
+    sign |= sym[1:] == _PLUS
+    sign &= sym[:-1] == _EXP
+    sym[1:][sign] = _EXP_SIGN
+    digits = np.empty(sym.size, dtype=np.uint8)
+    digits[:2] = 0, pos[0] > 0
+    np.greater(pos[1:] - pos[:-1], 1, out=digits[2:])
+    key = sym[:-1] << 5
+    key |= sym[1:] << 2
+    key |= digits[:-1] << 1
+    key |= digits[1:]
+    if key.tobytes().translate(None, _ALLOWED_KEYS):
         return None
-    raw = text.encode("ascii")
-    if raw.translate(None, _BULK_BYTES):
+    return sym[1:][sym[:-1] == _NEWLINE] == _MINUS
+
+
+def _line_chunks(fh: BinaryIO):
+    """fh's bytes in chunks of whole lines of about _CHUNK_BYTES, each
+    ending in '\n' (added to a last line that lacks it)."""
+    tail = b""
+    while block := fh.read(_CHUNK_BYTES):
+        data = tail + block
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        tail = data[cut:]
+    if tail:
+        yield tail + b"\n"
+
+
+class _MatrixMarketColumn(io.RawIOBase):
+    """A Matrix Market header for one dense column of n reals, then fh."""
+
+    def __init__(self, n: int, fh: BinaryIO) -> None:
+        super().__init__()
+        self._head = b"%%%%MatrixMarket matrix array real general\n%d 1\n" % n
+        self._fh = fh
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self._head:
+            k = min(len(buffer), len(self._head))
+            buffer[:k] = self._head[:k]
+            self._head = self._head[k:]
+            return k
+        return self._fh.readinto(buffer)
+
+
+def _bulk_parse(fh: BinaryIO) -> np.ndarray | None:
+    """Values of a seekable binary stream of text in the bulk grammar, read
+    from its start; None when the text is anything else."""
+    # imported here: only a parse of text needs the reader
+    from scipy.io import mmread
+
+    chunks = []  # per chunk, whether each line starts with '-'
+    for chunk in _line_chunks(fh):
+        lines = _bulk_lines(chunk)
+        if lines is None:
+            return None
+        chunks.append(lines)
+    if not chunks:
         return None
+    negative = np.concatenate(chunks)
+    fh.seek(0)
     try:
-        with warnings.catch_warnings():
-            # older numpy warns where newer raises on an unreadable token
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(raw, dtype=np.float64, sep="\n")
-    except (ValueError, DeprecationWarning):
+        values = mmread(_MatrixMarketColumn(negative.size, fh)).reshape(-1)
+    except ValueError:  # a value the reader refuses
         return None
-    lines = raw.count(b"\n") + (not raw.endswith(b"\n"))
-    if values.size != lines or not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(values)):
         return None
+    values[negative & (values == 0)] = -0.0  # the reader drops a zero's sign
     return values
 
 
@@ -305,15 +401,24 @@ def read_path_text(text: str) -> Path:
     number.  Plain one-number-per-line text is parsed in bulk; everything
     else, errors included, goes through the per-line parse.
     """
-    bulk = _bulk_parse(text)
-    return Path(bulk if bulk is not None else _parse_lines(text))
+    if text.isascii():
+        bulk = _bulk_parse(io.BytesIO(text.encode("ascii")))
+        if bulk is not None:
+            return Path(bulk)
+    return Path(_parse_lines(text))
 
 
 def read_path_file(source: str | TextIO) -> Path:
+    """read_path_text of a file's UTF-8 text, or of a text stream's."""
     if hasattr(source, "read"):
         return read_path_text(source.read())
-    with open(source, "r", encoding="utf-8") as fh:
-        return read_path_text(fh.read())
+    with open(source, "rb") as fh:
+        bulk = _bulk_parse(fh)
+        if bulk is not None:
+            return Path(bulk)
+        fh.seek(0)
+        # decoded as a text-mode open() would, CRLF and CR line ends included
+        return Path(_parse_lines(io.TextIOWrapper(fh, encoding="utf-8").read()))
 
 
 def write_path(values: Iterable[float], target: str | TextIO) -> None:

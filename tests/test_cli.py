@@ -486,6 +486,14 @@ def test_contract_m_schedule_must_be_integers(capsys):
         "got '4,x'\n")
 
 
+@pytest.mark.parametrize("schedule", ["0,4", "8,4"])
+def test_contract_m_schedule_rule_is_the_config_rule(capsys, schedule):
+    assert run(["contract", "generate:iid_normal(0,1),L=2000,seed=1",
+                "--cell", "-1", "0", "--m-schedule", schedule]) == 1
+    assert capsys.readouterr().err == (
+        "error: m_schedule must be strictly increasing positive integers\n")
+
+
 def test_montecarlo_rejects_a_too_short_spec_before_the_first_replicate(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pathstat.suite.run_suite", None)  # no replicate

@@ -11,12 +11,16 @@ them to it.
 
 import csv
 import dataclasses
+import io
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathstat.cli import INDICATOR_CHUNK_ROWS, _write_indicators
 from pathstat.config import AnalysisConfig
@@ -29,7 +33,7 @@ from pathstat.contraction import (
     default_contraction_family,
     ergodicity_diagnostic,
 )
-from pathstat import stattests
+from pathstat import pathcore, stattests
 from pathstat.generators import (
     KINDS,
     GeneratorSpec,
@@ -46,6 +50,7 @@ from pathstat.pathcore import (
     density_trajectory,
     estimate_limit_density,
     occurrence_set,
+    read_path_file,
     read_path_text,
     tail_window_size,
 )
@@ -334,7 +339,7 @@ def test_bulk_parse_bit_identical():
     ])
     values[::7] *= -1
     text = "\n".join(map(repr, values.tolist())) + "\n"
-    bulk = _bulk_parse(text)
+    bulk = _bulk_parse(io.BytesIO(text.encode()))
     assert bulk is not None
     assert np.array_equal(bulk.view(np.int64),
                           _parse_lines(text).view(np.int64))
@@ -357,7 +362,7 @@ def test_layouts_parse_as_per_line(text, values):
     assert _parse_lines(text).tolist() == values
 
 
-@pytest.mark.parametrize("text, message", [
+PARSE_ERRORS = [
     ("1\n2\nnan\n4\n", "line 3: non-finite value: 'nan'"),
     ("1\n1e999\n", "line 2: non-finite value: '1e999'"),
     ("1\n-inf\n", "line 2: non-finite value: '-inf'"),
@@ -369,13 +374,110 @@ def test_layouts_parse_as_per_line(text, values):
     ("1\n2e\n", "line 2: not a number: '2e'"),
     ("\n\n", "no numeric rows found"),
     ("", "no numeric rows found"),
-])
+    # lines the bulk reader alone would read as a prefix: 1, 1.2, 1, 1
+    ("1\n1.2.3\n", "line 2: not a number: '1.2.3'"),
+    ("1\n2\n1e", "line 3: not a number: '1e'"),
+    ("1\n2\n1 2", "line 3: not a number: '1 2'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
 def test_parse_errors_keep_text_and_line(text, message):
     with pytest.raises(PathParseError) as bulk:
         read_path_text(text)
     with pytest.raises(PathParseError) as per_line:
         _parse_lines(text)
     assert str(bulk.value) == str(per_line.value) == message
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_file_parse_errors_keep_text_and_line(tmp_path, text, message):
+    file = tmp_path / "path.txt"
+    file.write_bytes(text.encode())
+    with pytest.raises(PathParseError) as err:
+        read_path_file(str(file))
+    assert str(err.value) == message
+
+
+FORTY_FOUR_DIGITS = "1.2345678901234567890123456789012345678901234"
+
+
+@pytest.mark.parametrize("token, bulk", [
+    ("-0", True),
+    ("-0.0", True),
+    ("-1e-400", True),                   # underflows to -0.0
+    ("+5", False),                       # the bulk reader refuses a '+'
+    ("+.5e-3", False),
+    ("5e-324", True),
+    ("2.4703282292062328e-324", True),   # just above half the least
+    ("2.4703282292062327e-324", True),   # subnormal, and just below
+    (FORTY_FOUR_DIGITS, True),
+])
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_edge_tokens_parse_as_float(tmp_path, token, bulk, end):
+    text = f"1\n{token}{end}"
+    expected = np.array([1.0, float(token)]).view(np.int64).tolist()
+    assert (_bulk_parse(io.BytesIO(text.encode())) is not None) == bulk
+    file = tmp_path / "path.txt"
+    file.write_bytes(text.encode())
+    for values in (read_path_text(text).values, _parse_lines(text),
+                   read_path_file(str(file)).values):
+        assert values.view(np.int64).tolist() == expected
+
+
+def test_a_value_the_reader_refuses_takes_the_per_line_parse(monkeypatch):
+    def refuse(source):
+        raise ValueError("Line 3: Invalid floating-point value.")
+
+    monkeypatch.setattr("scipy.io.mmread", refuse)
+    assert _bulk_parse(io.BytesIO(b"1\n-0\n")) is None
+    assert read_path_text("1\n-0\n").values.tolist() == [1.0, -0.0]
+
+
+# the bytes of the bulk grammar and the two that always take the per-line
+# parse; a text is any string over them, or lines of mostly number-like
+# tokens (long mantissas, exponents past float64's range)
+PARSE_ALPHABET = "0123456789.eE+-\n\r "
+_DIGITS = st.text("0123456789", max_size=45)
+_SIGNS = st.sampled_from(["", "-", "+"])
+_MANTISSAS = st.one_of(
+    st.builds("{}{}{}".format, st.text("0123456789", min_size=1, max_size=45),
+              st.sampled_from(["", "."]), _DIGITS),
+    st.builds(".{}".format, st.text("0123456789", min_size=1, max_size=45)))
+_EXPONENTS = st.one_of(st.just(""), st.builds(
+    "{}{}{}".format, st.sampled_from("eE"), _SIGNS, st.integers(0, 400)))
+# a leading '+' (which the bulk reader refuses) on about one token in five
+_TOKENS = st.builds("{}{}{}".format, st.sampled_from(["", "-", "", "-", "+"]),
+                    _MANTISSAS, _EXPONENTS)
+_LINES = st.one_of(st.lists(_TOKENS, min_size=1, max_size=12), st.lists(
+    st.one_of(_TOKENS, st.text(PARSE_ALPHABET, max_size=8)),
+    min_size=1, max_size=12))
+_TEXTS = st.one_of(
+    st.text(PARSE_ALPHABET, max_size=40),
+    st.builds(lambda lines, end: "\n".join(lines) + end, _LINES,
+              st.sampled_from(["", "\n"])),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return np.asarray(parse(text)).view(np.int64).tolist()
+    except PathParseError as err:
+        return str(err)
+
+
+@given(_TEXTS, st.integers(1, 64))
+@settings(max_examples=200)
+def test_bulk_and_per_line_parse_agree(text, chunk_bytes):
+    """Same float64 bits or the same error, over chunks small enough that
+    lines straddle them."""
+    expected = _parse_outcome(_parse_lines, text)
+    with mock.patch.object(pathcore, "_CHUNK_BYTES", chunk_bytes):
+        bulk = _bulk_parse(io.BytesIO(text.encode()))
+        assert _parse_outcome(lambda t: read_path_text(t).values,
+                              text) == expected
+    if bulk is not None:
+        assert bulk.view(np.int64).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
