@@ -20,7 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, AnalysisConfig
-from .contraction import adversarial_contraction, validate_contraction
+from .contraction import (
+    M_SCHEDULE,
+    adversarial_contraction,
+    validate_contraction,
+)
 from .generators import GeneratorSpec, format_spec, generate, parse_spec
 from .pathcore import (
     IntervalPattern,
@@ -30,6 +34,7 @@ from .pathcore import (
     write_path,
 )
 from .stattests import (
+    CALIBRATION_REPLICATES,
     TEST_SLACK,
     CalibrationError,
     RejectionRecord,
@@ -67,31 +72,25 @@ def _add_config_flags(parser: argparse.ArgumentParser,
     parser.set_defaults(config_fields=fields)
 
 
-# the types each --config key accepts; the CONFIG_FLAGS take DEFAULT_CONFIG's
-CONFIG_KEY_TYPES = {
-    **{name: (int, float) if isinstance(getattr(DEFAULT_CONFIG, name), float)
-       else (int,) for name in CONFIG_FLAGS},
-    "seed": (int, type(None)),
-    "out_dir": (str,),
-}
-
-
 def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
     """The AnalysisConfig of the command's flags after the --config overrides,
-    which replace the flags' values in ``args``; only those flags are keys."""
+    which replace the flags' values in ``args``.  The keys are the command's
+    analysis fields, each typed by its default, ``seed`` and, where the
+    command has --out-dir, ``out_dir``."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
-        for key, value in overrides.items():
-            if key not in CONFIG_KEY_TYPES or not hasattr(args, key):
-                raise ValueError(f"unknown config key {key!r}")
-            if isinstance(value, bool) or \
-                    not isinstance(value, CONFIG_KEY_TYPES[key]):
-                raise ValueError(f"config key {key!r} has the wrong type: "
-                                 f"{value!r}")
-            setattr(args, key, value)
+        kinds = {name: INTEGER if isinstance(getattr(DEFAULT_CONFIG, name), int)
+                 else NUMBER for name in args.config_fields}
+        kinds["seed"] = INTEGER_OR_NULL
+        if hasattr(args, "out_dir"):
+            kinds["out_dir"] = TEXT
+        _check_keys(overrides, tuple(kinds), "config")
+        for key in overrides:
+            value = _spec_value(overrides, key, kinds[key], "config")
+            setattr(args, key, float(value) if kinds[key] == NUMBER else value)
     return AnalysisConfig(**{name: getattr(args, name)
                              for name in args.config_fields})
 
@@ -199,10 +198,13 @@ def _check_keys(block: dict, allowed: tuple[str, ...], what: str) -> None:
             raise ValueError(f"unknown {what} key {key!r}")
 
 
-# the JSON values a spec key may take, by name; a boolean is none of them
+# the JSON values a spec or --config key may take, by name; a boolean is
+# none of them
 INTEGER, NUMBER, TEXT = "an integer", "a finite number", "a string"
+INTEGER_OR_NULL = "an integer or null"
 _SPEC_TYPES = {
     INTEGER: lambda v: isinstance(v, int),
+    INTEGER_OR_NULL: lambda v: v is None or isinstance(v, int),
     NUMBER: lambda v: (isinstance(v, float) and math.isfinite(v)
                        or isinstance(v, int) and abs(v) <= sys.float_info.max),
     TEXT: lambda v: isinstance(v, str),
@@ -262,9 +264,11 @@ def _test_from_spec(spec: dict, default_seed: int | None, length: int):
         calibration = calibrate_test_size(
             kind, n, alpha, gen,
             replicates=_spec_value(cal_spec, "replicates", INTEGER,
-                                   "calibration", 2000), seed=seed)
+                                   "calibration", CALIBRATION_REPLICATES),
+            seed=seed)
         tau = calibration.tau
-    test = make_builtin_test(kind, n, tau, alpha, name=spec.get("name"))
+    name = _spec_value(spec, "name", TEXT, "test spec")
+    test = make_builtin_test(kind, n, tau, alpha, name=name)
     return test, calibration, start, stride
 
 
@@ -381,7 +385,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     path, provenance = _resolve_input(args.input, args.seed)
     pattern = IntervalPattern.of((args.cell[0], args.cell[1]))
     try:
-        schedule = None if args.m_schedule is None else \
+        schedule = M_SCHEDULE if args.m_schedule is None else \
             tuple(int(m) for m in args.m_schedule.split(","))
     except ValueError:
         raise ValueError(f"--m-schedule must be integers separated by "

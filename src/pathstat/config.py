@@ -7,22 +7,16 @@ fields below are the thresholds a caller can set: through a CLI flag or
 ``--config`` key, or through the ``config=`` argument of the library calls.
 Defaults are chosen for paths of length 1e4 to 1e6.  Thresholds that no
 caller sets are named constants in the one module that reads each:
-``properties.K_LEVELS``, the ``GROWTH_FACTOR``, ``BURN_IN_FRACTION`` and
-``ADVERSARIAL_*`` constants of ``contraction``, and ``stattests.TEST_SLACK``.
+``properties.K_LEVELS``; the ``CONTRACTION_DENSITIES``, ``M_SCHEDULE``,
+``GROWTH_FACTOR``, ``BURN_IN_FRACTION`` and ``ADVERSARIAL_*`` constants of
+``contraction``; and ``TEST_SLACK`` and ``CALIBRATION_REPLICATES`` of
+``stattests``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-
-def check_m_schedule(m_schedule: Sequence[int]) -> None:
-    """The rule for an m schedule of the adversarial contraction search."""
-    if (not m_schedule or list(m_schedule) != sorted(set(m_schedule))
-            or m_schedule[0] < 1):
-        raise ValueError(
-            "m_schedule must be strictly increasing positive integers")
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -46,10 +40,6 @@ class AnalysisConfig:
 
     # contraction diagnostics
     ergodicity_tolerance: float = 0.05
-    contraction_densities: tuple[float, ...] = (0.2, 0.5, 0.8)
-
-    # adversarial contraction search
-    m_schedule: tuple[int, ...] = (4, 8, 16, 32)
 
     # moving-window rejection densities: a tail rung shorter than
     # min_rung_windows * window_size offsets cannot resolve a density
@@ -57,9 +47,10 @@ class AnalysisConfig:
     min_rung_windows: int = 2000
 
     def __post_init__(self) -> None:
-        for name in ("contraction_densities", "m_schedule"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError("tail_fraction must be in (0, 1]")
         for name in ("tolerance", "violation_floor_count", "positive_floor_count",
@@ -70,9 +61,6 @@ class AnalysisConfig:
                             ("min_rung_windows", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        if not all(0.0 < c <= 1.0 for c in self.contraction_densities):
-            raise ValueError("contraction_densities must lie in (0, 1]")
-        check_m_schedule(self.m_schedule)
 
 
 DEFAULT_CONFIG = AnalysisConfig()

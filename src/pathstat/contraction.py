@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, AnalysisConfig, check_m_schedule
+from .config import DEFAULT_CONFIG, AnalysisConfig
 from .pathcore import (
     DensityEstimate,
     IntervalPattern,
@@ -61,13 +61,18 @@ __all__ = [
     "default_contraction_family",
 ]
 
+# the alternating family's densities, each taken in both phases
+CONTRACTION_DENSITIES = (0.2, 0.5, 0.8)
+
 # validate_contraction's surrogate for unbounded block growth
 GROWTH_FACTOR = 4.0
 BURN_IN_FRACTION = 0.1
 
-# adversarial search: the default threshold's cap above the global density,
-# the share of qualifying windows that must persist across the schedule,
-# and eps1: a join after stage m needs coverage within eps1 / m / 3 of target
+# adversarial search: the default m schedule, the default threshold's cap
+# above the global density, the share of qualifying windows that must
+# persist across the schedule, and eps1: a join after stage m needs
+# coverage within eps1 / m / 3 of target
+M_SCHEDULE = (4, 8, 16, 32)
 ADVERSARIAL_THRESHOLD_CAP = 0.25
 ADVERSARIAL_PERSISTENCE = 0.5
 ADVERSARIAL_EPS1 = 0.1
@@ -373,8 +378,16 @@ def _thin_to_density(indices: np.ndarray, target: float) -> np.ndarray:
     return v[np.diff(count, prepend=0.0) > 0]
 
 
+def check_m_schedule(m_schedule: Sequence[int]) -> None:
+    """The rule for an m schedule of the adversarial contraction search."""
+    if (not m_schedule or list(m_schedule) != sorted(set(m_schedule))
+            or m_schedule[0] < 1):
+        raise ValueError(
+            "m_schedule must be strictly increasing positive integers")
+
+
 def adversarial_contraction(path: Path, pattern: IntervalPattern,
-                            m_schedule: Sequence[int] | None = None,
+                            m_schedule: Sequence[int] = M_SCHEDULE,
                             threshold: float | None = None,
                             config: AnalysisConfig = DEFAULT_CONFIG) -> AdversarialTrace:
     """Search for a contraction that concentrates one pattern's occurrences.
@@ -385,8 +398,6 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     qualifying windows collapses across the schedule (the signature of a
     mixing path, for which local averages concentrate as windows grow).
     """
-    if m_schedule is None:
-        m_schedule = config.m_schedule
     m_schedule = tuple(int(m) for m in m_schedule)
     check_m_schedule(m_schedule)
     occ = occurrence_set(path, pattern)
@@ -486,13 +497,12 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
         n_markers=tuple(n_markers), result=result)
 
 
-def alternating_family(horizon: int,
-                       config: AnalysisConfig = DEFAULT_CONFIG) -> list[Contraction]:
-    """The alternating contractions over the configured densities in both
+def alternating_family(horizon: int) -> list[Contraction]:
+    """The alternating contractions over CONTRACTION_DENSITIES in both
     phases; ValueError naming the length when ``horizon`` is too short for
     one of them."""
     family = []
-    for c in config.contraction_densities:
+    for c in CONTRACTION_DENSITIES:
         for phase in (0, 1):
             try:
                 family.append(build_alternating_contraction(c, horizon, phase))
@@ -506,24 +516,23 @@ def alternating_family(horizon: int,
 def default_contraction_family(path: Path, level1_grid: PatternGrid,
                                config: AnalysisConfig = DEFAULT_CONFIG,
                                table: CellTable | None = None) -> list[Contraction]:
-    """Alternating contractions over the configured densities in both
-    phases, plus one adversarial attempt per level-1 cell whose density sits
+    """Alternating contractions over CONTRACTION_DENSITIES in both phases,
+    plus one adversarial attempt per level-1 cell whose density sits
     strictly inside (ADVERSARIAL_P_LO, ADVERSARIAL_P_HI).  Failed adversarial
     constructions are dropped, and so are attempts whose largest window
     exceeds the path.  ``table`` is the path's cell table on ``level1_grid``;
     built here when absent.  A path too short for some alternating
     contraction raises ValueError."""
     horizon = path.length
-    family = alternating_family(horizon, config)
-    if config.m_schedule[-1] > horizon:
+    family = alternating_family(horizon)
+    if M_SCHEDULE[-1] > horizon:
         return family
     if table is None:
         table = cell_table(path, {1: level1_grid}, config)
     for cell, st in zip(level1_grid.cells, table.stats[1]):
         if not ADVERSARIAL_P_LO < st.value < ADVERSARIAL_P_HI:
             continue
-        trace = adversarial_contraction(path, cell, config.m_schedule,
-                                        threshold=None, config=config)
+        trace = adversarial_contraction(path, cell, config=config)
         if not trace.failed and trace.result is not None:
             family.append(trace.result)
     return family

@@ -15,6 +15,8 @@ from typing import BinaryIO, Iterable, TextIO
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
+
 __all__ = [
     "Path",
     "IntervalPattern",
@@ -196,9 +198,10 @@ def tail_window_size(horizon: int, tail_fraction: float) -> int:
     return math.ceil(tail_fraction * horizon)
 
 
-def estimate_limit_density(traj: DensityTrajectory,
-                           tail_fraction: float = 0.5,
-                           tolerance: float = 0.02) -> DensityEstimate:
+def estimate_limit_density(
+        traj: DensityTrajectory,
+        tail_fraction: float = DEFAULT_CONFIG.tail_fraction,
+        tolerance: float = DEFAULT_CONFIG.tolerance) -> DensityEstimate:
     if traj.horizon < 1:
         raise ValueError("empty trajectory")
     if tolerance <= 0:

@@ -105,7 +105,8 @@ class PatternGrid:
         return len(self.cells)
 
 
-def quantile_edges(values: np.ndarray, cells: int = 8) -> tuple[float, ...]:
+def quantile_edges(values: np.ndarray,
+                   cells: int = DEFAULT_CONFIG.grid_cells) -> tuple[float, ...]:
     """Path-adaptive marginal edges: empirical quantile cuts plus +-inf.
 
     Duplicate cuts (heavy atoms) are collapsed; a path with fewer than two

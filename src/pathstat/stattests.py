@@ -350,13 +350,16 @@ class CalibrationResult:
                                  name=name)
 
 
+# replicates of a calibration that names no count
+CALIBRATION_REPLICATES = 2000
 # values per block of calibration replicates; bounds a block's windows and
 # the statistic's temporaries to a few MiB at any window size
 CALIBRATION_BLOCK_VALUES = 2 ** 18
 
 
 def calibrate_test_size(kind: str, window: int, alpha: float,
-                        generator: GeneratorSpec, replicates: int = 2000,
+                        generator: GeneratorSpec,
+                        replicates: int = CALIBRATION_REPLICATES,
                         seed: int = 0) -> CalibrationResult:
     """Empirical (1 - alpha) quantile of the statistic over seeded replicates.
 

@@ -67,8 +67,7 @@ def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
     if family is None:
         family = default_contraction_family(path, grids[1], config, table)
     ergodicity = ergodicity_diagnostic(path, family, grids, k_max,
-                                       config.ergodicity_tolerance, config,
-                                       table)
+                                       config=config, table=table)
     return FullDiagnostics(diagnostics=diagnostics, ergodicity=ergodicity,
                            family=tuple(family))
 
@@ -175,7 +174,7 @@ def montecarlo(specs: Sequence[GeneratorSpec], replicates: int, seed: int,
         if spec.seed is not None:
             raise ValueError(f"montecarlo spec {format_spec(spec)!r} sets "
                              f"seed=; each replicate draws its own seed")
-        alternating_family(spec.length, config)
+        alternating_family(spec.length)
     rows = []
     for gi, spec in enumerate(specs):
         stages = []

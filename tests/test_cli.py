@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -159,6 +160,8 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
      "test spec key 'alpha' must be a finite number, got '0.05'"),
     (None, [{**VALID_TESTS[0], "kind": 3}],
      "test spec key 'kind' must be a string, got 3"),
+    (None, [{**VALID_TESTS[0], "name": 7}],
+     "test spec key 'name' must be a string, got 7"),
     (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
              "calibration": {"generator": "iid_normal(0,1),L=20",
                              "replicates": 1000.0, "seed": 1}}],
@@ -179,6 +182,7 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
         "spec-missing-kind", "spec-missing-n", "calibration-missing-generator",
         "spec-fractional-n", "spec-fractional-start", "spec-boolean-stride",
         "spec-nan-tau", "spec-string-alpha", "spec-numeric-kind",
+        "spec-numeric-name",
         "calibration-fractional-replicates", "calibration-string-seed",
         "calibration-numeric-generator"])
 def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
@@ -193,6 +197,51 @@ def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
     assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--ergodicity-tolerance", "nan"], None,
+     "ergodicity_tolerance must be finite, got nan"),
+    (["--t-slack", "inf"], None, "t_slack must be finite, got inf"),
+    ([], {"tolerance": math.nan},
+     "config key 'tolerance' must be a finite number, got nan"),
+    ([], {"t_slack": -math.inf},
+     "config key 't_slack' must be a finite number, got -inf"),
+    ([], {"k_max": 1.0}, "config key 'k_max' must be an integer, got 1.0"),
+    ([], {"seed": 1.5}, "config key 'seed' must be an integer or null, got 1.5"),
+    ([], {"out_dir": 3}, "config key 'out_dir' must be a string, got 3"),
+    ([], {"m_schedule": [16, 32]}, "unknown config key 'm_schedule'"),
+    ([], {"contraction_densities": [0.5]},
+     "unknown config key 'contraction_densities'"),
+], ids=["flag-nan", "flag-inf", "config-nan", "config-minus-inf",
+        "config-fractional-int", "config-fractional-seed",
+        "config-numeric-out-dir", "config-m-schedule",
+        "config-contraction-densities"])
+def test_bad_analysis_values_are_errors_naming_the_field(tmp_path, capsys,
+                                                         flags, config,
+                                                         message):
+    args = ["analyze", "generate:constant(2),L=500", *flags,
+            "--out-dir", tmp_path]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", cfg]
+    assert run(args) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == f"error: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_seed_null_clears_the_seed_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None}))
+    args = build_parser().parse_args(
+        ["analyze", "generate:constant(2),L=500", "--seed", "5",
+         "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert _analysis_config(args) == AnalysisConfig()
+    assert args.seed is None
+    assert run(["analyze", "generate:constant(2),L=500", "--seed", "5",
+                "--config", cfg, "--out-dir", tmp_path]) == 0
 
 
 def test_testbench_summary_and_csv(tmp_path):
@@ -548,6 +597,28 @@ def test_suite_commands_take_every_analysis_flag(command):
         grid_cells=12, k_max=1, tail_fraction=0.25, tolerance=0.05,
         violation_floor_count=3.0, positive_floor_count=7.0, t_slack=0.02,
         ergodicity_tolerance=0.1)
+
+
+# every long option of each command; a new option is a deliberate change
+LONG_OPTIONS = {
+    "generate": ("--spec", "--out", "--seed"),
+    "analyze": ("--config", *ANALYSIS_FLAGS, "--seed", "--out-dir"),
+    "testbench": ("--tests", "--config", "--seed", "--out-dir"),
+    "montecarlo": ("--generators", "--replicates", "--config",
+                   *ANALYSIS_FLAGS, "--seed", "--out-dir"),
+    "contract": ("--cell", "--threshold", "--m-schedule", "--trace", "--out",
+                 "--config", "--tail-fraction", "--tolerance", "--seed"),
+}
+
+
+def test_each_command_keeps_its_long_options():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {name: tuple(option for action in sub._actions
+                           for option in action.option_strings
+                           if option.startswith("--") and option != "--help")
+               for name, sub in commands.items()}
+    assert options == LONG_OPTIONS
 
 
 def test_contract_takes_its_two_config_keys(tmp_path, capsys):

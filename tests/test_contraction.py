@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
+    CONTRACTION_DENSITIES,
     Contraction,
     _positions,
     adversarial_contraction,
@@ -90,7 +91,7 @@ def test_alternating_infeasible_horizon():
 @pytest.mark.parametrize("horizon", [10, 11, 37, 1_000, 100_000, 1_000_003])
 def test_alternating_family_is_built_once_per_horizon(horizon):
     uncached = build_alternating_contraction.__wrapped__
-    for c in CONFIG.contraction_densities + (1.0,):
+    for c in CONTRACTION_DENSITIES + (1.0,):
         for phase in (0, 1):
             try:
                 fresh = uncached(c, horizon, phase)
@@ -315,3 +316,22 @@ def test_adversarial_bad_arguments():
     with pytest.raises(ValueError):
         adversarial_contraction(path, pattern, (4,), threshold=0.5,
                                 config=CONFIG)  # below global density 1.0
+
+
+BAD_SCHEDULES = [(), (8, 4), (4, 4), (0, 4)]
+
+
+@pytest.mark.parametrize("m_schedule", BAD_SCHEDULES,
+                         ids=[f"m_schedule={s}" for s in BAD_SCHEDULES])
+def test_bad_m_schedule_is_rejected_by_name(m_schedule):
+    path = Path(np.zeros(100))
+    pattern = IntervalPattern.of((-1.0, 1.0))
+    with pytest.raises(ValueError) as info:
+        adversarial_contraction(path, pattern, m_schedule)
+    assert str(info.value).startswith("m_schedule must be strictly increasing")
+
+
+@pytest.mark.parametrize("c", [0.0, 1.5], ids=["c=0.0", "c=1.5"])
+def test_alternating_density_outside_the_unit_interval_is_rejected(c):
+    with pytest.raises(ValueError, match=r"^target_c must be in \(0, 1\]$"):
+        build_alternating_contraction(c, 1000)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pathstat.cli import main
-from pathstat.config import AnalysisConfig
+from pathstat.contraction import build_alternating_contraction
 from pathstat.generators import generate, parse_spec
 from pathstat.pathcore import Path, write_path
 from pathstat.properties import quantile_edges
@@ -30,18 +30,17 @@ def test_every_short_length_reports_or_says_too_short(length):
 
 def test_too_short_follows_the_configured_densities():
     # at c = 0.9 the phase-1 contraction's second block (from index 12) is
-    # shorter than its first of 9 below 21 values; c = 0.5 alone needs only
+    # shorter than its first of 9 below 21 values; c = 0.5 needs only
     # the 10 values every alternating contraction needs
-    for densities, shortest in (((0.9,), 21), ((0.5,), 10)):
-        config = AnalysisConfig(contraction_densities=densities)
+    for c, shortest in ((0.9, 21), (0.5, 10)):
         for length in range(1, 41):
-            path = generate(parse_spec(f"ar1(0.5),L={length},seed=3"))
             if length < shortest:
-                with pytest.raises(ValueError,
-                                   match=f"length {length} is {TOO_SHORT}"):
-                    run_suite(path, config)
+                with pytest.raises(ValueError):
+                    for phase in (0, 1):
+                        build_alternating_contraction(c, length, phase)
             else:
-                report_dict(run_suite(path, config))
+                for phase in (0, 1):
+                    build_alternating_contraction(c, length, phase)
 
 
 def test_short_path_passes_with_explicit_family():

@@ -26,6 +26,7 @@ from pathstat.cli import INDICATOR_CHUNK_ROWS, _write_indicators
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
     ADVERSARIAL_EPS1,
+    M_SCHEDULE,
     _thin_to_density,
     adversarial_contraction,
     contract_path,
@@ -318,7 +319,8 @@ def test_staged_join_equals_the_tuple_join(spec, edges, schedule):
         edges = quantile_edges(path.values, CONFIG.grid_cells)
     joined = 0
     for cell in grid_family(edges, 1)[1].cells:
-        trace = adversarial_contraction(path, cell, schedule, config=CONFIG)
+        trace = adversarial_contraction(path, cell, schedule or M_SCHEDULE,
+                                        config=CONFIG)
         if trace.failed:
             continue
         blocks, markers = _tuple_join(trace, path.length, CONFIG)
