@@ -102,11 +102,6 @@ class ExpectedProfile:
     property_t_pass: bool | None
     ergodicity_pass: bool | None
 
-    @property
-    def suite_pass(self) -> bool:
-        return bool(self.property_e_pass and self.property_t_pass
-                    and self.ergodicity_pass)
-
 
 class Check(NamedTuple):
     """A condition the parameters must meet, and the error when they do

@@ -202,8 +202,6 @@ def estimate_limit_density(
         traj: DensityTrajectory,
         tail_fraction: float = DEFAULT_CONFIG.tail_fraction,
         tolerance: float = DEFAULT_CONFIG.tolerance) -> DensityEstimate:
-    if traj.horizon < 1:
-        raise ValueError("empty trajectory")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     return tail_estimate(traj.ratios, tail_fraction, tolerance)

@@ -32,9 +32,8 @@ from .pathcore import (
     DensityEstimate,
     IntervalPattern,
     Path,
-    density_trajectory,
-    estimate_limit_density,
     occurrence_set,
+    tail_estimate,
     tail_window_size,
 )
 
@@ -537,15 +536,15 @@ class InducedFDD:
 def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
                 config: AnalysisConfig = DEFAULT_CONFIG,
                 table: CellTable | None = None) -> InducedFDD:
-    """``table`` is the path's cell table on these edges up to k_max; built
-    here when absent."""
+    """``table`` is the path's cell table on these edges up to k_max, whose
+    grids the measures share; built here when absent."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if path.length < k_max:
         raise ValueError("path too short for the requested order")
-    grids = grid_family(edges, k_max)
     if table is None:
-        table = cell_table(path, grids, config)
+        table = cell_table(path, grid_family(edges, k_max), config)
+    grids = {k: table.grids[k] for k in range(1, k_max + 1)}
     # the largest window count admissible at every order up to k_max
     n_matched = path.length - k_max + 1
     measures = {k: _measure(table.ids[k], grid, n_matched)
@@ -608,13 +607,13 @@ def local_density_deviation(path: Path, pattern: IntervalPattern, N: int,
     horizon = occ.source_horizon
     if N > horizon:
         raise ValueError(f"window N={N} exceeds horizon {horizon}")
+    # csum[n] = N(n), the occurrences among the first n starts
+    csum = np.zeros(horizon + 1)
+    csum[1:][occ.indices] = 1.0
+    np.cumsum(csum, out=csum)
     if p_hat is None:
-        traj = density_trajectory(occ, horizon)
-        p_hat = estimate_limit_density(
-            traj, config.tail_fraction, config.tolerance).value
-    indicator = np.zeros(horizon + 1)
-    indicator[1:][occ.indices] = 1.0
-    csum = np.cumsum(indicator)
+        p_hat = tail_estimate(csum[1:] / np.arange(1, horizon + 1),
+                              config.tail_fraction, config.tolerance).value
     local = (csum[N:] - csum[:-N]) / N
     deviant = np.abs(local - p_hat) > epsilon
     w = tail_window_size(deviant.size, config.tail_fraction)
@@ -631,7 +630,6 @@ def local_density_deviation(path: Path, pattern: IntervalPattern, N: int,
 
 @dataclass(frozen=True, eq=False)
 class PathDiagnostics:
-    edges: tuple[float, ...]
     verdicts: tuple[PropertyEVerdict, ...]
     property_e_pass: bool
     tightness: TightnessProfile
@@ -659,7 +657,6 @@ def analyze_path(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
         consistency[k] = consistency_check(fdd, k)
         bounds[k] = consistency_bound(fdd, k)
     return PathDiagnostics(
-        edges=tuple(edges),
         verdicts=verdicts,
         property_e_pass=not has_violation(verdicts),
         tightness=tightness,

@@ -61,13 +61,13 @@ def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
     (with the default configuration: fewer than 11 values).
     """
     diagnostics = analyze_path(path, config, edges)
-    k_max = max(diagnostics.fdd.grids)
-    grids = diagnostics.fdd.grids
     table = diagnostics.table
     if family is None:
-        family = default_contraction_family(path, grids[1], config, table)
-    ergodicity = ergodicity_diagnostic(path, family, grids, k_max,
-                                       config=config, table=table)
+        family = default_contraction_family(path, table.grids[1], config,
+                                            table)
+    ergodicity = ergodicity_diagnostic(path, family, table.grids,
+                                       max(table.grids), config=config,
+                                       table=table)
     return FullDiagnostics(diagnostics=diagnostics, ergodicity=ergodicity,
                            family=tuple(family))
 

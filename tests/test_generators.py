@@ -5,6 +5,7 @@ import pytest
 
 from pathstat.generators import (
     KINDS,
+    ExpectedProfile,
     GeneratorSpec,
     expected_profile,
     format_spec,
@@ -107,15 +108,17 @@ def test_random_phase_sine_arcsine_marginal():
 
 
 def test_expected_profiles():
-    assert expected_profile(GeneratorSpec("constant", length=10)).suite_pass
-    monotone = expected_profile(GeneratorSpec("monotone", length=10))
-    assert monotone.property_t_pass is False
-    assert monotone.property_e_pass is False
-    peak = expected_profile(GeneratorSpec("unique_peak", length=10, seed=0))
-    assert peak.property_e_pass is False and peak.property_t_pass is True
-    mixture = expected_profile(GeneratorSpec("block_mixture", length=10, seed=0))
-    assert mixture.ergodicity_pass is False
-    assert not mixture.suite_pass
+    # (property E, property T, ergodicity); None asserts nothing
+    assert expected_profile(GeneratorSpec("constant", length=10)) == \
+        ExpectedProfile(True, True, True)
+    assert expected_profile(GeneratorSpec("monotone", length=10)) == \
+        ExpectedProfile(False, False, None)
+    assert expected_profile(GeneratorSpec("unique_peak", length=10,
+                                          seed=0)) == \
+        ExpectedProfile(False, True, None)
+    assert expected_profile(GeneratorSpec("block_mixture", length=10,
+                                          seed=0)) == \
+        ExpectedProfile(True, True, False)
 
 
 def test_parse_spec_roundtrip():

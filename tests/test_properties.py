@@ -359,6 +359,22 @@ def test_deviation_shrinks_with_window_length():
     assert small.deviation_density == pytest.approx(0.34375, abs=0.03)
 
 
+@pytest.mark.parametrize("tail_fraction", [0.1, 0.5, 1.0])
+def test_deviation_default_p_hat_is_the_limit_density_estimate(tail_fraction):
+    path = generate(GeneratorSpec("ar1", length=20000, seed=4,
+                                  params={"rho": 0.9}))
+    config = AnalysisConfig(tail_fraction=tail_fraction)
+    grids = grid_family(quantile_edges(path.values, 8), 2)
+    for cell in grids[1].cells + grids[2].cells:
+        occ = occurrence_set(path, cell)
+        expected = estimate_limit_density(
+            density_trajectory(occ, occ.source_horizon),
+            config.tail_fraction, config.tolerance).value
+        report = local_density_deviation(path, cell, N=50, epsilon=0.1,
+                                         config=config)
+        assert report.p_hat.hex() == expected.hex()
+
+
 def test_deviation_window_too_long():
     path = Path(np.zeros(50))
     with pytest.raises(ValueError):

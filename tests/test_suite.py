@@ -23,3 +23,18 @@ def test_montecarlo_replays_run_suite_on_each_child_seed():
                 "ergodicity": report["ergodicity"]["verdict"]
                 == "ConsistentWithErgodic"}
             assert row.passed[r] == report["overall_pass"]
+
+
+def test_one_grid_family_serves_every_stage():
+    result = run_suite(generate(parse_spec("block_mixture(0,5),L=5000,seed=3")))
+    diag = result.diagnostics
+    grids = diag.table.grids
+    assert diag.fdd.grids.keys() == grids.keys() == {1, 2}
+    for k, grid in grids.items():
+        assert diag.fdd.grids[k] is grid
+        assert diag.fdd.measures[k].grid is grid
+    # the verdicts and the ergodicity records name those grids' own cells
+    cells = {id(cell) for grid in grids.values() for cell in grid.cells}
+    assert all(id(v.pattern) in cells for v in diag.verdicts)
+    assert result.ergodicity.records
+    assert all(id(r.pattern) in cells for r in result.ergodicity.records)
