@@ -90,6 +90,9 @@ def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
         _check_keys(overrides, tuple(kinds), "config")
         for key in overrides:
             value = _spec_value(overrides, key, kinds[key], "config")
+            if key == "seed" and value is not None and value < 0:
+                raise ValueError(f"config key 'seed' must be non-negative, "
+                                 f"got {value}")
             setattr(args, key, float(value) if kinds[key] == NUMBER else value)
     return AnalysisConfig(**{name: getattr(args, name)
                              for name in args.config_fields})

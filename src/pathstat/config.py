@@ -51,6 +51,10 @@ class AnalysisConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if isinstance(f.default, int) and (
+                    isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(
+                    f"{f.name} must be an integer, got {value!r}")
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError("tail_fraction must be in (0, 1]")
         for name in ("tolerance", "violation_floor_count", "positive_floor_count",

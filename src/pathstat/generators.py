@@ -74,11 +74,21 @@ def _rng(spec: GeneratorSpec) -> np.random.Generator:
     return np.random.default_rng(spec.seed)
 
 
+def _not_finite(spec: GeneratorSpec) -> ValueError:
+    return ValueError(f"generator spec {format_spec(spec)!r} draws values "
+                      f"that overflow; path values must all be finite")
+
+
 def generate(spec: GeneratorSpec) -> Path:
     """Deterministic given (spec, seed)."""
     kind = KINDS[spec.kind]
-    return Path(kind.draw(spec.length, spec.params,
-                          _rng(spec) if kind.stochastic else None))
+    # an overflow is reported once, as an error naming the spec
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = kind.draw(spec.length, spec.params,
+                           _rng(spec) if kind.stochastic else None)
+    if not np.isfinite(values).all():
+        raise _not_finite(spec)
+    return Path(values)
 
 
 def generate_rows(spec: GeneratorSpec, seeds: Sequence[int]) -> np.ndarray:
@@ -86,11 +96,12 @@ def generate_rows(spec: GeneratorSpec, seeds: Sequence[int]) -> np.ndarray:
     equals ``generate(spec.with_seed(seeds[i])).values`` bit for bit."""
     draw = KINDS[spec.kind].draw
     rows = np.empty((len(seeds), spec.length))
-    for i, seed in enumerate(seeds):
-        rows[i] = draw(spec.length, spec.params,
-                       np.random.default_rng(int(seed)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, seed in enumerate(seeds):
+            rows[i] = draw(spec.length, spec.params,
+                           np.random.default_rng(int(seed)))
     if not np.isfinite(rows).all():
-        raise ValueError("path values must all be finite")
+        raise _not_finite(spec)
     return rows
 
 

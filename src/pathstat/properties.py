@@ -66,6 +66,11 @@ Status = Literal["Empty", "PositiveDensity", "Violation", "Inconclusive"]
 # ---------------------------------------------------------------------------
 # pattern grids
 
+# the most cells a grid may have: each is a pattern object, a verdict and a
+# report row, and 8 cells per axis at order 6 (262,144 cells) would take
+# seconds and hundreds of MiB before the first verdict
+MAX_GRID_CELLS = 2 ** 16
+
 @dataclass(frozen=True)
 class PatternGrid:
     """Product cells built from one marginal partition used on every axis.
@@ -88,6 +93,11 @@ class PatternGrid:
             raise ValueError("edges must be strictly increasing")
         if k < 1:
             raise ValueError("k must be at least 1")
+        g = len(e) - 1
+        if g ** k > MAX_GRID_CELLS:
+            raise ValueError(
+                f"a grid of {g} cells per axis at order {k} has {g ** k} "
+                f"cells, more than the limit of {MAX_GRID_CELLS}")
         marginal = tuple(zip(e, e[1:]))
         cells = tuple(
             IntervalPattern(combo)

@@ -232,6 +232,16 @@ def test_bad_analysis_values_are_errors_naming_the_field(tmp_path, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+def test_analyze_refuses_a_grid_above_the_cell_limit(tmp_path, capsys):
+    assert run(["analyze", "generate:iid_normal(0,1),L=2000,seed=1",
+                "--k-max", "6", "--out-dir", tmp_path]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == (
+        "error: a grid of 8 cells per axis at order 6 has 262144 cells, "
+        "more than the limit of 65536\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_seed_null_clears_the_seed_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": None}))
@@ -513,7 +523,10 @@ NEGATIVE_SEED_TESTS = [{"kind": "mean_split", "n": 20, "alpha": 0.05,
     (["testbench", "generate:iid_normal(0,1),L=200,seed=1", "--tests",
       "tests.json"], None, "calibration key 'seed' must be non-negative, "
                            "got -1"),
-], ids=["flag", "environment", "spec", "montecarlo-flag", "calibration-block"])
+    (["analyze", "generate:iid_normal(0,1),L=200,seed=1", "--config",
+      "config.json"], None, "config key 'seed' must be non-negative, got -1"),
+], ids=["flag", "environment", "spec", "montecarlo-flag", "calibration-block",
+        "config-file"])
 def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys, args,
                                        env, message):
     monkeypatch.chdir(tmp_path)
@@ -521,10 +534,12 @@ def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys, args,
     if env is not None:
         monkeypatch.setenv("PATHSTAT_SEED", env)
     (tmp_path / "tests.json").write_text(json.dumps(NEGATIVE_SEED_TESTS))
+    (tmp_path / "config.json").write_text(json.dumps({"seed": -1}))
     assert run(args) == 1
     printed = capsys.readouterr()
     assert printed.out == "" and printed.err == f"error: {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tests.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                          "tests.json"]
 
 
 def test_contract_m_schedule_must_be_integers(capsys):

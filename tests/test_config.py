@@ -21,6 +21,13 @@ BAD = [
       for name in UNIT for value in (0.0, -1.0, 1.5)],
     *[({name: value}, f"{name} must be positive")
       for name in POSITIVE for value in (0.0, -1.0)],
+    # every integer field is an int, and not a bool
+    ({"k_max": math.nan}, "k_max must be an integer, got nan"),
+    ({"k_max": True}, "k_max must be an integer, got True"),
+    ({"grid_cells": 2.5}, "grid_cells must be an integer, got 2.5"),
+    ({"grid_cells": 8.0}, "grid_cells must be an integer, got 8.0"),
+    ({"min_rung_windows": math.inf},
+     "min_rung_windows must be an integer, got inf"),
     ({"k_max": 0}, "k_max must be at least 1"),
     ({"grid_cells": 1}, "grid_cells must be at least 2"),
     ({"min_rung_windows": 0}, "min_rung_windows must be at least 1"),

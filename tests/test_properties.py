@@ -17,6 +17,7 @@ from pathstat.pathcore import (
 )
 from pathstat.properties import (
     K_LEVELS,
+    MAX_GRID_CELLS,
     PatternGrid,
     analyze_path,
     cell_table,
@@ -61,6 +62,14 @@ def test_pattern_grid_product_cells():
     assert grid.marginal_cells == 2
     # first coordinate slowest
     assert grid.cells[1].intervals == ((-math.inf, 0.0), (0.0, math.inf))
+
+
+def test_pattern_grid_cell_limit_is_checked_before_any_cell():
+    assert PatternGrid.from_edges(range(257), 2).n_cells == MAX_GRID_CELLS
+    with pytest.raises(ValueError) as info:
+        PatternGrid.from_edges(range(9), 6)
+    assert str(info.value) == ("a grid of 8 cells per axis at order 6 has "
+                               "262144 cells, more than the limit of 65536")
 
 
 def test_window_cell_ids_boundary_hits_match_no_cell():
