@@ -7,13 +7,15 @@ Prints one JSON object mapping each corpus entry to a sha256:
   sort_keys=True)`` for six generators (block_mixture on its level-set grid)
   at seeds 1-3 and L = 2e4, and for monotone and block_mixture, whose
   adversarial attempts succeed, at seeds 1-3 and L = 1e5;
-* ``analyze/<file>``: both files ``pathstat analyze`` writes for one
-  generated text file, for a hand-written file of edge tokens in the plain
+* ``analyze/<file>``: both files ``pathstat analyze`` writes for two
+  generated text files (the second one's length leaves a partial last
+  block of trajectory rows), for a hand-written file of edge tokens in the plain
   one-number-per-line layout (signed zeros, subnormals, a 44-digit
   mantissa, no trailing newline), and for a CRLF file with a header row;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
-  contract`` on one block_mixture path, with the configured m schedule, and
-  of three runs that fail, one at each of the search's checks;
+  contract`` on one block_mixture path, with the configured m schedule and
+  with one that is not powers of two, and of three runs that fail, one at
+  each of the search's checks;
 * ``testbench/<file>``: the summary and the indicator CSVs of one
   ``pathstat testbench`` run (one fixed and one calibrated test), of a
   second run of one test at start 7 and stride 3, of a third run of the
@@ -65,7 +67,9 @@ LONG_GENERATORS = (
     ("monotone(1)", None),
     ("block_mixture(0,5)", LEVEL_EDGES),
 )
-ANALYZE_SPEC = f"ar1(0.5),L={LENGTH},seed=1"
+# the trajectory CSV samples every (L // 4000)-th row: L = 20011 leaves a
+# partial last block of 1 value past row 4002
+ANALYZE_SPECS = (f"ar1(0.5),L={LENGTH},seed=1", "ar1(0.5),L=20011,seed=1")
 ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
 # tokens at the edges of the float grammar and of float64 rounding
 EDGE_TOKENS = (
@@ -85,11 +89,13 @@ ANALYZE_FILES = (
 CONTRACT_INPUT = f"generate:block_mixture(0,5),L={LENGTH},seed=1"
 CONTRACT_IID = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
 CONTRACT_MONOTONE = f"generate:monotone(1),L={LENGTH},seed=1"
-# (corpus key, contract arguments): one success, then a failure at each
+# (corpus key, contract arguments): two successes, then a failure at each
 # check: no window of length 32 reaches the threshold, qualifying windows
 # vanish as m grows, qualifying windows do not recur in the tail
 CONTRACT_RUNS = (
     (CONTRACT_INPUT, [CONTRACT_INPUT, "--cell", "4", "6"]),
+    (f"{CONTRACT_INPUT} --m-schedule 3,5,12,20",
+     [CONTRACT_INPUT, "--cell", "4", "6", "--m-schedule", "3,5,12,20"]),
     (f"{CONTRACT_IID} --cell -100 0 --threshold 0.9",
      [CONTRACT_IID, "--cell", "-100", "0", "--threshold", "0.9"]),
     (f"{CONTRACT_IID} --cell -100 0", [CONTRACT_IID, "--cell", "-100", "0"]),
@@ -208,9 +214,10 @@ def corpus() -> dict[str, str]:
             out[f"suite/{spec_text}"] = _sha(
                 json.dumps(report, sort_keys=True).encode())
     with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
-        write_path(generate(parse_spec(ANALYZE_SPEC)).values, "path.txt")
-        _cli(["analyze", "path.txt", "--out-dir", "out"], ok=(0, 2))
-        _hash_files(out, f"analyze/{ANALYZE_SPEC}", ANALYZE_OUTPUTS)
+        for spec in ANALYZE_SPECS:
+            write_path(generate(parse_spec(spec)).values, "path.txt")
+            _cli(["analyze", "path.txt", "--out-dir", "out"], ok=(0, 2))
+            _hash_files(out, f"analyze/{spec}", ANALYZE_OUTPUTS)
         for name, data in ANALYZE_FILES:
             with open(name, "wb") as fh:
                 fh.write(data)
