@@ -386,10 +386,24 @@ def check_m_schedule(m_schedule: Sequence[int]) -> None:
             "m_schedule must be strictly increasing positive integers")
 
 
+def _min_count(threshold: float, m: int) -> int:
+    """The least integer j with j / m >= threshold in float64, for a
+    threshold of at most 1.  A window of m starts reaches the threshold
+    exactly when it holds at least j occurrences, since j / m is monotone
+    in j."""
+    j = math.ceil(threshold * m)
+    while j > 0 and (j - 1) / m >= threshold:
+        j -= 1
+    while j / m < threshold:
+        j += 1
+    return j
+
+
 def adversarial_contraction(path: Path, pattern: IntervalPattern,
                             m_schedule: Sequence[int] = M_SCHEDULE,
                             threshold: float | None = None,
-                            config: AnalysisConfig = DEFAULT_CONFIG) -> AdversarialTrace:
+                            config: AnalysisConfig = DEFAULT_CONFIG,
+                            table: CellTable | None = None) -> AdversarialTrace:
     """Search for a contraction that concentrates one pattern's occurrences.
 
     threshold defaults to min((p+1)/2, p + ADVERSARIAL_THRESHOLD_CAP) for the
@@ -397,17 +411,30 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     window reaches the threshold at some stage, or when the density of
     qualifying windows collapses across the schedule (the signature of a
     mixing path, for which local averages concentrate as windows grow).
+    ``table`` is the path's cell table: the pattern's occurrences are then
+    read off its marginal codes, and the pattern must be a cell of
+    ``table.grids[1]``.  Without one they come from the occurrence scan.
     """
     m_schedule = tuple(int(m) for m in m_schedule)
     check_m_schedule(m_schedule)
-    occ = occurrence_set(path, pattern)
-    horizon = occ.source_horizon
+    if table is None:
+        occ = occurrence_set(path, pattern)
+        hits = np.zeros(occ.source_horizon, dtype=bool)
+        hits[occ.indices] = True
+    else:
+        cells = table.grids[1].cells
+        if pattern not in cells:
+            raise ValueError(f"pattern {pattern.label()} is not a level-1 "
+                             f"cell of the table")
+        hits = table.marg == cells.index(pattern)
+    horizon = hits.size
     if m_schedule[-1] > horizon:
         raise ValueError("largest m exceeds the admissible window range")
-    # csum[n] = N(n), the occurrences among the first n starts
-    csum = np.zeros(horizon + 1)
-    csum[1:][occ.indices] = 1.0
-    np.cumsum(csum, out=csum)
+    # csum[n] = N(n), the occurrences among the first n starts, in 32 bits
+    # where they fit
+    csum = np.zeros(horizon + 1, dtype=np.int32
+                    if horizon < np.iinfo(np.int32).max else np.int64)
+    np.cumsum(hits, out=csum[1:])
     # the tail mean of the density trajectory d(n) = N(n)/n
     n0 = horizon - tail_window_size(horizon, config.tail_fraction) + 1
     p = float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
@@ -428,7 +455,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
             failure_reason=reason, last_feasible_m=max(trace_v0, default=None))
 
     for m in m_schedule:
-        v0 = np.flatnonzero((csum[m:] - csum[:-m]) / m >= threshold)
+        v0 = np.flatnonzero(csum[m:] - csum[:-m] >= _min_count(threshold, m))
         if v0.size == 0:
             return failure(f"no window of length {m} reaches the threshold")
         trace_v0[m] = v0
@@ -532,7 +559,7 @@ def default_contraction_family(path: Path, level1_grid: PatternGrid,
     for cell, st in zip(level1_grid.cells, table.stats[1]):
         if not ADVERSARIAL_P_LO < st.value < ADVERSARIAL_P_HI:
             continue
-        trace = adversarial_contraction(path, cell, config=config)
+        trace = adversarial_contraction(path, cell, config=config, table=table)
         if not trace.failed and trace.result is not None:
             family.append(trace.result)
     return family

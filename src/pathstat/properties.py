@@ -144,7 +144,10 @@ def quantile_edges(values: np.ndarray,
 
 
 def grid_family(edges: Sequence[float], k_max: int) -> dict[int, PatternGrid]:
-    return {k: PatternGrid.from_edges(edges, k) for k in range(1, k_max + 1)}
+    """The grids of orders 1..k_max on one partition.  The largest is built
+    first, so an order over MAX_GRID_CELLS fails before any grid is built."""
+    grids = [PatternGrid.from_edges(edges, k) for k in range(k_max, 0, -1)]
+    return {grid.k: grid for grid in reversed(grids)}
 
 
 def _small_int_dtype(n: int) -> np.dtype:
@@ -548,13 +551,16 @@ def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
                 config: AnalysisConfig = DEFAULT_CONFIG,
                 table: CellTable | None = None) -> InducedFDD:
     """``table`` is the path's cell table on these edges up to k_max, whose
-    grids the measures share; built here when absent."""
+    grids the measures share; built here when absent.  A table on other
+    edges raises ValueError."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if path.length < k_max:
         raise ValueError("path too short for the requested order")
     if table is None:
         table = cell_table(path, grid_family(edges, k_max), config)
+    elif table.grids[1].edges != tuple(edges):
+        raise ValueError("the cell table is digitised on other edges")
     grids = {k: table.grids[k] for k in range(1, k_max + 1)}
     # the largest window count admissible at every order up to k_max
     n_matched = path.length - k_max + 1
