@@ -1,14 +1,24 @@
 import argparse
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import norm
 
-from pathstat.cli import CONFIG_FLAGS, _analysis_config, build_parser, main
+from pathstat.cli import (
+    CONFIG_FLAGS,
+    _analysis_config,
+    _write_trajectories,
+    build_parser,
+    main,
+)
 from pathstat.config import AnalysisConfig
-from pathstat.generators import parse_spec
-from pathstat.pathcore import read_path_file
+from pathstat.generators import generate, parse_spec
+from pathstat.pathcore import Path, read_path_file
+from pathstat.suite import run_suite
 from pathstat.stattests import calibrate_test_size
 
 
@@ -61,6 +71,39 @@ def test_analyze_reruns_byte_identical(tmp_path):
         (dir_b / "report.json").read_bytes()
     assert (dir_a / "density_trajectories.csv").read_bytes() == \
         (dir_b / "density_trajectories.csv").read_bytes()
+
+
+def _trajectories_by_csv_writer(table, horizon):
+    """The trajectory CSV from a full running count per cell, sampled at
+    every step-th row and written row by row with csv.writer."""
+    grid = table.grids[1]
+    step = max(1, horizon // 4000)
+    rows = np.arange(1, horizon + 1)[step - 1::step]
+    columns = [np.cumsum(table.marg == c)[step - 1::step] / rows
+               for c in range(grid.n_cells)]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["n"] + [cell.label() for cell in grid.cells])
+    for i, n in enumerate(rows):
+        writer.writerow([int(n)] + [f"{col[i]:.8g}" for col in columns])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("path", [
+    generate(parse_spec("ar1(0.5),L=3999,seed=1")),
+    # the step does not divide L: a partial last block is left out
+    generate(parse_spec("ar1(0.5),L=4001,seed=2")),
+    generate(parse_spec("block_mixture(0,5),L=8003,seed=3")),
+    # values on the quantile cuts carry code -1 and count in no cell
+    Path((np.arange(9001) % 10).astype(float)),
+], ids=["3999", "4001", "8003", "on-cuts"])
+def test_trajectory_csv_equals_csv_writer(tmp_path, path):
+    result = run_suite(path)
+    table = result.diagnostics.table
+    assert (table.marg == -1).any() or path.length != 9001
+    _write_trajectories(tmp_path / "t.csv", path, result)
+    assert (tmp_path / "t.csv").read_bytes() == \
+        _trajectories_by_csv_writer(table, path.length)
 
 
 def test_config_file_overrides_flags(tmp_path):

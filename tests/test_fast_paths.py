@@ -3,7 +3,8 @@
 The shared cell table and harmonic prefix, the small-integer sort inside
 ``cell_tail_stats``, the gathered codes of contracted copies, the running
 minimum of the adversarial thinning, its staged join on arrays of window
-starts, the bulk text parse, the batched moving-window statistics, the
+starts, its integer window counts on the cell table's codes, the bulk text
+parse, the batched moving-window statistics, the
 bulk indicator CSV writer and the size calibration in blocks of replicate
 rows all replace a slower, obviously correct computation; these tests hold
 them to it.
@@ -26,7 +27,11 @@ from pathstat.cli import INDICATOR_CHUNK_ROWS, _write_indicators
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
     ADVERSARIAL_EPS1,
+    ADVERSARIAL_P_HI,
+    ADVERSARIAL_P_LO,
+    ADVERSARIAL_THRESHOLD_CAP,
     M_SCHEDULE,
+    _min_count,
     _thin_to_density,
     adversarial_contraction,
     contract_path,
@@ -43,6 +48,7 @@ from pathstat.generators import (
     parse_spec,
 )
 from pathstat.pathcore import (
+    IntervalPattern,
     OccurrenceSet,
     Path,
     PathParseError,
@@ -328,6 +334,123 @@ def test_staged_join_equals_the_tuple_join(spec, edges, schedule):
         assert trace.n_markers == markers
         joined += 1
     assert joined
+
+
+# ---------------------------------------------------------------------------
+# the adversarial search on the cell table's codes against the occurrence scan
+
+ZOO = (
+    ("ar1(0.5)", None),
+    ("iid_normal(0,1)", None),
+    ("random_phase_sine(theta=1.4142135623730951)", None),
+    ("constant(2)", None),
+    ("monotone(1)", None),
+    ("block_mixture(0,5)", LEVEL_EDGES),
+)
+
+
+def test_min_count_is_the_least_count_meeting_the_threshold():
+    rng = np.random.default_rng(5)
+    for m in range(1, 130):
+        exact = [j / m for j in range(m + 1)]
+        for threshold in exact + [0.375, 1.0 / 3.0, 0.7, 0.1, 0.0] + \
+                rng.random(20).tolist():
+            want = next(j for j in range(m + 1) if j / m >= threshold)
+            assert _min_count(threshold, m) == want
+
+
+def _float_front_end(path, pattern, schedule, threshold, config):
+    """The threshold and each stage's v0 from a float64 running count of
+    the occurrence set, window rates compared by division."""
+    occ = occurrence_set(path, pattern)
+    horizon = occ.source_horizon
+    csum = np.zeros(horizon + 1)
+    csum[1:][occ.indices] = 1.0
+    np.cumsum(csum, out=csum)
+    n0 = horizon - tail_window_size(horizon, config.tail_fraction) + 1
+    p = float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
+    if threshold is None:
+        threshold = min((p + 1.0) / 2.0, p + ADVERSARIAL_THRESHOLD_CAP)
+    v0 = {}
+    for m in schedule:
+        qualifying = np.flatnonzero((csum[m:] - csum[:-m]) / m >= threshold)
+        if not qualifying.size:
+            break
+        v0[m] = qualifying
+    return threshold, v0
+
+
+def _search(path, cell, schedule, threshold, table=None):
+    """The search's trace, or the message of the ValueError it raised."""
+    try:
+        return adversarial_contraction(path, cell, schedule, threshold,
+                                       CONFIG, table=table)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_arrays(a, b):
+    return list(a) == list(b) and \
+        all(np.array_equal(a[m], b[m]) for m in a)
+
+
+def _assert_same_search(path, edges, schedule, threshold):
+    """Both routes agree on every trace field, and their v0 equal the float
+    front end's; returns how many of the attempts the contraction family
+    makes succeeded."""
+    grids = grid_family(edges, 1)
+    table = cell_table(path, grids, CONFIG)
+    succeeded = 0
+    for cell, stats in zip(grids[1].cells, table.stats[1]):
+        scanned = _search(path, cell, schedule, threshold)
+        coded = _search(path, cell, schedule, threshold, table)
+        if isinstance(scanned, str):
+            assert coded == scanned
+            continue
+        for name in ("threshold", "n_markers", "result", "failed",
+                     "failure_reason", "last_feasible_m"):
+            assert getattr(coded, name) == getattr(scanned, name), name
+        for name in ("v0", "v1", "v2"):
+            assert _same_arrays(getattr(coded, name), getattr(scanned, name))
+        assert coded.target_density == scanned.target_density or \
+            math.isnan(coded.target_density) and \
+            math.isnan(scanned.target_density)
+        want_threshold, want_v0 = _float_front_end(path, cell, schedule,
+                                                   threshold, CONFIG)
+        assert coded.threshold == want_threshold
+        assert _same_arrays(coded.v0, want_v0)
+        succeeded += not coded.failed and \
+            ADVERSARIAL_P_LO < stats.value < ADVERSARIAL_P_HI
+    return succeeded
+
+
+@pytest.mark.parametrize("schedule", [M_SCHEDULE, (3, 5, 12, 20)])
+@pytest.mark.parametrize("text, edges", ZOO)
+def test_search_on_the_codes_equals_the_occurrence_scan(text, edges,
+                                                        schedule):
+    path = _path(f"{text},L=100000,seed=1")
+    if edges is None:
+        edges = quantile_edges(path.values, CONFIG.grid_cells)
+    succeeded = [_assert_same_search(path, edges, schedule, threshold)
+                 for threshold in (None, 0.375, 1.0 / 3.0)]
+    # the zoo kinds whose family gains adversarial copies
+    assert (succeeded[0] > 0) == text.startswith(("block", "monotone"))
+
+
+def test_search_on_the_codes_equals_the_occurrence_scan_at_1e6():
+    path = _path("ar1(0.5),L=1000000,seed=1")
+    edges = quantile_edges(path.values, CONFIG.grid_cells)
+    assert _assert_same_search(path, edges, M_SCHEDULE, None) == 0
+
+
+def test_search_rejects_a_pattern_outside_the_table():
+    path = _path("ar1(0.5),L=2000,seed=1")
+    grids = grid_family(quantile_edges(path.values, 8), 2)
+    table = cell_table(path, grids, CONFIG)
+    for pattern in (IntervalPattern.of((0.0, 1.0)), grids[2].cells[9]):
+        with pytest.raises(ValueError, match="not a level-1 cell"):
+            adversarial_contraction(path, pattern, config=CONFIG,
+                                    table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ def test_pattern_grid_cell_limit_is_checked_before_any_cell():
         PatternGrid.from_edges(range(9), 6)
     assert str(info.value) == ("a grid of 8 cells per axis at order 6 has "
                                "262144 cells, more than the limit of 65536")
+
+
+def test_grid_family_refuses_the_top_order_before_building_any_grid():
+    with mock.patch.object(PatternGrid, "from_edges",
+                           wraps=PatternGrid.from_edges) as from_edges:
+        with pytest.raises(ValueError, match="262144 cells"):
+            grid_family(range(9), 6)
+    # the one call is the refused order 6; no order below it was built
+    assert from_edges.call_args_list == [mock.call(range(9), 6)]
+    assert list(grid_family(range(9), 3)) == [1, 2, 3]
 
 
 def test_window_cell_ids_boundary_hits_match_no_cell():
@@ -312,6 +323,16 @@ def test_consistency_sine_is_exact_zero():
     path = Path(np.sin(np.arange(400) * (np.pi / 2)))
     fdd = induced_fdd(path, 2, (-1.5, -0.5, 0.5, 1.5), CONFIG)
     assert consistency_check(fdd, 1) == 0.0
+
+
+def test_induced_fdd_rejects_a_table_on_other_edges():
+    path = Path(np.sin(np.arange(400) * (np.pi / 2)))
+    edges = (-1.5, -0.5, 0.5, 1.5)
+    table = cell_table(path, grid_family(edges, 2), CONFIG)
+    assert induced_fdd(path, 2, list(edges), CONFIG, table).grids == \
+        table.grids
+    with pytest.raises(ValueError, match="other edges"):
+        induced_fdd(path, 2, (-1.5, -0.25, 0.5, 1.5), CONFIG, table)
 
 
 def test_consistency_iid_normal_small():
