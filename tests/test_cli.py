@@ -91,8 +91,9 @@ def _trajectories_by_csv_writer(table, horizon):
 
 @pytest.mark.parametrize("path", [
     generate(parse_spec("ar1(0.5),L=3999,seed=1")),
-    # the step does not divide L: a partial last block is left out
+    # more than 4000 rows at step 1
     generate(parse_spec("ar1(0.5),L=4001,seed=2")),
+    # step 2 does not divide L: a partial last block is left out
     generate(parse_spec("block_mixture(0,5),L=8003,seed=3")),
     # values on the quantile cuts carry code -1 and count in no cell
     Path((np.arange(9001) % 10).astype(float)),
