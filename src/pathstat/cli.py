@@ -281,25 +281,46 @@ def _test_from_spec(spec: dict, default_seed: int | None, length: int):
 # rows encoded per write of an indicator CSV; keeps the buffers to a few MiB
 INDICATOR_CHUNK_ROWS = 65_536
 
+# "%04d" of 0..9999, each as the little-endian uint32 of its four ASCII digits
+_DIGIT_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10_000)),
+                             dtype="<u4")
+# the bytes after an offset, ",<indicator>\r\n", with indicator 0
+_ROW_END = int.from_bytes(b",0\r\n", "little")
+
 
 def _indicator_rows(offsets: np.ndarray, indicators: np.ndarray) -> np.ndarray:
-    """The ASCII bytes of one ``offset,indicator\\r\\n`` row per entry: rows
-    laid out at the widest offset's width, less each row's leading zeros."""
-    top = int(offsets.max())
-    width = len(str(top))
-    lines = np.empty((offsets.size, width + 4), dtype=np.uint8)
-    # narrow unsigned division runs about twice as fast as int64's
-    rest = offsets.astype(np.min_scalar_type(top))
-    for col in range(width - 1, -1, -1):
-        rest, lines[:, col] = np.divmod(rest, 10)
-    lines[:, :width] += ord("0")
-    lines[:, width] = ord(",")
-    lines[:, width + 1] = ord("0") + indicators
-    lines[:, width + 2:] = (ord("\r"), ord("\n"))
-    keep = np.ones(lines.shape, dtype=bool)
-    for d in range(1, width):  # the 10**d digit exists from 10**d on
-        keep[:, width - 1 - d] = offsets >= 10 ** d
-    return lines[keep]
+    """The ASCII bytes of one ``offset,indicator\\r\\n`` row per entry, for
+    ascending non-negative offsets: the rows of each digit width form one
+    run, laid out as a (rows, width + 4) block with no padding to drop."""
+    first, last = len(str(offsets[0])), len(str(offsets[-1]))
+    cuts = np.searchsorted(offsets, 10 ** np.arange(first, last, dtype=np.int64))
+    bounds = [0, *cuts.tolist(), offsets.size]
+    runs = [(lo, hi, width) for lo, hi, width
+            in zip(bounds, bounds[1:], range(first, last + 1)) if hi > lo]
+    out = np.empty(sum((hi - lo) * (width + 4) for lo, hi, width in runs),
+                   dtype=np.uint8)
+    pos = 0
+    for lo, hi, width in runs:
+        lines = out[pos:pos + (hi - lo) * (width + 4)].reshape(hi - lo,
+                                                                width + 4)
+        pos += lines.size
+        # the last four bytes of a row as one little-endian uint32 store
+        lines[:, width:].view("<u4")[:, 0] = _ROW_END + (
+            indicators[lo:hi].astype(np.uint32) << 8)
+        # on narrow unsigned types floor division and a subtraction run about
+        # three times as fast as np.divmod
+        rest = offsets[lo:hi].astype(np.min_scalar_type(offsets[hi - 1]))
+        end = width
+        while end >= 4:  # four digits a store, from the right
+            q = rest // 10_000
+            lines[:, end - 4:end].view("<u4")[:, 0] = _DIGIT_QUADS[
+                rest - q * 10_000]
+            rest, end = q, end - 4
+        for col in range(end - 1, -1, -1):  # at most three leading digits
+            q = rest // 10
+            lines[:, col] = rest - q * 10 + ord("0")
+            rest = q
+    return out
 
 
 def _write_indicators(target: FsPath, record: RejectionRecord) -> None:

@@ -235,6 +235,15 @@ class RejectionRecord:
     upper_density: float
     tail_profile: tuple[tuple[int, float], ...]  # (rung length, mean)
 
+    def __post_init__(self) -> None:
+        # offsets start + stride * i must ascend from a non-negative start
+        if self.start < 0:
+            raise ValueError(f"RejectionRecord start must be non-negative, "
+                             f"got {self.start}")
+        if self.stride < 1:
+            raise ValueError(f"RejectionRecord stride must be at least 1, "
+                             f"got {self.stride}")
+
 
 def _tail_profile(indicators: np.ndarray, window: int,
                   min_rung_windows: int) -> tuple[tuple[int, float], ...]:

@@ -663,6 +663,16 @@ def test_strided_run_equals_the_sliced_stride_one_run(kind, n, walk, start,
 # ---------------------------------------------------------------------------
 # the bulk indicator CSV writer against csv.writer
 
+def _indicators_by_csv_writer(start, stride, indicators):
+    """The indicator CSV written row by row with csv.writer."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["offset", "indicator"])
+    for i, ind in enumerate(indicators):
+        writer.writerow([start + stride * i, int(ind)])
+    return out.getvalue().encode()
+
+
 @pytest.mark.parametrize("start, stride, rows", [
     (0, 1, 1),                          # a single row
     (0, 1, 25),                         # 9 -> 10
@@ -670,23 +680,34 @@ def test_strided_run_equals_the_sliced_stride_one_run(kind, n, walk, start,
     (0, 1000, 1_200),                   # 999 000 -> 1 000 000
     (99_990, 1, 30),                    # 99 999 -> 100 000
     (999_990, 1, 30),                   # 999 999 -> 1 000 000
+    (99_999_990, 1, 30),                # 8 -> 9 digits, two table pieces
+    (2**32 - 5, 1, 10),                 # offsets past uint32
+    (0, 104_729, 1_000),                # every width from 1 to 9 digits
     (0, 1, INDICATOR_CHUNK_ROWS + 1),   # one row past the first chunk
     (9_990, 7, 2 * INDICATOR_CHUNK_ROWS + 3),  # two seams, 4 to 6 digits
+    (9_995, 1, INDICATOR_CHUNK_ROWS + 10),     # 4 -> 5 digits, a chunk seam
 ])
 def test_indicator_csv_equals_csv_writer(tmp_path, start, stride, rows):
     rng = np.random.default_rng(rows)
     indicators = (rng.random(rows) < 0.3).astype(np.uint8)
     record = RejectionRecord("t", 10, 0.05, start, stride, indicators, 0.0, ())
-    with open(tmp_path / "oracle.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset", "indicator"])
-        for i, ind in enumerate(indicators):
-            writer.writerow([start + stride * i, int(ind)])
     _write_indicators(tmp_path / "bulk.csv", record)
-    expected = (tmp_path / "oracle.csv").read_bytes()
+    expected = _indicators_by_csv_writer(start, stride, indicators)
     assert expected.startswith(b"offset,indicator\r\n")
     assert (tmp_path / "bulk.csv").read_bytes() == expected
+
+
+@given(st.integers(0, 10**12), st.integers(1, 10**6),
+       st.lists(st.integers(0, 1), min_size=1, max_size=200))
+@settings(max_examples=200)
+def test_indicator_csv_equals_csv_writer_anywhere(tmp_path_factory, start,
+                                                  stride, flags):
+    indicators = np.array(flags, dtype=np.uint8)
+    record = RejectionRecord("t", 10, 0.05, start, stride, indicators, 0.0, ())
+    target = tmp_path_factory.getbasetemp() / "indicators.csv"
+    _write_indicators(target, record)
+    assert target.read_bytes() == _indicators_by_csv_writer(start, stride,
+                                                            indicators)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pathstat.stattests import (
     BUILTIN_KINDS,
     TEST_SLACK,
     CalibrationError,
+    RejectionRecord,
     apply_moving_window,
     asymptotic_suite,
     calibrate_test_size,
@@ -120,6 +121,16 @@ def test_apply_window_must_fit():
     test = make_builtin_test("threshold_exceedance", 20, tau=0.0, alpha=0.05)
     with pytest.raises(ValueError):
         apply_moving_window(path, test)
+
+
+@pytest.mark.parametrize("start, stride, field", [
+    (-1, 1, "start"), (0, 0, "stride"), (3, -2, "stride"),
+])
+def test_record_offsets_must_ascend_from_zero_or_more(start, stride, field):
+    """The indicator CSV encoder relies on ascending, non-negative offsets."""
+    with pytest.raises(ValueError, match=f"RejectionRecord {field}"):
+        RejectionRecord("t", 10, 0.05, start, stride, np.zeros(3, np.uint8),
+                        0.0, ())
 
 
 def test_upper_density_edge_sequences():
