@@ -8,8 +8,8 @@ Prints one JSON object mapping each corpus entry to a sha256:
   at seeds 1-3 and L = 2e4, and for monotone and block_mixture, whose
   adversarial attempts succeed, at seeds 1-3 and L = 1e5;
 * ``analyze/<file>``: both files ``pathstat analyze`` writes for two
-  generated text files (the second one's length leaves a partial last
-  block of trajectory rows), for a hand-written file of edge tokens in the plain
+  generated text files (the second one's length ends the trajectory rows on
+  a partial block), for a hand-written file of edge tokens in the plain
   one-number-per-line layout (signed zeros, subnormals, a 44-digit
   mantissa, no trailing newline), and for a CRLF file with a header row;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
@@ -67,8 +67,8 @@ LONG_GENERATORS = (
     ("monotone(1)", None),
     ("block_mixture(0,5)", LEVEL_EDGES),
 )
-# the trajectory CSV samples every (L // 4000)-th row: L = 20011 leaves a
-# partial last block of 1 value past row 4002
+# the trajectory CSV samples every (L // 4000)-th row and the last: L = 20011
+# ends on a partial block of 1 value, the row n = 20011
 ANALYZE_SPECS = (f"ar1(0.5),L={LENGTH},seed=1", "ar1(0.5),L=20011,seed=1")
 ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
 # tokens at the edges of the float grammar and of float64 rounding

@@ -169,16 +169,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _write_trajectories(target: FsPath, path: Path, result) -> None:
-    """Level-1 cell density trajectories d(n) = N(n)/n at every step-th n,
-    for plotting: each cell's count per block of step marginal codes, summed
-    block after block.  The numeric rows are formatted in one pass and
-    written with one call; csv.writer quotes the header's labels."""
+    """Level-1 cell density trajectories d(n) = N(n)/n at every step-th n
+    and at n = L, for plotting: each cell's count per block of step marginal
+    codes, summed block after block.  The numeric rows are formatted in one
+    pass and written with one call; csv.writer quotes the header's labels."""
     table = result.diagnostics.table
     grid = table.grids[1]
     step = max(1, path.length // 4000)
-    rows = path.length // step
-    ns = np.arange(step, rows * step + 1, step)
-    blocks = table.marg[:rows * step].reshape(rows, step)
+    rows = -(-path.length // step)  # the last block may be partial
+    ns = np.minimum(np.arange(1, rows + 1) * step, path.length)
+    # code -1, which counts in no cell, fills out the partial last block
+    codes = np.full(rows * step, -1, dtype=table.marg.dtype)
+    codes[:path.length] = table.marg
+    blocks = codes.reshape(rows, step)
     columns = [np.cumsum(np.count_nonzero(blocks == c, axis=1)) / ns
                for c in range(grid.n_cells)]
     line = "%d" + ",%.8g" * grid.n_cells + "\r\n"

@@ -75,11 +75,13 @@ def test_analyze_reruns_byte_identical(tmp_path):
 
 def _trajectories_by_csv_writer(table, horizon):
     """The trajectory CSV from a full running count per cell, sampled at
-    every step-th row and written row by row with csv.writer."""
+    every step-th row and at the last, and written row by row with
+    csv.writer."""
     grid = table.grids[1]
     step = max(1, horizon // 4000)
-    rows = np.arange(1, horizon + 1)[step - 1::step]
-    columns = [np.cumsum(table.marg == c)[step - 1::step] / rows
+    rows = np.array([n for n in range(1, horizon + 1)
+                     if n % step == 0 or n == horizon])
+    columns = [np.cumsum(table.marg == c)[rows - 1] / rows
                for c in range(grid.n_cells)]
     out = io.StringIO(newline="")
     writer = csv.writer(out)
@@ -93,7 +95,7 @@ def _trajectories_by_csv_writer(table, horizon):
     generate(parse_spec("ar1(0.5),L=3999,seed=1")),
     # more than 4000 rows at step 1
     generate(parse_spec("ar1(0.5),L=4001,seed=2")),
-    # step 2 does not divide L: a partial last block is left out
+    # step 2 does not divide L: the last row, n = L, ends a partial block
     generate(parse_spec("block_mixture(0,5),L=8003,seed=3")),
     # values on the quantile cuts carry code -1 and count in no cell
     Path((np.arange(9001) % 10).astype(float)),
