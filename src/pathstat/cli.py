@@ -304,9 +304,9 @@ def _indicator_rows(offsets: np.ndarray, indicators: np.ndarray) -> np.ndarray:
                    dtype=np.uint8)
     pos = 0
     for lo, hi, width in runs:
-        lines = out[pos:pos + (hi - lo) * (width + 4)].reshape(hi - lo,
-                                                                width + 4)
-        pos += lines.size
+        size = (hi - lo) * (width + 4)
+        lines = out[pos:pos + size].reshape(hi - lo, width + 4)
+        pos += size
         # the last four bytes of a row as one little-endian uint32 store
         lines[:, width:].view("<u4")[:, 0] = _ROW_END + (
             indicators[lo:hi].astype(np.uint32) << 8)
