@@ -30,6 +30,7 @@ from .pathcore import (
     counting_prefix,
     density_trajectory,
     estimate_limit_density,
+    occurrence_mask,
     occurrence_set,
     read_path_file,
     read_path_text,

@@ -30,7 +30,7 @@ from .pathcore import (
     DensityEstimate,
     IntervalPattern,
     Path,
-    occurrence_set,
+    occurrence_mask,
     tail_estimate,
     tail_window_size,
 )
@@ -402,8 +402,7 @@ def _min_count(threshold: float, m: int) -> int:
 def adversarial_contraction(path: Path, pattern: IntervalPattern,
                             m_schedule: Sequence[int] = M_SCHEDULE,
                             threshold: float | None = None,
-                            config: AnalysisConfig = DEFAULT_CONFIG,
-                            table: CellTable | None = None) -> AdversarialTrace:
+                            config: AnalysisConfig = DEFAULT_CONFIG) -> AdversarialTrace:
     """Search for a contraction that concentrates one pattern's occurrences.
 
     threshold defaults to min((p+1)/2, p + ADVERSARIAL_THRESHOLD_CAP) for the
@@ -411,22 +410,11 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     window reaches the threshold at some stage, or when the density of
     qualifying windows collapses across the schedule (the signature of a
     mixing path, for which local averages concentrate as windows grow).
-    ``table`` is the path's cell table: the pattern's occurrences are then
-    read off its marginal codes, and the pattern must be a cell of
-    ``table.grids[1]``.  Without one they come from the occurrence scan.
+    The pattern may be any interval pattern, a grid cell or not.
     """
     m_schedule = tuple(int(m) for m in m_schedule)
     check_m_schedule(m_schedule)
-    if table is None:
-        occ = occurrence_set(path, pattern)
-        hits = np.zeros(occ.source_horizon, dtype=bool)
-        hits[occ.indices] = True
-    else:
-        cells = table.grids[1].cells
-        if pattern not in cells:
-            raise ValueError(f"pattern {pattern.label()} is not a level-1 "
-                             f"cell of the table")
-        hits = table.marg == cells.index(pattern)
+    hits = occurrence_mask(path, pattern)
     horizon = hits.size
     if m_schedule[-1] > horizon:
         raise ValueError("largest m exceeds the admissible window range")
@@ -547,9 +535,9 @@ def default_contraction_family(path: Path, level1_grid: PatternGrid,
     plus one adversarial attempt per level-1 cell whose density sits
     strictly inside (ADVERSARIAL_P_LO, ADVERSARIAL_P_HI).  Failed adversarial
     constructions are dropped, and so are attempts whose largest window
-    exceeds the path.  ``table`` is the path's cell table on ``level1_grid``;
-    built here when absent.  A path too short for some alternating
-    contraction raises ValueError."""
+    exceeds the path.  ``table`` is the path's cell table on ``level1_grid``,
+    read for the level-1 densities; built here when absent.  A path too
+    short for some alternating contraction raises ValueError."""
     horizon = path.length
     family = alternating_family(horizon)
     if M_SCHEDULE[-1] > horizon:
@@ -559,7 +547,7 @@ def default_contraction_family(path: Path, level1_grid: PatternGrid,
     for cell, st in zip(level1_grid.cells, table.stats[1]):
         if not ADVERSARIAL_P_LO < st.value < ADVERSARIAL_P_HI:
             continue
-        trace = adversarial_contraction(path, cell, config=config, table=table)
+        trace = adversarial_contraction(path, cell, config=config)
         if not trace.failed and trace.result is not None:
             family.append(trace.result)
     return family

@@ -23,6 +23,7 @@ __all__ = [
     "OccurrenceSet",
     "DensityTrajectory",
     "DensityEstimate",
+    "occurrence_mask",
     "occurrence_set",
     "counting_prefix",
     "density_trajectory",
@@ -158,11 +159,11 @@ class DensityEstimate:
     tail_fraction: float
 
 
-def occurrence_set(path: Path, pattern: IntervalPattern) -> OccurrenceSet:
-    """Start indices n with x_{n+j} strictly inside I_j for every j.
+def occurrence_mask(path: Path, pattern: IntervalPattern) -> np.ndarray:
+    """Whether x_{n+j} lies strictly inside I_j for every j, per start n.
 
-    Boundaries never match: a value equal to an endpoint is outside the open
-    interval.
+    One boolean per admissible start n = 0..L - k.  Boundaries never match:
+    a value equal to an endpoint is outside the open interval.
     """
     k, length = pattern.k, path.length
     if k > length:
@@ -173,7 +174,13 @@ def occurrence_set(path: Path, pattern: IntervalPattern) -> OccurrenceSet:
     for j, (a, b) in enumerate(pattern.intervals):
         seg = v[j:j + n_starts]
         hits &= (seg > a) & (seg < b)
-    return OccurrenceSet(np.flatnonzero(hits), n_starts)
+    return hits
+
+
+def occurrence_set(path: Path, pattern: IntervalPattern) -> OccurrenceSet:
+    """Start indices n with x_{n+j} strictly inside I_j for every j."""
+    mask = occurrence_mask(path, pattern)
+    return OccurrenceSet(np.flatnonzero(mask), mask.size)
 
 
 def counting_prefix(occ: OccurrenceSet, n: int) -> int:
@@ -378,10 +385,12 @@ def _bulk_parse(fh: BinaryIO) -> np.ndarray | None:
 
 def _parse_lines(text: str) -> np.ndarray:
     """The per-line parse: every layout read_path_text accepts, and the
-    error, with its line number, for every row it rejects."""
+    error, with its line number, for every row it rejects.  One leading
+    byte-order mark is ignored."""
     values: list[float] = []
     first_data_line = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix("\ufeff").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -402,9 +411,10 @@ def read_path_text(text: str) -> Path:
     """Parse a path from text: one value per line or a single CSV column.
 
     An optional header row is detected by a non-numeric first row and
-    skipped.  NaN or infinite rows are errors, reported with their line
-    number.  Plain one-number-per-line text is parsed in bulk; everything
-    else, errors included, goes through the per-line parse.
+    skipped, and so is a leading byte-order mark.  NaN or infinite rows are
+    errors, reported with their line number.  Plain one-number-per-line text
+    is parsed in bulk; everything else, errors included, goes through the
+    per-line parse.
     """
     if text.isascii():
         bulk = _bulk_parse(io.BytesIO(text.encode("ascii")))
@@ -422,8 +432,8 @@ def read_path_file(source: str | TextIO) -> Path:
         if bulk is not None:
             return Path(bulk)
         fh.seek(0)
-        # decoded as a text-mode open() would, CRLF and CR line ends included
-        return Path(_parse_lines(io.TextIOWrapper(fh, encoding="utf-8").read()))
+        # splitlines() ends lines at CRLF and CR as a text-mode open() would
+        return Path(_parse_lines(fh.read().decode("utf-8")))
 
 
 def write_path(values: Iterable[float], target: str | TextIO) -> None:

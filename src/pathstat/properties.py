@@ -32,7 +32,7 @@ from .pathcore import (
     DensityEstimate,
     IntervalPattern,
     Path,
-    occurrence_set,
+    occurrence_mask,
     tail_estimate,
     tail_window_size,
 )
@@ -419,11 +419,9 @@ def check_property_e(path: Path, pattern: IntervalPattern,
                      config: AnalysisConfig = DEFAULT_CONFIG) -> PropertyEVerdict:
     """Recurrence verdict for a single pattern: its occurrences are cell 0 of
     a one-cell table."""
-    occ = occurrence_set(path, pattern)
-    ids = np.full(occ.source_horizon, -1, dtype=np.int8)
-    ids[occ.indices] = 0
+    ids = occurrence_mask(path, pattern).astype(np.int8) - 1
     stats = cell_tail_stats(ids, 1, config.tail_fraction)
-    return _classify(stats[0], pattern, occ.source_horizon, config)
+    return _classify(stats[0], pattern, ids.size, config)
 
 
 def scan_property_e(path: Path, k_max: int,
@@ -620,13 +618,13 @@ def local_density_deviation(path: Path, pattern: IntervalPattern, N: int,
         raise ValueError("N must be at least 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    occ = occurrence_set(path, pattern)
-    horizon = occ.source_horizon
+    mask = occurrence_mask(path, pattern)
+    horizon = mask.size
     if N > horizon:
         raise ValueError(f"window N={N} exceeds horizon {horizon}")
     # csum[n] = N(n), the occurrences among the first n starts
     csum = np.zeros(horizon + 1)
-    csum[1:][occ.indices] = 1.0
+    csum[1:] = mask
     np.cumsum(csum, out=csum)
     if p_hat is None:
         p_hat = tail_estimate(csum[1:] / np.arange(1, horizon + 1),

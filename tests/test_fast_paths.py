@@ -1,13 +1,13 @@
 """Each fast path against its scalar oracle at realistic sizes.
 
 The shared cell table and harmonic prefix, the small-integer sort inside
-``cell_tail_stats``, the gathered codes of contracted copies, the running
-minimum of the adversarial thinning, its staged join on arrays of window
-starts, its integer window counts on the cell table's codes, the bulk text
-parse, the batched moving-window statistics, the
-bulk indicator CSV writer and the size calibration in blocks of replicate
-rows all replace a slower, obviously correct computation; these tests hold
-them to it.
+``cell_tail_stats``, the single-pattern checks on the occurrence mask, the
+gathered codes of contracted copies, the running minimum of the adversarial
+thinning, its staged join on arrays of window starts, its integer window
+counts, the bulk text parse, the batched moving-window statistics, the bulk
+indicator CSV writer and the size calibration in blocks of replicate rows
+all replace a slower, obviously correct computation; these tests hold them
+to it.
 """
 
 import csv
@@ -59,14 +59,17 @@ from pathstat.pathcore import (
     occurrence_set,
     read_path_file,
     read_path_text,
+    tail_estimate,
     tail_window_size,
 )
 from pathstat.properties import (
+    _classify,
     cell_table,
     cell_tail_stats,
     check_property_e,
     grid_family,
     harmonic_prefix,
+    local_density_deviation,
     quantile_edges,
     scan_property_e,
     window_cell_ids,
@@ -241,6 +244,73 @@ def test_single_pattern_verdict_equals_the_scan(spec):
 
 
 # ---------------------------------------------------------------------------
+# the single-pattern checks on the occurrence mask against the index route
+
+def _indices_property_e(path, pattern, config):
+    """check_property_e through the occurrence set's indices."""
+    occ = occurrence_set(path, pattern)
+    ids = np.full(occ.source_horizon, -1, dtype=np.int8)
+    ids[occ.indices] = 0
+    stats = cell_tail_stats(ids, 1, config.tail_fraction)
+    return _classify(stats[0], pattern, occ.source_horizon, config)
+
+
+def _indices_deviation(path, pattern, N, epsilon, config, p_hat):
+    """local_density_deviation's density and p_hat through the occurrence
+    set's indices."""
+    occ = occurrence_set(path, pattern)
+    horizon = occ.source_horizon
+    csum = np.zeros(horizon + 1)
+    csum[1:][occ.indices] = 1.0
+    np.cumsum(csum, out=csum)
+    if p_hat is None:
+        p_hat = tail_estimate(csum[1:] / np.arange(1, horizon + 1),
+                              config.tail_fraction, config.tolerance).value
+    deviant = np.abs((csum[N:] - csum[:-N]) / N - p_hat) > epsilon
+    w = tail_window_size(deviant.size, config.tail_fraction)
+    return float(np.mean(deviant[deviant.size - w:])), float(p_hat)
+
+
+def _single_patterns(path):
+    """Grid cells of orders 1 to 3, merged cells and cells on ±inf."""
+    edges = quantile_edges(path.values, 8)
+    grids = grid_family(edges, 3)
+    return [*grids[1].cells, *grids[2].cells[::9], *grids[3].cells[::97],
+            IntervalPattern.of((-math.inf, edges[4])),   # the median split
+            IntervalPattern.of((edges[4], math.inf)),
+            IntervalPattern.of((edges[2], edges[6])),    # the quartiles
+            IntervalPattern.of((-math.inf, math.inf)),
+            IntervalPattern.of((edges[4], math.inf), (-math.inf, edges[4]))]
+
+
+@pytest.mark.parametrize("spec, decimals", [
+    ("ar1(0.5),L=100000,seed=1", 1),     # many values on the cell edges
+    ("iid_normal(0,1),L=100000,seed=2", None),
+    ("block_mixture(0,5),L=100000,seed=1", None),
+])
+def test_single_pattern_checks_equal_the_index_route(spec, decimals):
+    path = _path(spec)
+    if decimals is not None:
+        path = Path(np.round(path.values, decimals))
+    for pattern in _single_patterns(path):
+        got = check_property_e(path, pattern, CONFIG)
+        want = _indices_property_e(path, pattern, CONFIG)
+        assert (got.status, got.final_count, got.horizon) == \
+            (want.status, want.final_count, want.horizon)
+        for name in ("value", "oscillation"):
+            assert getattr(got.estimate, name).hex() == \
+                getattr(want.estimate, name).hex()
+        assert got.final_ratio.hex() == want.final_ratio.hex()
+        for N, p_hat in ((10, None), (1000, None), (100, 0.125)):
+            report = local_density_deviation(path, pattern, N, 0.1, CONFIG,
+                                             p_hat)
+            density, p = _indices_deviation(path, pattern, N, 0.1, CONFIG,
+                                            p_hat)
+            assert report.deviation_density.hex() == density.hex()
+            assert report.p_hat.hex() == p.hex()
+
+
+# ---------------------------------------------------------------------------
 # the adversarial thinning against the greedy loop
 
 def _greedy_thin(indices, target):
@@ -337,7 +407,7 @@ def test_staged_join_equals_the_tuple_join(spec, edges, schedule):
 
 
 # ---------------------------------------------------------------------------
-# the adversarial search on the cell table's codes against the occurrence scan
+# the adversarial search's integer window counts against a float64 front end
 
 ZOO = (
     ("ar1(0.5)", None),
@@ -380,11 +450,10 @@ def _float_front_end(path, pattern, schedule, threshold, config):
     return threshold, v0
 
 
-def _search(path, cell, schedule, threshold, table=None):
+def _search(path, cell, schedule, threshold):
     """The search's trace, or the message of the ValueError it raised."""
     try:
-        return adversarial_contraction(path, cell, schedule, threshold,
-                                       CONFIG, table=table)
+        return adversarial_contraction(path, cell, schedule, threshold, CONFIG)
     except ValueError as exc:
         return str(exc)
 
@@ -395,31 +464,20 @@ def _same_arrays(a, b):
 
 
 def _assert_same_search(path, edges, schedule, threshold):
-    """Both routes agree on every trace field, and their v0 equal the float
-    front end's; returns how many of the attempts the contraction family
-    makes succeeded."""
+    """The search's threshold and v0 equal the float front end's; returns
+    how many of the attempts the contraction family makes succeeded."""
     grids = grid_family(edges, 1)
     table = cell_table(path, grids, CONFIG)
     succeeded = 0
     for cell, stats in zip(grids[1].cells, table.stats[1]):
-        scanned = _search(path, cell, schedule, threshold)
-        coded = _search(path, cell, schedule, threshold, table)
-        if isinstance(scanned, str):
-            assert coded == scanned
+        trace = _search(path, cell, schedule, threshold)
+        if isinstance(trace, str):
             continue
-        for name in ("threshold", "n_markers", "result", "failed",
-                     "failure_reason", "last_feasible_m"):
-            assert getattr(coded, name) == getattr(scanned, name), name
-        for name in ("v0", "v1", "v2"):
-            assert _same_arrays(getattr(coded, name), getattr(scanned, name))
-        assert coded.target_density == scanned.target_density or \
-            math.isnan(coded.target_density) and \
-            math.isnan(scanned.target_density)
         want_threshold, want_v0 = _float_front_end(path, cell, schedule,
                                                    threshold, CONFIG)
-        assert coded.threshold == want_threshold
-        assert _same_arrays(coded.v0, want_v0)
-        succeeded += not coded.failed and \
+        assert trace.threshold == want_threshold
+        assert _same_arrays(trace.v0, want_v0)
+        succeeded += not trace.failed and \
             ADVERSARIAL_P_LO < stats.value < ADVERSARIAL_P_HI
     return succeeded
 
@@ -441,16 +499,6 @@ def test_search_on_the_codes_equals_the_occurrence_scan_at_1e6():
     path = _path("ar1(0.5),L=1000000,seed=1")
     edges = quantile_edges(path.values, CONFIG.grid_cells)
     assert _assert_same_search(path, edges, M_SCHEDULE, None) == 0
-
-
-def test_search_rejects_a_pattern_outside_the_table():
-    path = _path("ar1(0.5),L=2000,seed=1")
-    grids = grid_family(quantile_edges(path.values, 8), 2)
-    table = cell_table(path, grids, CONFIG)
-    for pattern in (IntervalPattern.of((0.0, 1.0)), grids[2].cells[9]):
-        with pytest.raises(ValueError, match="not a level-1 cell"):
-            adversarial_contraction(path, pattern, config=CONFIG,
-                                    table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +529,16 @@ def test_bulk_parse_bit_identical():
     ("1_000\n2\n", [1000.0, 2.0]),             # Python's float reads it
     (" 3\n4 \n", [3.0, 4.0]),                  # padding
     ("+.5e-3\n-0\n7.\n", [0.0005, -0.0, 7.0]),
+    ("\ufeff1.5\n2.5\n3.5\n", [1.5, 2.5, 3.5]),   # byte-order mark
+    ("\ufeff-1\r\n2\r\n", [-1.0, 2.0]),
+    ("\ufeffvalue\n1\n2\n", [1.0, 2.0]),        # and then a header row
 ])
-def test_layouts_parse_as_per_line(text, values):
+def test_layouts_parse_as_per_line(tmp_path, text, values):
+    file = tmp_path / "path.txt"
+    file.write_bytes(text.encode())
     assert read_path_text(text).values.tolist() == values
     assert _parse_lines(text).tolist() == values
+    assert read_path_file(str(file)).values.tolist() == values
 
 
 PARSE_ERRORS = [
@@ -503,6 +557,7 @@ PARSE_ERRORS = [
     ("1\n1.2.3\n", "line 2: not a number: '1.2.3'"),
     ("1\n2\n1e", "line 3: not a number: '1e'"),
     ("1\n2\n1 2", "line 3: not a number: '1 2'"),
+    ("\ufeff1\nx\n", "line 2: not a number: 'x'"),
 ]
 
 

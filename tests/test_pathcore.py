@@ -15,6 +15,7 @@ from pathstat.pathcore import (
     counting_prefix,
     density_trajectory,
     estimate_limit_density,
+    occurrence_mask,
     occurrence_set,
     read_path_text,
     window_projection,
@@ -202,6 +203,52 @@ def test_occurrence_set_matches_bruteforce(case):
     pattern = IntervalPattern.of(*intervals)
     occ = occurrence_set(path, pattern)
     assert occ.indices.tolist() == naive_occurrences(values, intervals)
+
+
+def _scattered(occ):
+    """The index route: the occurrence set's indices scattered into a mask."""
+    mask = np.zeros(occ.source_horizon, dtype=bool)
+    mask[occ.indices] = True
+    return mask
+
+
+@given(path_and_pattern())
+def test_occurrence_mask_equals_the_scattered_indices(case):
+    values, intervals = case
+    path = Path(np.array(values))
+    pattern = IntervalPattern.of(*intervals)
+    mask = occurrence_mask(path, pattern)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, _scattered(occurrence_set(path, pattern)))
+    assert np.flatnonzero(mask).tolist() == naive_occurrences(values,
+                                                               intervals)
+
+
+@pytest.mark.parametrize("intervals", [
+    ((0.0, 1.0),),                  # values on both endpoints
+    ((-math.inf, 0.0),),
+    ((1.0, math.inf),),
+    ((-math.inf, math.inf),),
+    ((-1.0, 1.0), (0.0, 2.0)),
+    ((-math.inf, 1.0), (-1.0, math.inf), (0.0, 1.0)),
+    ((-2.0, 2.0),) * 6,             # order equal to L: one start
+    ((-1.0, math.inf),) * 6,        # the same, on an endpoint: no start
+])
+def test_occurrence_mask_on_endpoints_and_full_order(intervals):
+    values = [0.0, 1.0, 0.5, -1.0, 1.0, 0.0]
+    path = Path(np.array(values))
+    pattern = IntervalPattern.of(*intervals)
+    mask = occurrence_mask(path, pattern)
+    assert mask.size == len(values) - len(intervals) + 1
+    assert np.array_equal(mask, _scattered(occurrence_set(path, pattern)))
+    assert np.flatnonzero(mask).tolist() == naive_occurrences(values,
+                                                               intervals)
+
+
+def test_occurrence_mask_pattern_longer_than_path():
+    with pytest.raises(ValueError, match="exceeds path length"):
+        occurrence_mask(Path(np.array([1.0])),
+                        IntervalPattern.of((0, 1), (0, 1)))
 
 
 @given(path_and_pattern(), st.integers(1, 60))
