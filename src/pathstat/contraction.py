@@ -100,18 +100,35 @@ class Contraction:
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.blocks:
+        b = np.array(self.blocks, dtype=np.int64).reshape(-1, 2)
+        self._set_bounds(b[:, 0], b[:, 1])
+
+    @classmethod
+    def from_bounds(cls, starts: np.ndarray, ends: np.ndarray,
+                    target_density: float, label: str = "") -> Contraction:
+        """The contraction with blocks [starts[i], ends[i]], built from the
+        two integer arrays without a round trip through nested tuples."""
+        c = object.__new__(cls)  # _set_bounds does the work of __init__
+        object.__setattr__(c, "target_density", target_density)
+        object.__setattr__(c, "label", label)
+        c._set_bounds(np.array(starts, dtype=np.int64),
+                      np.array(ends, dtype=np.int64))
+        return c
+
+    def _set_bounds(self, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Check the blocks [starts[i], ends[i]] and the declared density,
+        then set ``blocks``, ``starts`` and ``lengths`` from the arrays."""
+        if not starts.size:
             raise ValueError("contraction needs at least one block")
         if not 0.0 < self.target_density <= 1.0:
             raise ValueError("target density must be in (0, 1]")
-        b = np.array(self.blocks, dtype=np.int64).reshape(-1, 2)
-        bad = np.flatnonzero((b[:, 0] < 0) | (b[:, 1] < b[:, 0]))
+        bad = np.flatnonzero((starts < 0) | (ends < starts))
         if bad.size:
-            s, e = b[bad[0]].tolist()
-            raise ValueError(f"bad block [{s}, {e}]")
-        starts, lengths = b[:, 0], b[:, 1] - b[:, 0] + 1
+            raise ValueError(f"bad block [{starts[bad[0]]}, {ends[bad[0]]}]")
+        lengths = ends - starts + 1
         starts.flags.writeable = lengths.flags.writeable = False
-        object.__setattr__(self, "blocks", tuple(map(tuple, b.tolist())))
+        object.__setattr__(self, "blocks",
+                           tuple(zip(starts.tolist(), ends.tolist())))
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "lengths", lengths)
 
@@ -172,20 +189,16 @@ def build_alternating_contraction(target_c: float, horizon: int,
 
 
 def coverage_ratios(contraction: Contraction, horizon: int) -> np.ndarray:
-    """Running coverage |[0, n-1] ∩ G| / n for n = 1..horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    return _coverage(contraction.starts,
-                     contraction.starts + contraction.lengths, horizon)
-
-
-def _coverage(starts: np.ndarray, stops: np.ndarray, horizon: int) -> np.ndarray:
-    """Running coverage of the blocks [starts, stops) over n = 1..horizon.
+    """Running coverage |[0, n-1] ∩ G| / n for n = 1..horizon.
 
     Steps of +1 at each start and -1 at each stop sum to the number of blocks
     over each index; a second running sum counts the covered indices.  The
     work happens in place, in one horizon-sized array besides the divisor.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    starts = contraction.starts
+    stops = starts + contraction.lengths
     cover = np.zeros(horizon)
     np.add.at(cover, starts[starts < horizon], 1.0)
     np.add.at(cover, stops[stops < horizon], -1.0)
@@ -399,6 +412,65 @@ def _min_count(threshold: float, m: int) -> int:
     return j
 
 
+def _staged_join(v2: Mapping[int, np.ndarray], m_schedule: Sequence[int],
+                 target: float, horizon: int
+                 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Join the stages into one family G of blocks [starts, stops).
+
+    G starts as the first stage's windows [j, j + m).  At each next stage G
+    keeps its blocks up to a joint point and takes that stage's windows
+    past it.  The joint point ends the first block of G at which G's
+    running coverage, and the next stage's at every later index, lie within
+    eps1 / m / 3 of the target for the stage m before; failing that, the
+    block where the larger of the two deviations is least.  n_markers are
+    the joint points.  Each stage's starts ascend and its windows are
+    disjoint.
+
+    The next stage's running coverage C(i) / (i + 1) rises from the index
+    before a window to its last index and falls from there to the index
+    before the next window, and so do its correctly rounded float64 values.
+    So the largest deviation from the target at or after an index is the
+    deviation at that index or at a later end of such a run, and the join
+    evaluates the coverage only at those ends and at G's stops, never over
+    the horizon.
+    """
+    first = m_schedule[0]
+    starts = v2[first]
+    stops = starts + first
+    n_markers: list[int] = []
+    for prev_m, next_m in zip(m_schedule, m_schedule[1:]):
+        covered = stops - starts
+        np.cumsum(covered, out=covered)
+        cov_g = covered / stops
+        # the next stage's coverage at each end of a monotone run (the index
+        # before a window and its last index), at the last index, and at G's
+        # stops inside the horizon; C(i) counts the windows starting at or
+        # before i, less the part of the last one that lies beyond i (none
+        # start before the first window, where nxt[k - 1] wraps)
+        nxt = v2[next_m]
+        at = np.concatenate((nxt - 1, nxt + (next_m - 1), (horizon - 1,),
+                             stops))
+        at = at[(at >= 0) & (at < horizon)]
+        at.sort()
+        k = np.searchsorted(nxt, at, side="right")
+        beyond = np.maximum(nxt[k - 1] + (next_m - 1) - at, 0)
+        count = np.where(k > 0, k * next_m - beyond, 0)
+        dev_next = np.abs(count / (at + 1) - target)
+        # suffix deviation of the next stage's coverage beyond each position
+        suffix = np.maximum.accumulate(dev_next[::-1])[::-1]
+        after = suffix[np.searchsorted(at, np.minimum(stops, horizon - 1))]
+        quality = np.maximum(np.abs(cov_g - target),
+                             np.where(stops < horizon, after, 0.0))
+        close = np.flatnonzero(quality <= ADVERSARIAL_EPS1 / prev_m / 3.0)
+        join_at = int(close[0]) if close.size else int(np.argmin(quality))
+        marker = int(stops[join_at]) - 1
+        n_markers.append(marker)
+        tail = nxt[np.searchsorted(nxt, marker, side="right"):]
+        starts = np.concatenate((starts[:join_at + 1], tail))
+        stops = np.concatenate((stops[:join_at + 1], tail + next_m))
+    return starts, stops, tuple(n_markers)
+
+
 def adversarial_contraction(path: Path, pattern: IntervalPattern,
                             m_schedule: Sequence[int] = M_SCHEDULE,
                             threshold: float | None = None,
@@ -478,38 +550,14 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
         v2 = _thin_to_density(trace_v1[m], target_d / m)
         trace_v2[m] = v2 if v2.size else trace_v1[m][:1]  # never drop a stage
 
-    # staged join: switch from G(m) to whole windows of the next stage at a
-    # joint point past which both are settled near the target; G holds the
-    # blocks [starts, stops)
-    starts = trace_v2[first]
-    stops = starts + first
-    n_markers: list[int] = []
-    for prev_m, next_m in zip(m_schedule, m_schedule[1:]):
-        eps_m = ADVERSARIAL_EPS1 / prev_m
-        covered = stops - starts
-        np.cumsum(covered, out=covered)
-        cov_g = covered / stops
-        # suffix deviation of the next stage's coverage beyond each position
-        nxt = trace_v2[next_m]
-        dev_next = np.abs(_coverage(nxt, nxt + next_m, horizon) - target_d)
-        suffix = np.maximum.accumulate(dev_next[::-1])[::-1]
-        quality = np.maximum(
-            np.abs(cov_g - target_d),
-            np.where(stops < horizon, suffix[np.minimum(stops, horizon - 1)], 0.0))
-        close = np.flatnonzero(quality <= eps_m / 3.0)
-        join_at = int(close[0]) if close.size else int(np.argmin(quality))
-        marker = int(stops[join_at]) - 1
-        n_markers.append(marker)
-        tail = nxt[nxt > marker]
-        starts = np.concatenate((starts[:join_at + 1], tail))
-        stops = np.concatenate((stops[:join_at + 1], tail + next_m))
-
-    result = Contraction(tuple(zip(starts.tolist(), (stops - 1).tolist())),
-                         target_d, label=f"adversarial[{pattern.label()}]")
+    starts, stops, n_markers = _staged_join(trace_v2, m_schedule, target_d,
+                                            horizon)
+    result = Contraction.from_bounds(starts, stops - 1, target_d,
+                                     label=f"adversarial[{pattern.label()}]")
     return AdversarialTrace(
         pattern=pattern, m_schedule=m_schedule, threshold=threshold,
         target_density=target_d, v0=trace_v0, v1=trace_v1, v2=trace_v2,
-        n_markers=tuple(n_markers), result=result)
+        n_markers=n_markers, result=result)
 
 
 def alternating_family(horizon: int) -> list[Contraction]:

@@ -291,6 +291,7 @@ _ALLOWED_KEYS = bytes(
     for digits_before in (0, 1)
     if before != _POINT or digits_before or digits)
 _CHUNK_BYTES = 1 << 17
+_UTF8_BOM = b"\xef\xbb\xbf"
 
 
 def _bulk_lines(chunk: bytes) -> np.ndarray | None:
@@ -355,10 +356,13 @@ class _MatrixMarketColumn(io.RawIOBase):
 
 def _bulk_parse(fh: BinaryIO) -> np.ndarray | None:
     """Values of a seekable binary stream of text in the bulk grammar, read
-    from its start; None when the text is anything else."""
+    from its start past one leading UTF-8 byte-order mark; None when the
+    text is anything else."""
     # imported here: only a parse of text needs the reader
     from scipy.io import mmread
 
+    start = len(_UTF8_BOM) if fh.read(len(_UTF8_BOM)) == _UTF8_BOM else 0
+    fh.seek(start)
     chunks = []  # per chunk, whether each line starts with '-'
     for chunk in _line_chunks(fh):
         lines = _bulk_lines(chunk)
@@ -368,7 +372,7 @@ def _bulk_parse(fh: BinaryIO) -> np.ndarray | None:
     if not chunks:
         return None
     negative = np.concatenate(chunks)
-    fh.seek(0)
+    fh.seek(start)
     try:
         # the reader pulls 1 KiB a read; a 1 MiB buffer turns a 20 MB file's
         # ~19,000 readinto calls into ~20
@@ -416,8 +420,9 @@ def read_path_text(text: str) -> Path:
     is parsed in bulk; everything else, errors included, goes through the
     per-line parse.
     """
-    if text.isascii():
-        bulk = _bulk_parse(io.BytesIO(text.encode("ascii")))
+    body = text.removeprefix("\ufeff")
+    if body.isascii():
+        bulk = _bulk_parse(io.BytesIO(body.encode("ascii")))
         if bulk is not None:
             return Path(bulk)
     return Path(_parse_lines(text))

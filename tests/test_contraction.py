@@ -124,14 +124,53 @@ def test_contraction_arrays_stay_out_of_equality_and_json():
                                 "target_density": 0.5, "label": "x"}
 
 
-@pytest.mark.parametrize("blocks, message", [
+BAD_BLOCKS = [
     (((0, 3), (7, 6)), r"bad block \[7, 6\]"),
     (((-1, 3),), r"bad block \[-1, 3\]"),
     ((), "at least one block"),
-])
+]
+
+
+@pytest.mark.parametrize("blocks, message", BAD_BLOCKS)
 def test_contraction_rejects_bad_blocks(blocks, message):
     with pytest.raises(ValueError, match=message):
         Contraction(blocks, 0.5)
+
+
+def _bounds(blocks):
+    b = np.array(blocks, dtype=np.int64).reshape(-1, 2)
+    return b[:, 0], b[:, 1]
+
+
+@pytest.mark.parametrize("blocks, message", BAD_BLOCKS + [
+    (((0, 3),), r"target density must be in \(0, 1\]"),
+])
+def test_from_bounds_rejects_what_the_constructor_rejects(blocks, message):
+    density = 1.5 if "density" in message else 0.5
+    for build in (lambda: Contraction(blocks, density),
+                  lambda: Contraction.from_bounds(*_bounds(blocks), density)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0, 0),),
+    ((0, 3), (6, 9)),
+    ((2, 2), (3, 3), (10, 1_000_000)),
+])
+def test_from_bounds_equals_the_tuple_constructor(blocks):
+    starts, ends = _bounds(blocks)
+    c = Contraction.from_bounds(starts, ends, 0.25, label="x")
+    same = Contraction(blocks, 0.25, label="x")
+    assert c.blocks == same.blocks == blocks
+    assert all(type(v) is int for block in c.blocks for v in block)
+    assert np.array_equal(c.starts, same.starts)
+    assert np.array_equal(c.lengths, same.lengths)
+    assert c.starts.dtype == c.lengths.dtype == np.int64
+    assert not c.starts.flags.writeable and not c.lengths.flags.writeable
+    assert starts.flags.writeable  # the caller's arrays are left as they were
+    assert c == same and hash(c) == hash(same) and repr(c) == repr(same)
+    assert c.to_json_dict() == same.to_json_dict()
 
 
 def test_validation_catches_bounded_blocks():

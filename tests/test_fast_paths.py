@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathstat.cli import INDICATOR_CHUNK_ROWS, _write_indicators
@@ -32,6 +32,7 @@ from pathstat.contraction import (
     ADVERSARIAL_THRESHOLD_CAP,
     M_SCHEDULE,
     _min_count,
+    _staged_join,
     _thin_to_density,
     adversarial_contraction,
     contract_path,
@@ -349,7 +350,7 @@ def test_thinning_edge_cases():
 # ---------------------------------------------------------------------------
 # the adversarial staged join against the join over lists of blocks
 
-def _tuple_join(trace, horizon, config):
+def _tuple_join(v2, schedule, target, horizon):
     """The blocks and joint points of the staged join, built from lists of
     (start, end) tuples with coverage by set membership."""
     def coverage(blocks):
@@ -358,10 +359,8 @@ def _tuple_join(trace, horizon, config):
             covered[s:e + 1] = 1.0
         return np.cumsum(covered) / np.arange(1.0, horizon + 1)
 
-    target = trace.target_density
     stages = {m: [(int(j), int(j) + m - 1) for j in v]
-              for m, v in trace.v2.items()}
-    schedule = trace.m_schedule
+              for m, v in v2.items()}
     blocks = stages[schedule[0]]
     markers = []
     for prev_m, next_m in zip(schedule, schedule[1:]):
@@ -388,22 +387,80 @@ def _tuple_join(trace, horizon, config):
     ("monotone(1),L=20000", None, None),
     # a join decided by the coverage of the blocks kept so far
     ("ar1(0.5),L=2000,seed=1", (-math.inf, 0.5, 10.0, math.inf), (2, 3, 5)),
+    ("monotone(1),L=1000000,seed=1", None, None),
 ])
 def test_staged_join_equals_the_tuple_join(spec, edges, schedule):
     path = _path(spec)
-    if edges is None:
-        edges = quantile_edges(path.values, CONFIG.grid_cells)
     joined = 0
-    for cell in grid_family(edges, 1)[1].cells:
-        trace = adversarial_contraction(path, cell, schedule or M_SCHEDULE,
-                                        config=CONFIG)
+    for trace in _adversarial_traces(path, edges, schedule or M_SCHEDULE):
         if trace.failed:
             continue
-        blocks, markers = _tuple_join(trace, path.length, CONFIG)
+        blocks, markers = _tuple_join(trace.v2, trace.m_schedule,
+                                      trace.target_density, path.length)
         assert trace.result.blocks == blocks
         assert trace.n_markers == markers
         joined += 1
     assert joined
+
+
+def _adversarial_traces(path, edges, schedule):
+    """The search on each level-1 cell: of ``edges``, or of the path's
+    quantile edges when None."""
+    if edges is None:
+        edges = quantile_edges(path.values, CONFIG.grid_cells)
+    return [adversarial_contraction(path, cell, schedule, config=CONFIG)
+            for cell in grid_family(edges, 1)[1].cells]
+
+
+@st.composite
+def _synthetic_stages(draw):
+    """An m schedule, a horizon and one ascending run of disjoint windows
+    [j, j + m) per stage: gaps of 0 make adjacent windows, a first gap of
+    0 a window at index 0, and the last window may stop at the horizon."""
+    schedule = draw(st.sampled_from(((2, 3, 5), M_SCHEDULE, (3, 5, 12, 20))))
+    horizon = draw(st.integers(schedule[-1], 400))
+    stages = {}
+    for m in schedule:
+        starts, pos = [], 0
+        for gap in draw(st.lists(st.integers(0, 3 * m), min_size=1,
+                                 max_size=30)):
+            if pos + gap + m > horizon:
+                break
+            starts.append(pos + gap)
+            pos += gap + m
+        if (not starts or draw(st.booleans())) and pos <= horizon - m:
+            starts.append(horizon - m)
+        stages[m] = np.array(starts, dtype=np.int64)
+    covered = sum(m * v.size for m, v in stages.items()) / len(schedule)
+    target = draw(st.one_of(st.floats(0.01, 1.0),
+                            st.just(min(1.0, covered / horizon))))
+    return stages, schedule, target, horizon
+
+
+@given(_synthetic_stages())
+@example(({2: np.array([0, 2, 8]), 3: np.array([4]), 5: np.array([5])},
+          (2, 3, 5), 0.5, 10))
+@settings(max_examples=300, deadline=None)
+def test_staged_join_on_synthetic_stages(case):
+    stages, schedule, target, horizon = case
+    starts, stops, markers = _staged_join(stages, schedule, target, horizon)
+    assert (tuple(zip(starts.tolist(), (stops - 1).tolist())), markers) == \
+        _tuple_join(stages, schedule, target, horizon)
+
+
+def test_staged_join_memory_is_bounded_by_its_blocks():
+    path = _path("monotone(1),L=1000000,seed=1")
+    trace = next(t for t in _adversarial_traces(path, None, M_SCHEDULE)
+                 if not t.failed)
+    tracemalloc.start()
+    try:
+        _staged_join(trace.v2, trace.m_schedule, trace.target_density,
+                     path.length)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # less than one float64 array over the horizon
+    assert peak < 8 * path.length
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +577,21 @@ def test_bulk_parse_bit_identical():
                           values.view(np.int64))
 
 
+def test_a_byte_order_mark_keeps_the_bulk_parse(tmp_path):
+    rng = np.random.default_rng(12)
+    values = rng.normal(size=5_000) * 10.0 ** rng.integers(-300, 300, 5_000)
+    values[::3] *= -1
+    values[:2] = 0.0, -0.0
+    text = "\ufeff" + "\n".join(map(repr, values.tolist())) + "\n"
+    bulk = _bulk_parse(io.BytesIO(text.encode()))
+    assert bulk is not None
+    file = tmp_path / "path.txt"
+    file.write_bytes(text.encode())
+    for parsed in (bulk, _parse_lines(text), read_path_text(text).values,
+                   read_path_file(str(file)).values):
+        assert np.array_equal(parsed.view(np.int64), values.view(np.int64))
+
+
 @pytest.mark.parametrize("text, values", [
     ("value\n1\n2\n", [1.0, 2.0]),             # header row
     ("a,b\n1,9\n2,8\n", [1.0, 2.0]),           # two-column CSV
@@ -558,6 +630,8 @@ PARSE_ERRORS = [
     ("1\n2\n1e", "line 3: not a number: '1e'"),
     ("1\n2\n1 2", "line 3: not a number: '1 2'"),
     ("\ufeff1\nx\n", "line 2: not a number: 'x'"),
+    ("\ufeff", "no numeric rows found"),
+    ("\ufeff\ufeff1\n", "no numeric rows found"),  # one mark is skipped
 ]
 
 
