@@ -20,7 +20,9 @@ Prints one JSON object mapping each corpus entry to a sha256:
   ``pathstat testbench`` run (one fixed and one calibrated test), of a
   second run of one test at start 7 and stride 3, of a third run of the
   other three kinds at start 11 and stride 7, and of a fourth run that
-  calibrates one test of each kind under its own generator;
+  calibrates one test of each kind under its own generator, and of a fifth
+  run of ``kpss_like`` at n = 16 on a file holding a 2e5-value random walk,
+  where the batched statistic is most exposed to rounding;
 * ``montecarlo/<file>``: the table of ``pathstat montecarlo`` (pass rates
   overall and per stage, profile mismatches) over its default generators
   with two replicates;
@@ -43,6 +45,8 @@ import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from pathstat.cli import main as cli_main
 from pathstat.generators import generate, parse_spec
@@ -150,6 +154,12 @@ TESTBENCH_CALIBRATED_OUTPUTS = (
     "testbench_summary.json", "rejections_00_threshold_exceedance.csv",
     "rejections_01_mean_split.csv", "rejections_02_variance_split.csv",
     "rejections_03_kpss_like.csv")
+# a random walk, whose window sums are far from the sums over its prefix;
+# tau is about the median kpss_like statistic of its windows at n = 16
+WALK_FILE = "walk.txt"
+WALK_LENGTH = 200_000
+WALK_SPECS = ({"kind": "kpss_like", "n": 16, "tau": 0.85, "alpha": 0.05},)
+WALK_OUTPUTS = ("testbench_summary.json", "rejections_00_kpss_like.csv")
 MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
 # one spec per generator kind, every parameter away from its default
 GENERATE_SPECS = tuple(f"{text},L=2000,seed=1" for text in (
@@ -194,10 +204,10 @@ def _hash_files(out: dict[str, str], prefix: str, names,
 
 
 def _testbench(out: dict[str, str], prefix: str, specs, names,
-               directory: str) -> None:
+               directory: str, source: str = TESTBENCH_INPUT) -> None:
     with open("tests.json", "w", encoding="utf-8") as fh:
         json.dump(list(specs), fh)
-    _cli(["testbench", TESTBENCH_INPUT, "--tests", "tests.json",
+    _cli(["testbench", source, "--tests", "tests.json",
           "--out-dir", directory])
     _hash_files(out, prefix, names, directory)
 
@@ -239,6 +249,10 @@ def corpus() -> dict[str, str]:
         _testbench(out, f"testbench/{TESTBENCH_INPUT} calibrated kinds",
                    TESTBENCH_CALIBRATED_SPECS, TESTBENCH_CALIBRATED_OUTPUTS,
                    "calibrated_kinds")
+        write_path(np.cumsum(
+            np.random.default_rng(1).standard_normal(WALK_LENGTH)), WALK_FILE)
+        _testbench(out, f"testbench/{WALK_FILE}", WALK_SPECS, WALK_OUTPUTS,
+                   "walk", WALK_FILE)
         _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
         _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
                     ("montecarlo.json",))
