@@ -193,16 +193,49 @@ def builtin_statistic(kind: str) -> Callable[[np.ndarray], float | np.ndarray]:
     return builtin_kind(kind).statistic
 
 
+# a batched run evaluates its windows in chunks of starts on the fixed grid
+# [j*C, (j+1)*C) of absolute start indices, C = _batch_chunk(n): each chunk
+# is centred on its own mean and summed from its own origin, so its prefix
+# sums stay of the order of its own values (Chan, Golub & LeVeque 1983) and
+# its temporaries stay a few hundred KiB; the floor keeps the per-chunk
+# overhead small at short windows
+BATCH_CHUNK_WINDOWS = 64
+BATCH_CHUNK_MIN_STARTS = 4096
+
+
+def _batch_chunk(n: int) -> int:
+    """Window starts per chunk of a batched run of size-n windows."""
+    return max(BATCH_CHUNK_WINDOWS * n, BATCH_CHUNK_MIN_STARTS)
+
+
 def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
                       name: str | None = None) -> StationarityTest:
     """A built-in test rejecting when its statistic strictly exceeds tau."""
     stat, batch, _ = builtin_kind(kind, n)
+    chunk = _batch_chunk(n)
 
     def decide(window: np.ndarray) -> int:
         return int(stat(np.asarray(window, dtype=np.float64)) > tau)
 
     def batch_decide(values: np.ndarray, starts: slice) -> np.ndarray:
-        return (batch(values, n, starts) > tau).astype(np.uint8)
+        # a chunk's statistics depend only on its values, never on which of
+        # its starts the slice selects
+        windows = max(values.size - n + 1, 0)
+        first, stop, step = starts.indices(windows)
+        if step < 1:
+            raise ValueError("window starts must ascend")
+        out = np.empty(len(range(first, stop, step)), dtype=np.uint8)
+        for lo in range(first - first % chunk, stop, chunk):
+            hi = min(lo + chunk, windows)
+            # the chunk's first selected start
+            a = first + max(0, -((first - lo) // step)) * step
+            local = range(a - lo, min(hi, stop) - lo, step)
+            if local:
+                i = (a - first) // step
+                np.greater(batch(values[lo:hi + n - 1], n,
+                                 slice(local.start, local.stop, step)),
+                           tau, out=out[i:i + len(local)])
+        return out
 
     return StationarityTest(
         name=name or f"{kind}(n={n})",

@@ -12,6 +12,7 @@ to it.
 
 import csv
 import dataclasses
+import functools
 import io
 import math
 import tracemalloc
@@ -80,6 +81,7 @@ from pathstat.stattests import (
     BUILTIN_KINDS,
     CALIBRATION_BLOCK_VALUES,
     RejectionRecord,
+    _batch_chunk,
     apply_moving_window,
     builtin_statistic,
     calibrate_test_size,
@@ -756,23 +758,38 @@ def test_batch_decide_matches_scalar_at_offset(kind, n, offset):
         assert near_tau or batch[i] == test.decide(x[i:i + n]), (i, s, tau)
 
 
-@pytest.mark.parametrize("start, stride", [(7, 3), (123, 997), (-1, 5)],
-                         ids=["7-3", "123-997", "last-5"])
+def _grid_straddling_run(kind, n, walk, start, stride):
+    """(path, test, start, stride), with start and stride given as functions
+    of the run's chunk size C and a start of -1 standing for the last."""
+    rng = np.random.default_rng(11)
+    noise = rng.normal(size=200_000)
+    path = Path(np.cumsum(noise) if walk else noise + 1e4)
+    chunk = _batch_chunk(n)
+    start, stride = start(chunk), stride(chunk)
+    start = path.length - n if start < 0 else start
+    stat = builtin_statistic(kind)
+    sampled = rng.integers(0, path.length - n + 1, 400)
+    tau = float(np.quantile([stat(path.values[i:i + n]) for i in sampled],
+                            0.95))
+    return path, make_builtin_test(kind, n, tau, 0.05), start, stride
+
+
+@pytest.mark.parametrize("start, stride", [
+    (lambda c: 7, lambda c: 3), (lambda c: 123, lambda c: 997),
+    (lambda c: -1, lambda c: 5),
+    # the first start ends a chunk, and each next one is one chunk later
+    (lambda c: c - 1, lambda c: c + 1),
+    # a stride longer than a chunk, so most chunks hold no selected start
+    (lambda c: 5, lambda c: 2 * c + 7),
+], ids=["7-3", "123-997", "last-5", "C-1_C+1", "5_2C+7"])
 @pytest.mark.parametrize("walk", [False, True], ids=["iid+1e4", "walk"])
 @pytest.mark.parametrize("kind, n", [
     ("threshold_exceedance", 50), ("mean_split", 100),
     ("variance_split", 200), ("kpss_like", 400)])
 def test_strided_run_equals_the_sliced_stride_one_run(kind, n, walk, start,
                                                       stride):
-    rng = np.random.default_rng(11)
-    noise = rng.normal(size=200_000)
-    path = Path(np.cumsum(noise) if walk else noise + 1e4)
-    start = path.length - n if start < 0 else start
-    stat = builtin_statistic(kind)
-    sampled = rng.integers(0, path.length - n + 1, 400)
-    tau = float(np.quantile([stat(path.values[i:i + n]) for i in sampled],
-                            0.95))
-    test = make_builtin_test(kind, n, tau, 0.05)
+    path, test, start, stride = _grid_straddling_run(kind, n, walk, start,
+                                                     stride)
     expected = apply_moving_window(path, test).indicators[start::stride]
     assert expected.size == len(range(start, path.length - n + 1, stride))
     batch = apply_moving_window(path, test, start, stride).indicators
@@ -781,12 +798,56 @@ def test_strided_run_equals_the_sliced_stride_one_run(kind, n, walk, start,
         path, dataclasses.replace(test, batch_decide=None), start,
         stride).indicators
     assert scalar.shape == expected.shape
-    # the batched prefix sums of a walk lose up to ~1e-4 of kpss_like's value
-    # at n = 400 to cancellation, so a window that close to tau may be
-    # decided either way; a misplaced offset flips windows far from tau
+    # each chunk's sums still round: on the walk kpss_like's batched value
+    # is off by up to 5.5e-5 of max(1, |value|) at n = 400, so a window that
+    # close to tau may be decided either way; a misplaced offset flips
+    # windows far from tau
+    tau = test.params["tau"]
+    stat = builtin_statistic(kind)
     for i in np.flatnonzero(scalar != expected):
         s = stat(path.values[start + stride * i:][:n])
-        assert abs(s - tau) <= 1e-3 * max(1.0, abs(tau)), (i, s, tau)
+        assert abs(s - tau) <= 1e-4 * max(1.0, abs(tau)), (i, s, tau)
+
+
+@functools.lru_cache(maxsize=None)
+def _long_path(name: str) -> np.ndarray:
+    """A 1e6-value unit-root or near-unit-root path."""
+    if name == "walk":
+        return np.cumsum(np.random.default_rng(1).standard_normal(1_000_000))
+    return _path("ar1(0.99),L=1000000,seed=1").values
+
+
+@pytest.mark.parametrize("n", [16, 100, 400])
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+@pytest.mark.parametrize("name", ["walk", "ar1(0.99)"])
+def test_batch_decide_matches_scalar_at_1e6(name, kind, n):
+    """On 1e6-value paths whose values wander far from their overall mean,
+    with tau at the median statistic, so about half the windows reject."""
+    x = _long_path(name)
+    stat = builtin_statistic(kind)
+    starts = np.random.default_rng(3).integers(0, x.size - n + 1, 3000)
+    scalar = stat(x[starts[:, None] + np.arange(n)])
+    tau = float(np.median(scalar))
+    test = make_builtin_test(kind, n, tau, 0.05)
+    batch = test.batch_decide(x, slice(0, x.size - n + 1))
+    near_tau = np.abs(scalar - tau) <= 1e-3 * max(1.0, abs(tau))
+    wrong = [(i, s) for i, s, near in zip(starts, scalar, near_tau)
+             if not near and batch[i] != test.decide(x[i:i + n])]
+    assert wrong == [], (len(wrong), tau)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_moving_window_memory_is_bounded_by_its_chunks(kind):
+    path = Path(_long_path("walk"))
+    test = make_builtin_test(kind, 400, 1.0, 0.05)
+    tracemalloc.start()
+    try:
+        apply_moving_window(path, test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # less than one float64 array over the path
+    assert peak < 8 * path.length
 
 
 # ---------------------------------------------------------------------------
