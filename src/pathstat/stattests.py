@@ -194,11 +194,11 @@ def builtin_statistic(kind: str) -> Callable[[np.ndarray], float | np.ndarray]:
 
 
 # a batched run evaluates its windows in chunks of starts on the fixed grid
-# [j*C, (j+1)*C) of absolute start indices, C = _batch_chunk(n): each chunk
-# is centred on its own mean and summed from its own origin, so its prefix
-# sums stay of the order of its own values (Chan, Golub & LeVeque 1983) and
-# its temporaries stay a few hundred KiB; the floor keeps the per-chunk
-# overhead small at short windows
+# [j*C, (j+1)*C) of absolute start indices, C = _batch_chunk(n): each chunk's
+# prefix sums start from its own origin, and the centred formulas centre on
+# its own mean, so the sums stay of the order of its own values (Chan, Golub
+# & LeVeque 1983) and its temporaries stay a few hundred KiB at n <= 400; the
+# floor keeps the per-chunk overhead small at short windows
 BATCH_CHUNK_WINDOWS = 64
 BATCH_CHUNK_MIN_STARTS = 4096
 
@@ -227,11 +227,10 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
         out = np.empty(len(range(first, stop, step)), dtype=np.uint8)
         for lo in range(first - first % chunk, stop, chunk):
             hi = min(lo + chunk, windows)
-            # the chunk's first selected start
-            a = first + max(0, -((first - lo) // step)) * step
-            local = range(a - lo, min(hi, stop) - lo, step)
+            # out's index of the chunk's first selected start
+            i = max(0, -((first - lo) // step))
+            local = range(first + i * step - lo, min(hi, stop) - lo, step)
             if local:
-                i = (a - first) // step
                 np.greater(batch(values[lo:hi + n - 1], n,
                                  slice(local.start, local.stop, step)),
                            tau, out=out[i:i + len(local)])

@@ -758,22 +758,6 @@ def test_batch_decide_matches_scalar_at_offset(kind, n, offset):
         assert near_tau or batch[i] == test.decide(x[i:i + n]), (i, s, tau)
 
 
-def _grid_straddling_run(kind, n, walk, start, stride):
-    """(path, test, start, stride), with start and stride given as functions
-    of the run's chunk size C and a start of -1 standing for the last."""
-    rng = np.random.default_rng(11)
-    noise = rng.normal(size=200_000)
-    path = Path(np.cumsum(noise) if walk else noise + 1e4)
-    chunk = _batch_chunk(n)
-    start, stride = start(chunk), stride(chunk)
-    start = path.length - n if start < 0 else start
-    stat = builtin_statistic(kind)
-    sampled = rng.integers(0, path.length - n + 1, 400)
-    tau = float(np.quantile([stat(path.values[i:i + n]) for i in sampled],
-                            0.95))
-    return path, make_builtin_test(kind, n, tau, 0.05), start, stride
-
-
 @pytest.mark.parametrize("start, stride", [
     (lambda c: 7, lambda c: 3), (lambda c: 123, lambda c: 997),
     (lambda c: -1, lambda c: 5),
@@ -788,8 +772,19 @@ def _grid_straddling_run(kind, n, walk, start, stride):
     ("variance_split", 200), ("kpss_like", 400)])
 def test_strided_run_equals_the_sliced_stride_one_run(kind, n, walk, start,
                                                       stride):
-    path, test, start, stride = _grid_straddling_run(kind, n, walk, start,
-                                                     stride)
+    """start and stride are functions of the run's chunk size C; a start
+    of -1 stands for the last window."""
+    rng = np.random.default_rng(11)
+    noise = rng.normal(size=200_000)
+    path = Path(np.cumsum(noise) if walk else noise + 1e4)
+    chunk = _batch_chunk(n)
+    start, stride = start(chunk), stride(chunk)
+    start = path.length - n if start < 0 else start
+    stat = builtin_statistic(kind)
+    sampled = rng.integers(0, path.length - n + 1, 400)
+    tau = float(np.quantile([stat(path.values[i:i + n]) for i in sampled],
+                            0.95))
+    test = make_builtin_test(kind, n, tau, 0.05)
     expected = apply_moving_window(path, test).indicators[start::stride]
     assert expected.size == len(range(start, path.length - n + 1, stride))
     batch = apply_moving_window(path, test, start, stride).indicators
@@ -802,8 +797,6 @@ def test_strided_run_equals_the_sliced_stride_one_run(kind, n, walk, start,
     # is off by up to 5.5e-5 of max(1, |value|) at n = 400, so a window that
     # close to tau may be decided either way; a misplaced offset flips
     # windows far from tau
-    tau = test.params["tau"]
-    stat = builtin_statistic(kind)
     for i in np.flatnonzero(scalar != expected):
         s = stat(path.values[start + stride * i:][:n])
         assert abs(s - tau) <= 1e-4 * max(1.0, abs(tau)), (i, s, tau)

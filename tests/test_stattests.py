@@ -90,6 +90,12 @@ def test_batch_decide_matches_scalar(kind):
     assert np.array_equal(batch, loop)
 
 
+def test_batch_decide_refuses_descending_starts():
+    test = make_builtin_test("mean_split", 16, tau=0.1, alpha=0.05)
+    with pytest.raises(ValueError, match="ascend"):
+        test.batch_decide(np.zeros(100), slice(None, None, -1))
+
+
 def test_apply_constant_path_never_rejects():
     path = Path(np.full(5000, 2.0))
     test = make_builtin_test("threshold_exceedance", 20, tau=3.0, alpha=0.05)
