@@ -829,6 +829,37 @@ def test_batch_decide_matches_scalar_at_1e6(name, kind, n):
     assert wrong == [], (len(wrong), tau)
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_run_path(name: str) -> np.ndarray:
+    """A 2e5-value path made of runs of equal values."""
+    if name == "mixture":
+        return _path("block_mixture(0,5,0),L=200000,seed=1").values
+    if name == "poisson":
+        return np.random.default_rng(3).poisson(0.05, 200_000).astype(float)
+    # values whose mean over a window rounds off the value itself
+    return np.repeat([0.1, 0.3, 2.7, 123.456], 50_000)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("mixture", 16), ("mixture", 100), ("mixture", 400),
+    ("poisson", 16), ("poisson", 100), ("tenths", 16), ("tenths", 100)])
+def test_kpss_like_decides_flat_windows_like_the_scalar(name, n):
+    """A window of equal values reads 0; on paths of such runs every
+    batched decision at tau = 0.5 equals the scalar statistic's."""
+    x = _flat_run_path(name)
+    stat = builtin_statistic("kpss_like")
+    batch = make_builtin_test("kpss_like", n, 0.5, 0.05).batch_decide(
+        x, slice(0, x.size - n + 1))
+    rows = 4096
+    for lo in range(0, batch.size, rows):
+        starts = np.arange(lo, min(lo + rows, batch.size))
+        windows = x[starts[:, None] + np.arange(n)]
+        scalar = stat(windows)
+        flat = np.ptp(windows, axis=1) == 0.0
+        assert not scalar[flat].any()
+        assert np.array_equal(batch[starts], scalar > 0.5)
+
+
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_moving_window_memory_is_bounded_by_its_chunks(kind):
     path = Path(_long_path("walk"))
