@@ -79,10 +79,6 @@ ADVERSARIAL_EPS1 = 0.1
 # the common coverage target sits below the thinnest stage's tail-window
 # candidate supply, so stages recover from early candidate droughts
 ADVERSARIAL_HEADROOM = 0.85
-# default_contraction_family searches the level-1 cells whose density lies
-# strictly between these
-ADVERSARIAL_P_LO = 0.05
-ADVERSARIAL_P_HI = 0.95
 
 
 @dataclass(frozen=True)
@@ -577,25 +573,11 @@ def alternating_family(horizon: int) -> list[Contraction]:
 
 
 def default_contraction_family(path: Path, level1_grid: PatternGrid,
-                               config: AnalysisConfig = DEFAULT_CONFIG,
-                               table: CellTable | None = None) -> list[Contraction]:
-    """Alternating contractions over CONTRACTION_DENSITIES in both phases,
-    plus one adversarial attempt per level-1 cell whose density sits
-    strictly inside (ADVERSARIAL_P_LO, ADVERSARIAL_P_HI).  Failed adversarial
-    constructions are dropped, and so are attempts whose largest window
-    exceeds the path.  ``table`` is the path's cell table on ``level1_grid``,
-    read for the level-1 densities; built here when absent.  A path too
-    short for some alternating contraction raises ValueError."""
-    horizon = path.length
-    family = alternating_family(horizon)
-    if M_SCHEDULE[-1] > horizon:
-        return family
-    if table is None:
-        table = cell_table(path, {1: level1_grid}, config)
-    for cell, st in zip(level1_grid.cells, table.stats[1]):
-        if not ADVERSARIAL_P_LO < st.value < ADVERSARIAL_P_HI:
-            continue
-        trace = adversarial_contraction(path, cell, config=config)
-        if not trace.failed and trace.result is not None:
-            family.append(trace.result)
-    return family
+                               config: AnalysisConfig = DEFAULT_CONFIG
+                               ) -> list[Contraction]:
+    """The family ``run_suite`` checks by default: the alternating
+    contractions over CONTRACTION_DENSITIES in both phases.  The grid and
+    the configuration take no part; the adversarial search runs only when
+    called for (``adversarial_contraction``, ``pathstat contract``).  A path
+    too short for some alternating contraction raises ValueError."""
+    return alternating_family(path.length)

@@ -63,8 +63,7 @@ def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
     diagnostics = analyze_path(path, config, edges)
     table = diagnostics.table
     if family is None:
-        family = default_contraction_family(path, table.grids[1], config,
-                                            table)
+        family = default_contraction_family(path, table.grids[1], config)
     ergodicity = ergodicity_diagnostic(path, family, table.grids,
                                        max(table.grids), config=config,
                                        table=table)

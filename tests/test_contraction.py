@@ -267,7 +267,7 @@ def test_diagnostic_ar1_consistent_with_default_family():
                                   params={"rho": 0.5}))
     grids = grid_family(quantile_edges(path.values, 8), 2)
     family = default_contraction_family(path, grids[1], CONFIG)
-    # adversarial attempts must all have been rejected on a mixing path
+    # the default family holds the alternating copies only
     assert all(c.label.startswith("alternating") for c in family)
     verdict = ergodicity_diagnostic(path, family, grids, 2, 0.05, CONFIG)
     assert verdict.verdict == "ConsistentWithErgodic"

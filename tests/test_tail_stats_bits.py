@@ -17,6 +17,7 @@ import pytest
 
 from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
+    adversarial_contraction,
     contracted_codes,
     default_contraction_family,
     ergodicity_diagnostic,
@@ -123,7 +124,7 @@ def test_zoo_tables_and_copies_equal_the_oracle(kind):
                         harm)
         assert _bits(table.stats[k]) == _bits(_sort_everything(
             table.ids[k], grid.n_cells, CONFIG.tail_fraction))
-    family = default_contraction_family(path, grids[1], CONFIG, table)
+    family = default_contraction_family(path, grids[1], CONFIG)
     copy_values = []
     for contraction in family:
         marg = contracted_codes(table, contraction)
@@ -136,12 +137,25 @@ def test_zoo_tables_and_copies_equal_the_oracle(kind):
     assert [r.contracted_value.hex() for r in verdict.records] == copy_values
 
 
-def test_the_zoo_has_adversarial_copies():
-    path = generate(GeneratorSpec("block_mixture", length=100_000, seed=1,
-                                  params=ZOO_PARAMS["block_mixture"]))
-    grids = grid_family(LEVEL_EDGES, 1)
-    family = default_contraction_family(path, grids[1], CONFIG)
-    assert any(c.label.startswith("adversarial") for c in family)
+@pytest.mark.parametrize("kind, edges", [("block_mixture", LEVEL_EDGES),
+                                         ("monotone", None)])
+def test_the_zoo_has_adversarial_copies(kind, edges):
+    path = generate(GeneratorSpec(kind, length=100_000, seed=1,
+                                  params=ZOO_PARAMS[kind]))
+    if edges is None:
+        edges = quantile_edges(path.values, CONFIG.grid_cells)
+    grids = grid_family(edges, 2)
+    table = cell_table(path, grids, CONFIG)
+    harm = harmonic_prefix(path.length)
+    traces = [adversarial_contraction(path, cell, config=CONFIG)
+              for cell in grids[1].cells]
+    copies = [t.result for t in traces if not t.failed]
+    assert copies
+    for contraction in copies:
+        marg = contracted_codes(table, contraction)
+        for grid in grids.values():
+            _assert_bitwise(window_codes(marg, grid), grid.n_cells,
+                            CONFIG.tail_fraction, harm)
 
 
 # ---------------------------------------------------------------------------
