@@ -39,6 +39,7 @@ from .properties import (
     PatternGrid,
     cell_table,
     cell_tail_means,
+    check_table_edges,
     cell_tail_stats,  # noqa: F401  (re-exported; perfbench traces it here too)
     harmonic_prefix,
     window_codes,
@@ -302,13 +303,16 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
     The worst absolute difference across (contraction, order, cell) decides
     the verdict; anything above the tolerance counts as evidence that the
     path does not induce a single ergodic law.  ``table`` is the path's cell
-    table on ``grids``; built here when absent.
+    table on ``grids``; built here when absent.  A table on other edges
+    raises ValueError.
     """
     if tolerance is None:
         tolerance = config.ergodicity_tolerance
     orders = {k: grids[k] for k in range(1, k_max + 1)}
     if table is None:
         table = cell_table(path, orders, config)
+    else:
+        check_table_edges(table, grids[1].edges)
     base = {k: [s.value for s in table.stats[k]]
             for k in orders if k in table.stats}
     records: list[DiagnosticRecord] = []

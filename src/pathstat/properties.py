@@ -371,6 +371,13 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
     return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats)
 
 
+def check_table_edges(table: CellTable, edges: Sequence[float]) -> None:
+    """ValueError unless ``table`` is digitised on ``edges``: a table on
+    other edges would pair its statistics with another grid's cells."""
+    if any(grid.edges != tuple(edges) for grid in table.grids.values()):
+        raise ValueError("the cell table is digitised on other edges")
+
+
 # ---------------------------------------------------------------------------
 # Property E
 
@@ -431,6 +438,7 @@ def scan_property_e(path: Path, k_max: int,
     """One verdict per cell per order k <= k_max; pass means no Violation.
 
     ``table`` is the path's cell table on ``grids``; built here when absent.
+    A table on other edges raises ValueError.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -439,6 +447,8 @@ def scan_property_e(path: Path, k_max: int,
     if table is None:
         table = cell_table(path, {k: grids[k] for k in range(1, k_max + 1)},
                            config)
+    else:
+        check_table_edges(table, grids[1].edges)
     verdicts: list[PropertyEVerdict] = []
     for k in range(1, k_max + 1):
         horizon = table.ids[k].size
@@ -557,8 +567,8 @@ def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
         raise ValueError("path too short for the requested order")
     if table is None:
         table = cell_table(path, grid_family(edges, k_max), config)
-    elif table.grids[1].edges != tuple(edges):
-        raise ValueError("the cell table is digitised on other edges")
+    else:
+        check_table_edges(table, edges)
     grids = {k: table.grids[k] for k in range(1, k_max + 1)}
     # the largest window count admissible at every order up to k_max
     n_matched = path.length - k_max + 1

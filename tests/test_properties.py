@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pathstat.config import AnalysisConfig
+from pathstat.contraction import alternating_family, ergodicity_diagnostic
 from pathstat.generators import GeneratorSpec, generate
 from pathstat.pathcore import (
     IntervalPattern,
@@ -325,14 +326,31 @@ def test_consistency_sine_is_exact_zero():
     assert consistency_check(fdd, 1) == 0.0
 
 
-def test_induced_fdd_rejects_a_table_on_other_edges():
-    path = Path(np.sin(np.arange(400) * (np.pi / 2)))
-    edges = (-1.5, -0.5, 0.5, 1.5)
-    table = cell_table(path, grid_family(edges, 2), CONFIG)
-    assert induced_fdd(path, 2, list(edges), CONFIG, table).grids == \
-        table.grids
+@pytest.mark.parametrize("consumer", ["induced_fdd", "scan_property_e",
+                                      "ergodicity_diagnostic"])
+def test_a_cell_table_on_other_edges_is_refused(consumer):
+    """Each consumer of a shared cell table takes one on its own edges and
+    refuses one on other edges, whose statistics it would otherwise pair
+    with its own grid's cells by position."""
+    path = generate(GeneratorSpec("ar1", length=20000, seed=1,
+                                  params={"rho": 0.5}))
+    edges = quantile_edges(path.values, 8)
+    grids = grid_family(edges, 2)
+    family = alternating_family(path.length)
+    run = {
+        "induced_fdd":
+            lambda table: induced_fdd(path, 2, list(edges), CONFIG,
+                                      table).grids,
+        "scan_property_e":
+            lambda table: scan_property_e(path, 2, grids, CONFIG, table),
+        "ergodicity_diagnostic":
+            lambda table: ergodicity_diagnostic(path, family, grids, 2, None,
+                                                CONFIG, table).records,
+    }[consumer]
+    assert run(cell_table(path, grids, CONFIG)) == run(None)
+    fixed = (-math.inf, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, math.inf)
     with pytest.raises(ValueError, match="other edges"):
-        induced_fdd(path, 2, (-1.5, -0.25, 0.5, 1.5), CONFIG, table)
+        run(cell_table(path, grid_family(fixed, 2), CONFIG))
 
 
 def test_consistency_iid_normal_small():
