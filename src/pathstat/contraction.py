@@ -39,9 +39,8 @@ from .properties import (
     PatternGrid,
     cell_table,
     cell_tail_means,
-    check_table_edges,
     cell_tail_stats,  # noqa: F401  (re-exported; perfbench traces it here too)
-    harmonic_prefix,
+    check_table_edges,
     window_codes,
 )
 
@@ -316,8 +315,6 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
     base = {k: [s.value for s in table.stats[k]]
             for k in orders if k in table.stats}
     records: list[DiagnosticRecord] = []
-    # every contracted copy is at most the path's length
-    harm = harmonic_prefix(table.marg.size)
     for idx, contraction in enumerate(family):
         label = contraction.label or f"contraction[{idx}]"
         marg = contracted_codes(table, contraction)
@@ -325,8 +322,9 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
             if marg.size < k:
                 continue
             grid = grids[k]
+            # every contracted copy is at most the path's length
             values = cell_tail_means(window_codes(marg, grid), grid.n_cells,
-                                     config.tail_fraction, harm)
+                                     config.tail_fraction, table.harm)
             for cell, b, v in zip(grid.cells, base_vals, values):
                 records.append(DiagnosticRecord(
                     contraction_label=label, k=k, pattern=cell,

@@ -338,15 +338,17 @@ class CellTable:
     ``marg`` holds each value's marginal cell (-1 on an edge or outside a
     finite range), ``ids[k]`` the cell of every length-k window and
     ``stats[k]`` the tail statistics of every cell, for each order k of
-    ``grids`` that fits the path.  Built once per path, it serves Property E,
-    the induced distributions, the contraction family, the ergodicity
-    diagnostic and the trajectory output.
+    ``grids`` that fits the path.  ``harm`` is the ``harmonic_prefix`` over
+    the path's length, which also serves the tail means of every contracted
+    copy.  Built once per path, it serves Property E, the induced
+    distributions, the ergodicity diagnostic and the trajectory output.
     """
 
     grids: dict[int, PatternGrid]
     marg: np.ndarray
     ids: dict[int, np.ndarray]
     stats: dict[int, list[_CellStats]]
+    harm: np.ndarray
 
 
 def cell_table(path: Path, grids: Mapping[int, PatternGrid],
@@ -356,8 +358,6 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
     if len(edges) != 1:
         raise ValueError("grids must share one marginal partition")
     marg = _digitize_open(path.values, np.asarray(edges.pop()))
-    # one prefix for every order; not kept on the table, where it would
-    # hold a horizon-sized array through the adversarial search's peak
     harm = harmonic_prefix(marg.size)
     ids: dict[int, np.ndarray] = {}
     stats: dict[int, list[_CellStats]] = {}
@@ -368,7 +368,8 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
         ids[k] = window_codes(marg, grid)
         stats[k] = cell_tail_stats(ids[k], grid.n_cells, config.tail_fraction,
                                    harm)
-    return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats)
+    return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats,
+                     harm=harm)
 
 
 def check_table_edges(table: CellTable, edges: Sequence[float]) -> None:

@@ -227,14 +227,14 @@ def test_shared_harmonic_prefix_equals_a_fresh_one():
     path = _path("block_mixture(0,5),L=50000,seed=1")
     grids = grid_family(LEVEL_EDGES, 2)
     table = cell_table(path, grids, CONFIG)
-    harm = harmonic_prefix(path.length)
+    assert np.array_equal(table.harm, harmonic_prefix(path.length))
     family = _family_with_adversarial_copies(path, LEVEL_EDGES)
     assert len(family) > 6
     for contraction in family:
         ids = window_codes(contracted_codes(table, contraction), grids[2])
         assert ids.size < path.length
         assert cell_tail_stats(ids, grids[2].n_cells, CONFIG.tail_fraction,
-                               harm) == \
+                               table.harm) == \
             cell_tail_stats(ids, grids[2].n_cells, CONFIG.tail_fraction)
 
 
