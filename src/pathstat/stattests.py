@@ -88,8 +88,7 @@ def _stat_kpss_like(w: np.ndarray) -> float | np.ndarray:
     n = w.shape[-1]
     e = w - np.mean(w, axis=-1, keepdims=True)
     variance = np.mean(e * e, axis=-1)
-    # a window of equal values reads 0, also where its mean rounds off the
-    # value and leaves a residue that the ratio would scale up to about n/3
+    # equal values read 0, also where their mean's rounding residue is not 0
     flat = (variance == 0.0) | np.all(w == w[..., :1], axis=-1)
     s = np.cumsum(e, axis=-1)
     ratio = np.sum(s * s, axis=-1) / (n * n * np.where(flat, 1.0, variance))
@@ -148,8 +147,7 @@ def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     sum_t_sq = n * (n + 1) * (2 * n + 1) / 6.0
     total = sum_a_sq - 2.0 * mu * sum_t_a + mu * mu * sum_t_sq
     variance = sum_q / n - mu * mu
-    # a window without a differing neighbour pair is flat and reads 0, as in
-    # the scalar statistic; its variance above is a rounding residue
+    # a window with no differing neighbours reads 0, as in the scalar form
     moves = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
     ok = (variance > 0) & (_sums(moves, starts, 0, n - 1) > 0)
     stats = np.zeros(idx.size)

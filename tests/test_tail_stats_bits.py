@@ -146,7 +146,6 @@ def test_the_zoo_has_adversarial_copies(kind, edges):
         edges = quantile_edges(path.values, CONFIG.grid_cells)
     grids = grid_family(edges, 2)
     table = cell_table(path, grids, CONFIG)
-    harm = harmonic_prefix(path.length)
     traces = [adversarial_contraction(path, cell, config=CONFIG)
               for cell in grids[1].cells]
     copies = [t.result for t in traces if not t.failed]
@@ -155,7 +154,7 @@ def test_the_zoo_has_adversarial_copies(kind, edges):
         marg = contracted_codes(table, contraction)
         for grid in grids.values():
             _assert_bitwise(window_codes(marg, grid), grid.n_cells,
-                            CONFIG.tail_fraction, harm)
+                            CONFIG.tail_fraction, table.harm)
 
 
 # ---------------------------------------------------------------------------
