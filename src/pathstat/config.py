@@ -7,10 +7,11 @@ fields below are the thresholds a caller can set: through a CLI flag or
 ``--config`` key, or through the ``config=`` argument of the library calls.
 Defaults are chosen for paths of length 1e4 to 1e6.  Thresholds that no
 caller sets are named constants in the one module that reads each:
-``properties.K_LEVELS``; the ``CONTRACTION_DENSITIES``, ``M_SCHEDULE``,
-``GROWTH_FACTOR``, ``BURN_IN_FRACTION`` and ``ADVERSARIAL_*`` constants of
-``contraction``; and ``TEST_SLACK`` and ``CALIBRATION_REPLICATES`` of
-``stattests``.
+``properties.K_LEVELS``; the ``CONTRACTION_DENSITIES``, ``GROWTH_FACTOR``,
+``BURN_IN_FRACTION``, ``M_SCHEDULE`` and ``ADVERSARIAL_*`` constants of
+``contraction`` (the last two set the adversarial search, which the default
+contraction family does not run); and the ``TEST_SLACK``, ``CALIBRATION_*``
+and ``BATCH_CHUNK_*`` constants of ``stattests``.
 """
 
 from __future__ import annotations
