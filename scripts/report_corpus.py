@@ -14,8 +14,9 @@ Prints one JSON object mapping each corpus entry to a sha256:
   mantissa, no trailing newline), and for a CRLF file with a header row;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
   contract`` on one block_mixture path, with the configured m schedule and
-  with one that is not powers of two, and of three runs that fail, one at
-  each of the search's checks;
+  with one that is not powers of two, of three runs that fail, one at
+  each of the search's checks, and of one run on a constant path, whose
+  pattern holds at every start;
 * ``testbench/<file>``: the summary and the indicator CSVs of one
   ``pathstat testbench`` run (one fixed and one calibrated test), of a
   second run of one test at start 7 and stride 3, of a third run of the
@@ -93,9 +94,11 @@ ANALYZE_FILES = (
 CONTRACT_INPUT = f"generate:block_mixture(0,5),L={LENGTH},seed=1"
 CONTRACT_IID = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
 CONTRACT_MONOTONE = f"generate:monotone(1),L={LENGTH},seed=1"
+CONTRACT_CONSTANT = f"generate:constant(2),L={LENGTH}"
 # (corpus key, contract arguments): two successes, then a failure at each
 # check: no window of length 32 reaches the threshold, qualifying windows
-# vanish as m grows, qualifying windows do not recur in the tail
+# vanish as m grows, qualifying windows do not recur in the tail; last, a
+# cell that holds at every start of a constant path
 CONTRACT_RUNS = (
     (CONTRACT_INPUT, [CONTRACT_INPUT, "--cell", "4", "6"]),
     (f"{CONTRACT_INPUT} --m-schedule 3,5,12,20",
@@ -105,6 +108,8 @@ CONTRACT_RUNS = (
     (f"{CONTRACT_IID} --cell -100 0", [CONTRACT_IID, "--cell", "-100", "0"]),
     (f"{CONTRACT_MONOTONE} --cell 0 5000",
      [CONTRACT_MONOTONE, "--cell", "0", "5000"]),
+    (f"{CONTRACT_CONSTANT} --cell 1.5 2.5",
+     [CONTRACT_CONSTANT, "--cell", "1.5", "2.5"]),
 )
 TESTBENCH_INPUT = f"generate:iid_normal(0,1),L={LENGTH},seed=1"
 TESTBENCH_SPECS = (
