@@ -42,7 +42,6 @@ class FullDiagnostics:
         diag = self.diagnostics
         return {"propertyE": diag.property_e_pass,
                 "propertyT": diag.tightness.verdict,
-                "consistency": diag.consistency_pass,
                 "ergodicity":
                     self.ergodicity.verdict == "ConsistentWithErgodic"}
 
@@ -54,7 +53,7 @@ class FullDiagnostics:
 def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
               edges: Sequence[float] | None = None,
               family: Sequence[Contraction] | None = None) -> FullDiagnostics:
-    """Recurrence scan, tightness, consistency, and the contraction check.
+    """Recurrence scan, tightness, and the contraction check.
 
     One cell table per path serves every stage.  Without an explicit
     ``family``, a path too short for the default family raises ValueError

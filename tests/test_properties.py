@@ -451,7 +451,8 @@ def test_analyze_path_sine_passes_cleanly():
     diag = analyze_path(path, CONFIG)
     assert diag.property_e_pass
     assert diag.tightness.verdict
-    assert diag.consistency_pass
+    assert all(diag.consistency[k] <= diag.consistency_bounds[k]
+               for k in diag.consistency)
 
 
 def test_analyze_path_monotone_fails_e_and_t():
