@@ -477,9 +477,12 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
 
     threshold defaults to min((p+1)/2, p + ADVERSARIAL_THRESHOLD_CAP) for the
     pattern's estimated global density p.  The construction fails when no
-    window reaches the threshold at some stage, or when the density of
-    qualifying windows collapses across the schedule (the signature of a
-    mixing path, for which local averages concentrate as windows grow).
+    window reaches the threshold at some stage, when the threshold does not
+    exceed p (so windows that reach it concentrate nothing; with the default
+    threshold, exactly when the pattern holds at every start), or when the
+    density of qualifying windows collapses across the schedule (the
+    signature of a mixing path, for which local averages concentrate as
+    windows grow).
     The pattern may be any interval pattern, a grid cell or not.
     """
     m_schedule = tuple(int(m) for m in m_schedule)
@@ -518,6 +521,9 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
             return failure(f"no window of length {m} reaches the threshold")
         trace_v0[m] = v0
         trace_v1[m] = v0[::m]
+    if threshold <= p:
+        return failure(f"the threshold does not exceed the global density "
+                       f"{p:.4f}; qualifying windows concentrate nothing")
 
     # the share of the horizon - m + 1 window starts that qualify
     first, last = m_schedule[0], m_schedule[-1]

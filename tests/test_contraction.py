@@ -311,16 +311,23 @@ def test_adversarial_on_mixture_concentrates_density():
 
 
 def test_adversarial_constant_path_threshold_one():
+    """A pattern that holds at every start has global density 1, which no
+    threshold exceeds: every window qualifies and a contraction of them
+    concentrates nothing, so the search fails after recording v0."""
     path = Path(np.full(5000, 2.0))
-    pattern = IntervalPattern.of((1.5, 2.5))
-    trace = adversarial_contraction(path, pattern, (4, 8, 16, 32),
-                                    threshold=1.0, config=CONFIG)
-    assert not trace.failed
-    # every admissible window qualifies
-    assert trace.v0[4].size == path.length - 4 + 1
-    contracted = contract_path(path, trace.result)
-    occ = occurrence_set(contracted, pattern)
-    assert occ.count == contracted.length
+    for pattern in (IntervalPattern.of((1.5, 2.5)),
+                    IntervalPattern.of((-math.inf, math.inf))):
+        for threshold in (1.0, None):
+            trace = adversarial_contraction(path, pattern, (4, 8, 16, 32),
+                                            threshold=threshold, config=CONFIG)
+            assert trace.failed and trace.result is None
+            assert trace.threshold == 1.0
+            assert "does not exceed the global density 1.0000" in \
+                trace.failure_reason
+            # every admissible window qualifies at every stage
+            assert {m: v.size for m, v in trace.v0.items()} == \
+                {m: path.length - m + 1 for m in (4, 8, 16, 32)}
+            assert trace.last_feasible_m == 32
 
 
 def test_adversarial_iid_fails_or_stays_small():

