@@ -40,7 +40,7 @@ from .properties import (
     cell_table,
     cell_tail_means,
     cell_tail_stats,  # noqa: F401  (re-exported; perfbench traces it here too)
-    check_table_edges,
+    check_table,
     window_codes,
 )
 
@@ -302,8 +302,8 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
     The worst absolute difference across (contraction, order, cell) decides
     the verdict; anything above the tolerance counts as evidence that the
     path does not induce a single ergodic law.  ``table`` is the path's cell
-    table on ``grids``; built here when absent.  A table on other edges
-    raises ValueError.
+    table on ``grids``; built here when absent.  A table on other edges or
+    under another tail fraction raises ValueError.
     """
     if tolerance is None:
         tolerance = config.ergodicity_tolerance
@@ -311,7 +311,7 @@ def ergodicity_diagnostic(path: Path, family: Sequence[Contraction],
     if table is None:
         table = cell_table(path, orders, config)
     else:
-        check_table_edges(table, grids[1].edges)
+        check_table(table, grids[1].edges, config)
     base = {k: [s.value for s in table.stats[k]]
             for k in orders if k in table.stats}
     records: list[DiagnosticRecord] = []

@@ -337,8 +337,9 @@ class CellTable:
 
     ``marg`` holds each value's marginal cell (-1 on an edge or outside a
     finite range), ``ids[k]`` the cell of every length-k window and
-    ``stats[k]`` the tail statistics of every cell, for each order k of
-    ``grids`` that fits the path.  ``harm`` is the ``harmonic_prefix`` over
+    ``stats[k]`` the tail statistics of every cell over the last
+    ``tail_fraction`` of each horizon, for each order k of ``grids`` that
+    fits the path.  ``harm`` is the ``harmonic_prefix`` over
     the path's length, which also serves the tail means of every contracted
     copy.  Built once per path, it serves Property E, the induced
     distributions, the ergodicity diagnostic and the trajectory output.
@@ -349,6 +350,7 @@ class CellTable:
     ids: dict[int, np.ndarray]
     stats: dict[int, list[_CellStats]]
     harm: np.ndarray
+    tail_fraction: float
 
 
 def cell_table(path: Path, grids: Mapping[int, PatternGrid],
@@ -369,14 +371,20 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
         stats[k] = cell_tail_stats(ids[k], grid.n_cells, config.tail_fraction,
                                    harm)
     return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats,
-                     harm=harm)
+                     harm=harm, tail_fraction=config.tail_fraction)
 
 
-def check_table_edges(table: CellTable, edges: Sequence[float]) -> None:
-    """ValueError unless ``table`` is digitised on ``edges``: a table on
-    other edges would pair its statistics with another grid's cells."""
+def check_table(table: CellTable, edges: Sequence[float],
+                config: AnalysisConfig) -> None:
+    """ValueError unless ``table`` is digitised on ``edges`` and its tail
+    statistics use ``config``'s tail fraction: any other table would pair
+    its statistics with another grid's cells or another tail window."""
     if any(grid.edges != tuple(edges) for grid in table.grids.values()):
         raise ValueError("the cell table is digitised on other edges")
+    if table.tail_fraction != config.tail_fraction:
+        raise ValueError(
+            f"the cell table uses tail fraction {table.tail_fraction}, "
+            f"not {config.tail_fraction}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +447,7 @@ def scan_property_e(path: Path, k_max: int,
     """One verdict per cell per order k <= k_max; pass means no Violation.
 
     ``table`` is the path's cell table on ``grids``; built here when absent.
-    A table on other edges raises ValueError.
+    A table on other edges or under another tail fraction raises ValueError.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -449,7 +457,7 @@ def scan_property_e(path: Path, k_max: int,
         table = cell_table(path, {k: grids[k] for k in range(1, k_max + 1)},
                            config)
     else:
-        check_table_edges(table, grids[1].edges)
+        check_table(table, grids[1].edges, config)
     verdicts: list[PropertyEVerdict] = []
     for k in range(1, k_max + 1):
         horizon = table.ids[k].size
@@ -561,7 +569,7 @@ def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
                 table: CellTable | None = None) -> InducedFDD:
     """``table`` is the path's cell table on these edges up to k_max, whose
     grids the measures share; built here when absent.  A table on other
-    edges raises ValueError."""
+    edges or under another tail fraction raises ValueError."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if path.length < k_max:
@@ -569,7 +577,7 @@ def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
     if table is None:
         table = cell_table(path, grid_family(edges, k_max), config)
     else:
-        check_table_edges(table, edges)
+        check_table(table, edges, config)
     grids = {k: table.grids[k] for k in range(1, k_max + 1)}
     # the largest window count admissible at every order up to k_max
     n_matched = path.length - k_max + 1

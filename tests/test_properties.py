@@ -331,7 +331,8 @@ def test_consistency_sine_is_exact_zero():
 def test_a_cell_table_on_other_edges_is_refused(consumer):
     """Each consumer of a shared cell table takes one on its own edges and
     refuses one on other edges, whose statistics it would otherwise pair
-    with its own grid's cells by position."""
+    with its own grid's cells by position, and one whose statistics were
+    read over another tail fraction."""
     path = generate(GeneratorSpec("ar1", length=20000, seed=1,
                                   params={"rho": 0.5}))
     edges = quantile_edges(path.values, 8)
@@ -351,6 +352,8 @@ def test_a_cell_table_on_other_edges_is_refused(consumer):
     fixed = (-math.inf, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, math.inf)
     with pytest.raises(ValueError, match="other edges"):
         run(cell_table(path, grid_family(fixed, 2), CONFIG))
+    with pytest.raises(ValueError, match="tail fraction 0.25, not 0.5"):
+        run(cell_table(path, grids, AnalysisConfig(tail_fraction=0.25)))
 
 
 def test_consistency_iid_normal_small():
