@@ -1,3 +1,4 @@
+import collections
 import math
 from unittest import mock
 
@@ -368,6 +369,36 @@ def test_consistency_bound_holds_exactly(values):
     edges = (-math.inf, -1.0, 0.0, 1.0, math.inf)
     fdd = induced_fdd(path, 2, edges, CONFIG)
     assert consistency_check(fdd, 1) <= consistency_bound(fdd, 1) + 1e-15
+
+
+# a finite grid range: values below -1 or above 2 lie in no cell
+FINITE_EDGES = (-1.0, 0.0, 0.5, 2.0)
+
+
+@given(st.lists(st.one_of(st.sampled_from(FINITE_EDGES),
+                          st.integers(-2, 3).map(float), st.floats(-3, 3)),
+                min_size=3, max_size=60),
+       st.sampled_from([None, 2, 3, 4]))
+def test_consistency_counts_the_extensions_that_match_no_cell(values, cells):
+    """Over the same n window starts, the order-k count of a cell exceeds
+    the marginalised order-(k+1) count by the starts in the cell whose
+    coordinate k + 1 lies in no cell: an atom on a cut, or a value outside
+    a finite range.  So the discrepancy is the largest such count over n,
+    and never more than the order-(k+1) uncovered count over n."""
+    edges = FINITE_EDGES if cells is None else quantile_edges(
+        np.array(values), cells)
+    fdd = induced_fdd(Path(np.array(values)), 3, edges, CONFIG)
+    n = fdd.n_matched
+    marginal = [next((j for j, (a, b) in enumerate(zip(edges, edges[1:]))
+                      if a < x < b), None) for x in values]
+    for k in (1, 2):
+        missed = collections.Counter(
+            tuple(marginal[i:i + k]) for i in range(n)
+            if None not in marginal[i:i + k] and marginal[i + k] is None)
+        worst = max(missed.values(), default=0)
+        # count / n is what consistency_check divides, rounded the same way
+        assert consistency_check(fdd, k) == worst / n
+        assert worst <= fdd.measures[k + 1].uncovered
 
 
 def test_consistency_requires_both_levels():

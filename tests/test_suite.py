@@ -1,5 +1,7 @@
 """The Monte Carlo engine: one run_suite per replicate, on its child seed."""
 
+import json
+
 import numpy as np
 
 from pathstat.generators import expected_profile, generate, parse_spec
@@ -37,3 +39,20 @@ def test_one_grid_family_serves_every_stage():
     assert all(id(v.pattern) in cells for v in diag.verdicts)
     assert result.ergodicity.records
     assert all(id(r.pattern) in cells for r in result.ergodicity.records)
+
+
+def test_report_keeps_the_keys_the_benchmark_reads():
+    """perfbench checks each analyze_file and suite_zoo item on these keys;
+    a report without one of them fails every such item."""
+    result = run_suite(generate(parse_spec("ar1(0.5),L=2000,seed=1")))
+    report = json.loads(json.dumps(report_dict(result)))
+    assert isinstance(report["propertyE"]["pass"], bool)
+    assert isinstance(report["propertyT"]["verdict"], bool)
+    assert report["ergodicity"]["verdict"] in ("ConsistentWithErgodic",
+                                               "NonErgodicEvidence")
+    assert [row["k"] for row in report["consistency"]] == [1]
+    assert all(row["pass"] is True for row in report["consistency"])
+    # the verdict rests on E, T and ergodicity alone
+    assert report["overall_pass"] == (
+        report["propertyE"]["pass"] and report["propertyT"]["verdict"]
+        and report["ergodicity"]["verdict"] == "ConsistentWithErgodic")
