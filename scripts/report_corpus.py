@@ -5,8 +5,8 @@ Prints one JSON object mapping each corpus entry to a sha256:
 
 * ``suite/<spec>``: ``json.dumps(report_dict(run_suite(path, edges=...)),
   sort_keys=True)`` for six generators (block_mixture on its level-set grid)
-  at seeds 1-3 and L = 2e4, and for monotone and block_mixture, whose
-  adversarial attempts succeed, at seeds 1-3 and L = 1e5;
+  at seeds 1-3 and L = 2e4, and for monotone and block_mixture at seeds 1-3
+  and L = 1e5, the benchmark's size;
 * ``analyze/<file>``: both files ``pathstat analyze`` writes for two
   generated text files (the second one's length ends the trajectory rows on
   a partial block), for a hand-written file of edge tokens in the plain
@@ -66,7 +66,7 @@ GENERATORS = (
     ("monotone(1)", None),
     ("block_mixture(0,5)", LEVEL_EDGES),
 )
-# the inputs whose families carry adversarial copies, at the benchmark's size
+# the escaping and the non-ergodic input, at the benchmark's size
 LONG_LENGTH = 100_000
 LONG_GENERATORS = (
     ("monotone(1)", None),
