@@ -51,9 +51,11 @@ __all__ = [
     "grid_family",
     "check_property_e",
     "scan_property_e",
+    "table_property_e",
     "check_property_t",
     "empirical_measure",
     "induced_fdd",
+    "table_fdd",
     "consistency_check",
     "local_density_deviation",
     "analyze_path",
@@ -148,6 +150,18 @@ def grid_family(edges: Sequence[float], k_max: int) -> dict[int, PatternGrid]:
     first, so an order over MAX_GRID_CELLS fails before any grid is built."""
     grids = [PatternGrid.from_edges(edges, k) for k in range(k_max, 0, -1)]
     return {grid.k: grid for grid in reversed(grids)}
+
+
+def grid_orders(grids: Mapping[int, PatternGrid],
+                k_max: int) -> dict[int, PatternGrid]:
+    """The grids of orders 1..k_max; ValueError when k_max is below 1 or
+    ``grids`` has no grid of one of those orders."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    missing = [k for k in range(1, k_max + 1) if k not in grids]
+    if missing:
+        raise ValueError(f"no grid of order {missing[0]}")
+    return {k: grids[k] for k in range(1, k_max + 1)}
 
 
 def _small_int_dtype(n: int) -> np.dtype:
@@ -338,11 +352,12 @@ class CellTable:
     ``marg`` holds each value's marginal cell (-1 on an edge or outside a
     finite range), ``ids[k]`` the cell of every length-k window and
     ``stats[k]`` the tail statistics of every cell over the last
-    ``tail_fraction`` of each horizon, for each order k of ``grids`` that
-    fits the path.  ``harm`` is the ``harmonic_prefix`` over
+    ``config.tail_fraction`` of each horizon, for each order k of ``grids``
+    that fits the path.  ``harm`` is the ``harmonic_prefix`` over
     the path's length, which also serves the tail means of every contracted
-    copy.  Built once per path, it serves Property E, the induced
-    distributions, the ergodicity diagnostic and the trajectory output.
+    copy.  Built once per path under ``config``, it is the one input of
+    Property E, the induced distributions, the ergodicity diagnostic and
+    the trajectory output, which read their thresholds from ``config``.
     """
 
     grids: dict[int, PatternGrid]
@@ -350,7 +365,7 @@ class CellTable:
     ids: dict[int, np.ndarray]
     stats: dict[int, list[_CellStats]]
     harm: np.ndarray
-    tail_fraction: float
+    config: AnalysisConfig
 
 
 def cell_table(path: Path, grids: Mapping[int, PatternGrid],
@@ -371,20 +386,7 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
         stats[k] = cell_tail_stats(ids[k], grid.n_cells, config.tail_fraction,
                                    harm)
     return CellTable(grids=dict(grids), marg=marg, ids=ids, stats=stats,
-                     harm=harm, tail_fraction=config.tail_fraction)
-
-
-def check_table(table: CellTable, edges: Sequence[float],
-                config: AnalysisConfig) -> None:
-    """ValueError unless ``table`` is digitised on ``edges`` and its tail
-    statistics use ``config``'s tail fraction: any other table would pair
-    its statistics with another grid's cells or another tail window."""
-    if any(grid.edges != tuple(edges) for grid in table.grids.values()):
-        raise ValueError("the cell table is digitised on other edges")
-    if table.tail_fraction != config.tail_fraction:
-        raise ValueError(
-            f"the cell table uses tail fraction {table.tail_fraction}, "
-            f"not {config.tail_fraction}")
+                     harm=harm, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -442,27 +444,23 @@ def check_property_e(path: Path, pattern: IntervalPattern,
 
 def scan_property_e(path: Path, k_max: int,
                     grids: Mapping[int, PatternGrid],
-                    config: AnalysisConfig = DEFAULT_CONFIG,
-                    table: CellTable | None = None) -> list[PropertyEVerdict]:
-    """One verdict per cell per order k <= k_max; pass means no Violation.
-
-    ``table`` is the path's cell table on ``grids``; built here when absent.
-    A table on other edges or under another tail fraction raises ValueError.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+                    config: AnalysisConfig = DEFAULT_CONFIG
+                    ) -> list[PropertyEVerdict]:
+    """One verdict per cell per order k <= k_max; pass means no Violation."""
+    orders = grid_orders(grids, k_max)
     if path.length < k_max:
         raise ValueError("path shorter than pattern order")
-    if table is None:
-        table = cell_table(path, {k: grids[k] for k in range(1, k_max + 1)},
-                           config)
-    else:
-        check_table(table, grids[1].edges, config)
+    return table_property_e(cell_table(path, orders, config))
+
+
+def table_property_e(table: CellTable) -> list[PropertyEVerdict]:
+    """One verdict per cell per order the table tabulates, under the
+    table's own configuration."""
     verdicts: list[PropertyEVerdict] = []
-    for k in range(1, k_max + 1):
+    for k, stats in table.stats.items():
         horizon = table.ids[k].size
-        for cell, st in zip(grids[k].cells, table.stats[k]):
-            verdicts.append(_classify(st, cell, horizon, config))
+        for cell, st in zip(table.grids[k].cells, stats):
+            verdicts.append(_classify(st, cell, horizon, table.config))
     return verdicts
 
 
@@ -565,22 +563,21 @@ class InducedFDD:
 
 
 def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
-                config: AnalysisConfig = DEFAULT_CONFIG,
-                table: CellTable | None = None) -> InducedFDD:
-    """``table`` is the path's cell table on these edges up to k_max, whose
-    grids the measures share; built here when absent.  A table on other
-    edges or under another tail fraction raises ValueError."""
+                config: AnalysisConfig = DEFAULT_CONFIG) -> InducedFDD:
+    """The measures of orders 1..k_max on ``edges``."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if path.length < k_max:
         raise ValueError("path too short for the requested order")
-    if table is None:
-        table = cell_table(path, grid_family(edges, k_max), config)
-    else:
-        check_table(table, edges, config)
-    grids = {k: table.grids[k] for k in range(1, k_max + 1)}
-    # the largest window count admissible at every order up to k_max
-    n_matched = path.length - k_max + 1
+    return table_fdd(cell_table(path, grid_family(edges, k_max), config))
+
+
+def table_fdd(table: CellTable) -> InducedFDD:
+    """The measures of every order the table tabulates, on the table's
+    grids."""
+    grids = {k: table.grids[k] for k in table.ids}
+    # the largest window count admissible at every tabulated order
+    n_matched = table.marg.size - max(grids) + 1
     measures = {k: _measure(table.ids[k], grid, n_matched)
                 for k, grid in grids.items()}
     return InducedFDD(grids=grids, measures=measures, n_matched=n_matched)
@@ -591,7 +588,8 @@ def consistency_check(fdd: InducedFDD, k: int) -> float:
 
     With both levels counted over the same window starts the discrepancy per
     cell equals (extensions whose added coordinate matched no marginal cell)
-    divided by n, so it is bounded by k/n plus the endpoint-contact rate.
+    divided by n, so it is at most uncovered_{k+1}/n, the order-(k+1)
+    windows that match no cell.
     """
     if k not in fdd.measures or (k + 1) not in fdd.measures:
         raise ValueError(f"orders {k} and {k + 1} not both tabulated")
@@ -604,7 +602,9 @@ def consistency_check(fdd: InducedFDD, k: int) -> float:
 
 
 def consistency_bound(fdd: InducedFDD, k: int) -> float:
-    """The assertable ceiling k/n + (uncovered windows at order k+1)/n."""
+    """k/n + (uncovered windows at order k+1)/n.  The k/n is slack no count
+    can use, kept so report.json's ``bound`` bytes stay fixed until the
+    consistency rows are replaced."""
     hi = fdd.measures[k + 1]
     return k / fdd.n_matched + hi.uncovered / fdd.n_matched
 
@@ -680,11 +680,10 @@ def analyze_path(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
     if edges is None:
         edges = quantile_edges(path.values, config.grid_cells)
     k_max = min(config.k_max, path.length - 1) or 1
-    grids = grid_family(edges, k_max)
-    table = cell_table(path, grids, config)
-    verdicts = tuple(scan_property_e(path, k_max, grids, config, table))
+    table = cell_table(path, grid_family(edges, k_max), config)
+    verdicts = tuple(table_property_e(table))
     tightness = check_property_t(path, config=config)
-    fdd = induced_fdd(path, k_max, edges, config, table)
+    fdd = table_fdd(table)
     consistency: dict[int, float] = {}
     bounds: dict[int, float] = {}
     for k in range(1, k_max):

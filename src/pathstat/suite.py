@@ -13,8 +13,7 @@ from .contraction import (
     Contraction,
     ErgodicityVerdict,
     alternating_family,
-    default_contraction_family,
-    ergodicity_diagnostic,
+    table_ergodicity,
 )
 from .generators import (
     ExpectedProfile,
@@ -60,12 +59,9 @@ def run_suite(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
     (with the default configuration: fewer than 11 values).
     """
     diagnostics = analyze_path(path, config, edges)
-    table = diagnostics.table
     if family is None:
-        family = default_contraction_family(path, table.grids[1], config)
-    ergodicity = ergodicity_diagnostic(path, family, table.grids,
-                                       max(table.grids), config=config,
-                                       table=table)
+        family = alternating_family(path.length)
+    ergodicity = table_ergodicity(diagnostics.table, family)
     return FullDiagnostics(diagnostics=diagnostics, ergodicity=ergodicity,
                            family=tuple(family))
 

@@ -19,7 +19,7 @@ from pathstat.contraction import (
     ergodicity_diagnostic,
     validate_contraction,
 )
-from pathstat.generators import GeneratorSpec, generate
+from pathstat.generators import GeneratorSpec, generate, parse_spec
 from pathstat.pathcore import (
     IntervalPattern,
     Path,
@@ -260,6 +260,24 @@ def test_diagnostic_block_mixture_flags_aligned_cell():
     straddle = IntervalPattern.of((4.0, 6.0))
     assert verdict.max_discrepancy_for(straddle) >= 0.4
     assert verdict.offending is not None
+
+
+@pytest.mark.parametrize("tolerance, message", [
+    (math.nan, "must be finite"), (math.inf, "must be finite"),
+    (-math.inf, "must be finite"), (0.0, "must be positive"),
+    (-1.0, "must be positive")])
+def test_diagnostic_tolerance_follows_the_config_rule(tolerance, message):
+    # the worst discrepancy here is about 0.50: a NaN or infinite tolerance
+    # would pass this path, and a negative one would flag every path
+    path = generate(parse_spec("block_mixture(0,5),L=100000,seed=1"))
+    grids = grid_family((-math.inf, 2.5, math.inf), 2)
+    family = default_contraction_family(path, grids[1], CONFIG)
+    verdict = ergodicity_diagnostic(path, family, grids, 2, 0.05, CONFIG)
+    assert verdict.verdict == "NonErgodicEvidence"
+    assert 0.5 < verdict.worst_discrepancy < 0.51
+    with pytest.raises(ValueError,
+                       match=f"^ergodicity_tolerance {message}"):
+        ergodicity_diagnostic(path, family, grids, 2, tolerance, CONFIG)
 
 
 def test_diagnostic_ar1_consistent_with_default_family():

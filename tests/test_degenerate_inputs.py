@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from pathstat.cli import main
-from pathstat.contraction import build_alternating_contraction
+from pathstat.contraction import (
+    alternating_family,
+    build_alternating_contraction,
+    ergodicity_diagnostic,
+)
 from pathstat.generators import generate, parse_spec
 from pathstat.pathcore import Path, write_path
-from pathstat.properties import quantile_edges
+from pathstat.properties import grid_family, quantile_edges, scan_property_e
 from pathstat.suite import report_dict, run_suite
 
 TOO_SHORT = "too short for the contraction family"
@@ -56,6 +60,22 @@ def test_analyze_short_file_exits_1_with_message(tmp_path, capsys, length):
     assert main(["analyze", str(source), "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert f"path of length {length} is {TOO_SHORT}" in err
+
+
+@pytest.mark.parametrize("k_max, message", [
+    (3, "no grid of order 3"), (0, "k_max must be at least 1"),
+    (-1, "k_max must be at least 1")])
+def test_a_missing_grid_order_is_named(k_max, message):
+    path = generate(parse_spec("ar1(0.5),L=200,seed=3"))
+    grids = grid_family(quantile_edges(path.values), 2)
+    family = alternating_family(path.length)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scan_property_e(path, k_max, grids)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ergodicity_diagnostic(path, family, grids, k_max)
+    # grids without order 1 name the first order missing
+    with pytest.raises(ValueError, match="^no grid of order 1$"):
+        scan_property_e(path, 2, {2: grids[2]})
 
 
 @pytest.mark.parametrize("c", [2.0, 1e16, -3e17, 1e300])

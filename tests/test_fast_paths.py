@@ -39,6 +39,7 @@ from pathstat.contraction import (
     contracted_codes,
     default_contraction_family,
     ergodicity_diagnostic,
+    table_ergodicity,
 )
 from pathstat import pathcore, stattests
 from pathstat.generators import (
@@ -217,7 +218,7 @@ def test_ergodicity_same_with_and_without_table():
     grids = grid_family(LEVEL_EDGES, 2)
     table = cell_table(path, grids, CONFIG)
     family = default_contraction_family(path, grids[1], CONFIG)
-    shared = ergodicity_diagnostic(path, family, grids, 2, None, CONFIG, table)
+    shared = table_ergodicity(table, family)
     alone = ergodicity_diagnostic(path, family, grids, 2, None, CONFIG)
     assert shared.records == alone.records
     assert shared.worst_discrepancy == alone.worst_discrepancy

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pathstat.config import AnalysisConfig
-from pathstat.contraction import alternating_family, ergodicity_diagnostic
-from pathstat.generators import GeneratorSpec, generate
+from pathstat.contraction import (
+    Contraction,
+    alternating_family,
+    ergodicity_diagnostic,
+    table_ergodicity,
+)
+from pathstat.generators import GeneratorSpec, generate, parse_spec
 from pathstat.pathcore import (
     IntervalPattern,
     Path,
@@ -36,6 +41,8 @@ from pathstat.properties import (
     local_density_deviation,
     quantile_edges,
     scan_property_e,
+    table_fdd,
+    table_property_e,
     window_cell_ids,
 )
 
@@ -327,34 +334,51 @@ def test_consistency_sine_is_exact_zero():
     assert consistency_check(fdd, 1) == 0.0
 
 
-@pytest.mark.parametrize("consumer", ["induced_fdd", "scan_property_e",
-                                      "ergodicity_diagnostic"])
-def test_a_cell_table_on_other_edges_is_refused(consumer):
-    """Each consumer of a shared cell table takes one on its own edges and
-    refuses one on other edges, whose statistics it would otherwise pair
-    with its own grid's cells by position, and one whose statistics were
-    read over another tail fraction."""
-    path = generate(GeneratorSpec("ar1", length=20000, seed=1,
-                                  params={"rho": 0.5}))
-    edges = quantile_edges(path.values, 8)
+def _stage_outputs(verdicts, fdd, erg):
+    """Everything the three stages return, in comparable form."""
+    measures = {k: (m.grid.edges, m.n, m.uncovered, m.counts.tolist(),
+                    m.masses.tolist()) for k, m in fdd.measures.items()}
+    return (verdicts, measures, fdd.n_matched, erg.records, erg.verdict,
+            erg.worst_discrepancy, erg.offending)
+
+
+@pytest.mark.parametrize("spec", ["ar1(0.5),L=20000,seed=1",
+                                  "block_mixture(0,5),L=20000,seed=1"])
+@pytest.mark.parametrize("fixed_edges", [False, True])
+@pytest.mark.parametrize("tail_fraction", [0.5, 0.25])
+def test_each_path_level_form_equals_its_table_level_form(
+        spec, fixed_edges, tail_fraction):
+    """The table-level forms read grids, edges, the tail fraction and the
+    thresholds from the cell table alone: on a table built under fixed
+    edges or another tail fraction they equal the path-level forms called
+    with those, and differ from the defaults wherever those do."""
+    path = generate(parse_spec(spec))
+    config = AnalysisConfig(tail_fraction=tail_fraction)
+    edges = (-math.inf, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5, math.inf) \
+        if fixed_edges else quantile_edges(path.values, 8)
     grids = grid_family(edges, 2)
-    family = alternating_family(path.length)
-    run = {
-        "induced_fdd":
-            lambda table: induced_fdd(path, 2, list(edges), CONFIG,
-                                      table).grids,
-        "scan_property_e":
-            lambda table: scan_property_e(path, 2, grids, CONFIG, table),
-        "ergodicity_diagnostic":
-            lambda table: ergodicity_diagnostic(path, family, grids, 2, None,
-                                                CONFIG, table).records,
-    }[consumer]
-    assert run(cell_table(path, grids, CONFIG)) == run(None)
-    fixed = (-math.inf, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, math.inf)
-    with pytest.raises(ValueError, match="other edges"):
-        run(cell_table(path, grid_family(fixed, 2), CONFIG))
-    with pytest.raises(ValueError, match="tail fraction 0.25, not 0.5"):
-        run(cell_table(path, grids, AnalysisConfig(tail_fraction=0.25)))
+    # the whole path as one block: its copy's tail means are the table's
+    # own only when both are read over the table's tail fraction
+    whole = Contraction(((0, path.length - 1),), 1.0, label="whole")
+    family = [*alternating_family(path.length), whole]
+    table = cell_table(path, grids, config)
+    got = _stage_outputs(table_property_e(table), table_fdd(table),
+                         table_ergodicity(table, family))
+    want = _stage_outputs(scan_property_e(path, 2, grids, config),
+                          induced_fdd(path, 2, edges, config),
+                          ergodicity_diagnostic(path, family, grids, 2,
+                                                config=config))
+    assert got == want
+    assert all(v.estimate.tail_fraction == tail_fraction for v in got[0])
+    assert all(r.discrepancy == 0.0 for r in got[3] if r.contraction_label
+               == "whole")
+    assert table_fdd(table).grids == grids
+    if fixed_edges or tail_fraction != CONFIG.tail_fraction:
+        default = cell_table(path, grid_family(
+            quantile_edges(path.values, 8), 2), CONFIG)
+        assert table_property_e(table) != table_property_e(default)
+        assert table_ergodicity(table, family).records != \
+            table_ergodicity(default, family).records
 
 
 def test_consistency_iid_normal_small():

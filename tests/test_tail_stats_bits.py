@@ -20,7 +20,7 @@ from pathstat.contraction import (
     adversarial_contraction,
     contracted_codes,
     default_contraction_family,
-    ergodicity_diagnostic,
+    table_ergodicity,
 )
 from pathstat.generators import KINDS, GeneratorSpec, generate
 from pathstat.pathcore import occurrence_set, tail_window_size
@@ -132,8 +132,7 @@ def test_zoo_tables_and_copies_equal_the_oracle(kind):
             stats = _assert_bitwise(window_codes(marg, grid), grid.n_cells,
                                     CONFIG.tail_fraction, harm)
             copy_values += [s.value.hex() for s in stats]
-    verdict = ergodicity_diagnostic(path, family, grids, 2, None, CONFIG,
-                                    table)
+    verdict = table_ergodicity(table, family)
     assert [r.contracted_value.hex() for r in verdict.records] == copy_values
 
 
