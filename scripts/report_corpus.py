@@ -28,7 +28,10 @@ Prints one JSON object mapping each corpus entry to a sha256:
   overall and per stage, profile mismatches) over its default generators
   with two replicates;
 * ``generate/<spec>``: the text ``pathstat generate --spec <spec>`` writes,
-  for one spec per generator kind with non-default parameters.
+  for one spec per generator kind with non-default parameters;
+* ``contractions/<L>``: ``json.dumps`` of the ``to_json_dict()`` list of
+  ``alternating_family(L)`` for six horizons, and of the contractions at
+  c = 0.9 and c = 1 in both phases at L = 21.
 
 A refactor that must keep every report byte-identical regenerates this and
 diffs it against ``tests/data/report_corpus.json``; the tier-1 test
@@ -50,6 +53,10 @@ import tempfile
 import numpy as np
 
 from pathstat.cli import main as cli_main
+from pathstat.contraction import (
+    alternating_family,
+    build_alternating_contraction,
+)
 from pathstat.generators import generate, parse_spec
 from pathstat.pathcore import write_path
 from pathstat.suite import report_dict, run_suite
@@ -178,6 +185,13 @@ GENERATE_SPECS = tuple(f"{text},L=2000,seed=1" for text in (
     "block_mixture(-1,3,0.5)",
 ))
 
+# horizons of the alternating family: the shortest that builds, primes that
+# end on a clipped block, and the benchmark's sizes
+FAMILY_HORIZONS = (11, 37, 2000, 20011, 100_000, 1_000_003)
+# the densities outside the family, at a horizon that clips the last block
+EXTRA_DENSITIES = (0.9, 1.0)
+EXTRA_HORIZON = 21
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -217,8 +231,18 @@ def _testbench(out: dict[str, str], prefix: str, specs, names,
     _hash_files(out, prefix, names, directory)
 
 
+def _contractions_sha(family) -> str:
+    return _sha(json.dumps([c.to_json_dict() for c in family]).encode())
+
+
 def corpus() -> dict[str, str]:
     out: dict[str, str] = {}
+    for horizon in FAMILY_HORIZONS:
+        out[f"contractions/{horizon}"] = _contractions_sha(
+            alternating_family(horizon))
+    out[f"contractions/{EXTRA_HORIZON} c=0.9,1"] = _contractions_sha(
+        build_alternating_contraction(c, EXTRA_HORIZON, phase)
+        for c in EXTRA_DENSITIES for phase in (0, 1))
     runs = [(text, edges, LENGTH) for text, edges in GENERATORS] + \
         [(text, edges, LONG_LENGTH) for text, edges in LONG_GENERATORS]
     for text, edges, length in runs:
