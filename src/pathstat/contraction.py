@@ -18,7 +18,6 @@ rejected unless those windows persist across the whole schedule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -32,6 +31,7 @@ from .pathcore import (
     Path,
     occurrence_mask,
     tail_estimate,
+    tail_mean_density,
     tail_window_size,
 )
 from .properties import (
@@ -82,39 +82,27 @@ ADVERSARIAL_EPS1 = 0.1
 ADVERSARIAL_HEADROOM = 0.85
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contraction:
-    """Ordered disjoint integer blocks [s_i, e_i] with a declared coverage c.
+    """Ordered disjoint integer blocks [starts[i], ends[i]] with a declared
+    coverage c.
 
-    ``starts`` and ``lengths`` hold the blocks as read-only arrays; they are
-    derived from ``blocks`` and take no part in equality or the JSON form.
+    The two arrays are the contraction: read-only int64 copies of the
+    caller's.  The block lengths, the tuple of blocks and the JSON form are
+    read off them.
     """
 
-    blocks: tuple[tuple[int, int], ...]
+    starts: np.ndarray
+    ends: np.ndarray
     target_density: float
     label: str = ""
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        b = np.array(self.blocks, dtype=np.int64).reshape(-1, 2)
-        self._set_bounds(b[:, 0], b[:, 1])
-
-    @classmethod
-    def from_bounds(cls, starts: np.ndarray, ends: np.ndarray,
-                    target_density: float, label: str = "") -> Contraction:
-        """The contraction with blocks [starts[i], ends[i]], built from the
-        two integer arrays without a round trip through nested tuples."""
-        c = object.__new__(cls)  # _set_bounds does the work of __init__
-        object.__setattr__(c, "target_density", target_density)
-        object.__setattr__(c, "label", label)
-        c._set_bounds(np.array(starts, dtype=np.int64),
-                      np.array(ends, dtype=np.int64))
-        return c
-
-    def _set_bounds(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Check the blocks [starts[i], ends[i]] and the declared density,
-        then set ``blocks``, ``starts`` and ``lengths`` from the arrays."""
+        starts = np.array(self.starts, dtype=np.int64)
+        ends = np.array(self.ends, dtype=np.int64)
+        if starts.ndim != 1 or starts.shape != ends.shape:
+            raise ValueError(
+                "starts and ends must be one-dimensional and of one length")
         if not starts.size:
             raise ValueError("contraction needs at least one block")
         if not 0.0 < self.target_density <= 1.0:
@@ -122,34 +110,38 @@ class Contraction:
         bad = np.flatnonzero((starts < 0) | (ends < starts))
         if bad.size:
             raise ValueError(f"bad block [{starts[bad[0]]}, {ends[bad[0]]}]")
-        lengths = ends - starts + 1
-        starts.flags.writeable = lengths.flags.writeable = False
-        object.__setattr__(self, "blocks",
-                           tuple(zip(starts.tolist(), ends.tolist())))
+        starts.flags.writeable = ends.flags.writeable = False
         object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "ends", ends)
 
     @property
-    def span_end(self) -> int:
-        return self.blocks[-1][1]
+    def lengths(self) -> np.ndarray:
+        return self.ends - self.starts + 1
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.starts.tolist(), self.ends.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
-            "blocks": [[s, e] for s, e in self.blocks],
+            "blocks": [list(b) for b in self.blocks],
             "target_density": self.target_density,
             "label": self.label,
         }
 
 
-@functools.lru_cache(maxsize=64)
 def build_alternating_contraction(target_c: float, horizon: int,
                                   phase: int = 0) -> Contraction:
-    """Blocks of length ~round(m*c/(1-c)) against gaps of length m, m = 1,2,...
+    """Blocks of length max(1, round(m*c/(1-c))) against gaps of length m,
+    m = 1,2,...
 
     Coverage telescopes to target_c.  phase=1 starts with a gap instead of a
     block.  target_c=1 is pure inclusion: a single block over the horizon.
-    The result depends on the arguments alone and is frozen, so each
-    (target_c, horizon, phase) is built once and then shared.
+    Block m starts after the blocks and gaps before it; blocks that start at
+    or past the horizon are cut, the last one is clipped to it, and a
+    clipped last block shorter than the block before it is dropped, so the
+    length profile stays non-decreasing.  The blocks are computed in numpy
+    on each call.
     """
     if not 0.0 < target_c <= 1.0:
         raise ValueError("target_c must be in (0, 1]")
@@ -157,32 +149,24 @@ def build_alternating_contraction(target_c: float, horizon: int,
         raise ValueError("horizon must be at least 10")
     if phase not in (0, 1):
         raise ValueError("phase must be 0 or 1")
+    label = f"alternating(c={target_c:g},phase={phase})"
     if target_c == 1.0:
-        return Contraction(((0, horizon - 1),), 1.0,
-                           label=f"alternating(c=1,phase={phase})")
-    blocks: list[tuple[int, int]] = []
-    pos = 0
-    m = 1
-    while pos < horizon:
-        block_len = max(1, round(m * target_c / (1.0 - target_c)))
-        if phase == 1:
-            pos += m  # leading gap
-        if pos < horizon:
-            end = min(pos + block_len, horizon) - 1
-            # a truncated final block shorter than its predecessor is dropped
-            # so the length profile stays non-decreasing
-            if end - pos + 1 == block_len or not blocks or \
-                    end - pos + 1 >= blocks[-1][1] - blocks[-1][0] + 1:
-                blocks.append((pos, end))
-            pos = end + 1
-        if phase == 0:
-            pos += m  # trailing gap
-        m += 1
-    if len(blocks) < 2:
+        return Contraction([0], [horizon - 1], 1.0, label=label)
+    # block m starts at or past m(m-1)/2, past the horizon by the last m
+    m = np.arange(1, math.isqrt(2 * horizon) + 3)
+    lengths = np.maximum(1, np.rint(m * target_c / (1.0 - target_c))
+                         ).astype(np.int64)
+    starts = np.cumsum(lengths + m) - lengths - (1 - phase) * m
+    keep = starts < horizon
+    starts, lengths = starts[keep], lengths[keep]
+    ends = np.minimum(starts + lengths, horizon) - 1
+    last = ends[-1] - starts[-1] + 1
+    if starts.size > 1 and last < lengths[-1] and last < lengths[-2]:
+        starts, ends = starts[:-1], ends[:-1]
+    if starts.size < 2:
         raise ValueError(
             f"horizon {horizon} too small for target density {target_c}")
-    return Contraction(tuple(blocks), target_c,
-                       label=f"alternating(c={target_c:g},phase={phase})")
+    return Contraction(starts, ends, target_c, label=label)
 
 
 def coverage_ratios(contraction: Contraction, horizon: int) -> np.ndarray:
@@ -195,7 +179,7 @@ def coverage_ratios(contraction: Contraction, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be positive")
     starts = contraction.starts
-    stops = starts + contraction.lengths
+    stops = contraction.ends + 1
     cover = np.zeros(horizon)
     np.add.at(cover, starts[starts < horizon], 1.0)
     np.add.at(cover, stops[stops < horizon], -1.0)
@@ -227,8 +211,8 @@ def validate_contraction(contraction: Contraction, horizon: int,
     block at least GROWTH_FACTOR times the first (a single full block passes
     trivially).  Coverage must tail-converge to the declared density.
     """
-    starts, lengths = contraction.starts, contraction.lengths
-    ordering_ok = bool(np.all(starts[1:] > (starts + lengths - 1)[:-1]))
+    ordering_ok = bool(np.all(contraction.starts[1:] > contraction.ends[:-1]))
+    lengths = contraction.lengths
     if len(lengths) == 1:
         growth_ok = True
     else:
@@ -246,9 +230,9 @@ def validate_contraction(contraction: Contraction, horizon: int,
 
 def _positions(contraction: Contraction, length: int) -> np.ndarray:
     """The indices the contraction keeps from a path of this length, in order."""
-    if contraction.span_end >= length:
-        raise ValueError(
-            f"block end {contraction.span_end} outside path of length {length}")
+    end = int(contraction.ends.max())
+    if end >= length:
+        raise ValueError(f"block end {end} outside path of length {length}")
     lengths = contraction.lengths
     shift = contraction.starts - (np.cumsum(lengths) - lengths)
     return np.arange(lengths.sum()) + np.repeat(shift, lengths)
@@ -498,9 +482,7 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
     csum = np.zeros(horizon + 1, dtype=np.int32
                     if horizon < np.iinfo(np.int32).max else np.int64)
     np.cumsum(hits, out=csum[1:])
-    # the tail mean of the density trajectory d(n) = N(n)/n
-    n0 = horizon - tail_window_size(horizon, config.tail_fraction) + 1
-    p = float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
+    p = tail_mean_density(csum, config.tail_fraction)
     if threshold is None:
         threshold = min((p + 1.0) / 2.0, p + ADVERSARIAL_THRESHOLD_CAP)
     if not p <= threshold <= 1.0:
@@ -558,8 +540,8 @@ def adversarial_contraction(path: Path, pattern: IntervalPattern,
 
     starts, stops, n_markers = _staged_join(trace_v2, m_schedule, target_d,
                                             horizon)
-    result = Contraction.from_bounds(starts, stops - 1, target_d,
-                                     label=f"adversarial[{pattern.label()}]")
+    result = Contraction(starts, stops - 1, target_d,
+                         label=f"adversarial[{pattern.label()}]")
     return AdversarialTrace(
         pattern=pattern, m_schedule=m_schedule, threshold=threshold,
         target_density=target_d, v0=trace_v0, v1=trace_v1, v2=trace_v2,

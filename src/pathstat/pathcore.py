@@ -229,6 +229,15 @@ def tail_estimate(ratios: np.ndarray, tail_fraction: float,
     )
 
 
+def tail_mean_density(csum: np.ndarray, tail_fraction: float) -> float:
+    """``tail_estimate(...).value`` of the density trajectory d(n) = N(n)/n
+    for the running count csum[n] = N(n), n = 0..horizon, dividing only over
+    the last ceil(tail_fraction * horizon) points."""
+    horizon = csum.size - 1
+    n0 = horizon - tail_window_size(horizon, tail_fraction) + 1
+    return float(np.mean(csum[n0:] / np.arange(n0, horizon + 1)))
+
+
 def window_projection(path: Path, n: int, i: int) -> np.ndarray:
     """The window (x_i, ..., x_{i+n-1})."""
     if n < 1 or i < 0 or i + n > path.length:

@@ -33,7 +33,7 @@ from .pathcore import (
     IntervalPattern,
     Path,
     occurrence_mask,
-    tail_estimate,
+    tail_mean_density,
     tail_window_size,
 )
 
@@ -646,8 +646,7 @@ def local_density_deviation(path: Path, pattern: IntervalPattern, N: int,
     csum[1:] = mask
     np.cumsum(csum, out=csum)
     if p_hat is None:
-        p_hat = tail_estimate(csum[1:] / np.arange(1, horizon + 1),
-                              config.tail_fraction, config.tolerance).value
+        p_hat = tail_mean_density(csum, config.tail_fraction)
     local = (csum[N:] - csum[:-N]) / N
     deviant = np.abs(local - p_hat) > epsilon
     w = tail_window_size(deviant.size, config.tail_fraction)

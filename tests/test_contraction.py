@@ -36,6 +36,18 @@ def mixture_path(length=50000, seed=0):
     return generate(GeneratorSpec("block_mixture", length=length, seed=seed))
 
 
+def _bounds(blocks):
+    b = np.array(blocks, dtype=np.int64).reshape(-1, 2)
+    return b[:, 0], b[:, 1]
+
+
+def _membership_coverage(blocks, horizon):
+    """|[0, n-1] ∩ G| / n from the set of indices the blocks cover."""
+    kept = np.concatenate([np.arange(s, e + 1) for s, e in blocks])
+    member = np.isin(np.arange(horizon), kept)
+    return np.cumsum(member) / np.arange(1, horizon + 1)
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 
@@ -62,11 +74,8 @@ def test_alternating_full_inclusion():
     (((0, 10), (5, 20)), 25),  # overlapping blocks count each index once
 ])
 def test_coverage_equals_set_membership(blocks, horizon):
-    kept = np.concatenate([np.arange(s, e + 1) for s, e in blocks])
-    member = np.isin(np.arange(horizon), kept)
-    expected = np.cumsum(member) / np.arange(1, horizon + 1)
-    got = coverage_ratios(Contraction(blocks, 0.5), horizon)
-    assert np.array_equal(got, expected)
+    got = coverage_ratios(Contraction(*_bounds(blocks), 0.5), horizon)
+    assert np.array_equal(got, _membership_coverage(blocks, horizon))
 
 
 def test_alternating_phase_shifts_blocks():
@@ -88,40 +97,97 @@ def test_alternating_infeasible_horizon():
         build_alternating_contraction(0.5, 5)
 
 
+def _alternating_loop(target_c, horizon, phase=0):
+    """The blocks of ``build_alternating_contraction``, one m at a time:
+    block m of length max(1, round(m*c/(1-c))) after (phase 1) or before
+    (phase 0) a gap of m."""
+    if target_c == 1.0:
+        return ((0, horizon - 1),)
+    blocks = []
+    pos = 0
+    m = 1
+    while pos < horizon:
+        block_len = max(1, round(m * target_c / (1.0 - target_c)))
+        if phase == 1:
+            pos += m  # leading gap
+        if pos < horizon:
+            end = min(pos + block_len, horizon) - 1
+            # a truncated final block shorter than its predecessor is dropped
+            if end - pos + 1 == block_len or not blocks or \
+                    end - pos + 1 >= blocks[-1][1] - blocks[-1][0] + 1:
+                blocks.append((pos, end))
+            pos = end + 1
+        if phase == 0:
+            pos += m  # trailing gap
+        m += 1
+    if len(blocks) < 2:
+        raise ValueError(
+            f"horizon {horizon} too small for target density {target_c}")
+    return tuple(blocks)
+
+
+LOOP_DENSITIES = (0.05, 0.2, 1 / 3, 0.5, 0.8, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("horizons", [
+    range(10, 601), (100_000, 123_457, 1_000_000, 1_000_003)],
+    ids=["10-600", "large"])
+def test_alternating_builder_equals_the_per_block_loop(horizons):
+    for horizon in horizons:
+        for c in LOOP_DENSITIES:
+            for phase in (0, 1):
+                try:
+                    want = _alternating_loop(c, horizon, phase)
+                except ValueError as exc:
+                    with pytest.raises(ValueError,
+                                       match=f"^{re.escape(str(exc))}$"):
+                        build_alternating_contraction(c, horizon, phase)
+                    continue
+                got = build_alternating_contraction(c, horizon, phase)
+                assert got.blocks == want, (horizon, c, phase)
+                assert got.target_density == c
+                assert got.label == f"alternating(c={c:g},phase={phase})"
+
+
 @pytest.mark.parametrize("horizon", [10, 11, 37, 1_000, 100_000, 1_000_003])
-def test_alternating_family_is_built_once_per_horizon(horizon):
-    uncached = build_alternating_contraction.__wrapped__
+def test_alternating_family_positions_follow_the_blocks(horizon):
     for c in CONTRACTION_DENSITIES + (1.0,):
         for phase in (0, 1):
             try:
-                fresh = uncached(c, horizon, phase)
+                blocks = _alternating_loop(c, horizon, phase)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     build_alternating_contraction(c, horizon, phase)
                 continue
-            shared = build_alternating_contraction(c, horizon, phase)
-            assert shared is not fresh
-            assert shared.blocks == fresh.blocks and shared == fresh
-            assert shared.label == fresh.label
-            assert build_alternating_contraction(c, horizon, phase) is shared
-            kept = np.concatenate([np.arange(s, e + 1)
-                                   for s, e in fresh.blocks])
-            assert np.array_equal(_positions(shared, horizon), kept)
+            built = build_alternating_contraction(c, horizon, phase)
+            kept = np.concatenate([np.arange(s, e + 1) for s, e in blocks])
+            assert np.array_equal(_positions(built, horizon), kept)
             assert np.array_equal(contract_path(
-                Path(np.arange(horizon, dtype=float)), shared).values, kept)
+                Path(np.arange(horizon, dtype=float)), built).values, kept)
+            assert built.to_json_dict()["blocks"] == \
+                [[s, e] for s, e in blocks]
 
 
-def test_contraction_arrays_stay_out_of_equality_and_json():
-    c = Contraction([(0, 3), (np.int64(6), 9.0)], 0.5, label="x")
+def test_contraction_reads_blocks_and_json_off_its_arrays():
+    c = Contraction([0, np.int64(6)], np.array([3.0, 9.0]), 0.5, label="x")
     assert c.blocks == ((0, 3), (6, 9))
     assert all(type(v) is int for block in c.blocks for v in block)
-    assert c.starts.tolist() == [0, 6] and c.lengths.tolist() == [4, 4]
-    assert not c.starts.flags.writeable and not c.lengths.flags.writeable
-    same = Contraction(((0, 3), (6, 9)), 0.5, label="x")
-    assert c == same and hash(c) == hash(same)
-    assert "starts" not in repr(c) and "lengths" not in repr(c)
+    assert c.starts.tolist() == [0, 6] and c.ends.tolist() == [3, 9]
+    assert c.lengths.tolist() == [4, 4]
+    assert c.starts.dtype == c.ends.dtype == c.lengths.dtype == np.int64
     assert c.to_json_dict() == {"blocks": [[0, 3], [6, 9]],
                                 "target_density": 0.5, "label": "x"}
+
+
+def test_contraction_copies_the_arrays_read_only():
+    starts, ends = np.array([0, 6]), np.array([3, 9])
+    c = Contraction(starts, ends, 0.5)
+    assert not c.starts.flags.writeable and not c.ends.flags.writeable
+    assert starts.flags.writeable and ends.flags.writeable
+    starts[0] = ends[0] = 1  # the caller's arrays are left as they were
+    assert c.blocks == ((0, 3), (6, 9))
+    with pytest.raises(ValueError):
+        c.starts[0] = 1
 
 
 BAD_BLOCKS = [
@@ -134,49 +200,50 @@ BAD_BLOCKS = [
 @pytest.mark.parametrize("blocks, message", BAD_BLOCKS)
 def test_contraction_rejects_bad_blocks(blocks, message):
     with pytest.raises(ValueError, match=message):
-        Contraction(blocks, 0.5)
+        Contraction(*_bounds(blocks), 0.5)
 
 
-def _bounds(blocks):
-    b = np.array(blocks, dtype=np.int64).reshape(-1, 2)
-    return b[:, 0], b[:, 1]
+@pytest.mark.parametrize("density", [0.0, 1.5, math.nan])
+def test_contraction_rejects_a_density_outside_the_unit_interval(density):
+    with pytest.raises(ValueError, match=r"target density must be in \(0, 1\]"):
+        Contraction([0], [3], density)
 
 
-@pytest.mark.parametrize("blocks, message", BAD_BLOCKS + [
-    (((0, 3),), r"target density must be in \(0, 1\]"),
-])
-def test_from_bounds_rejects_what_the_constructor_rejects(blocks, message):
-    density = 1.5 if "density" in message else 0.5
-    for build in (lambda: Contraction(blocks, density),
-                  lambda: Contraction.from_bounds(*_bounds(blocks), density)):
-        with pytest.raises(ValueError, match=message):
-            build()
+@pytest.mark.parametrize("starts, ends", [
+    (np.array([0, 5]), np.array([9])),  # of two lengths
+    (np.array([[0, 5]]), np.array([[3, 9]])),  # two-dimensional
+    (np.array(0), np.array(3)),  # zero-dimensional
+], ids=["mismatched", "2-D", "0-D"])
+def test_contraction_rejects_arrays_of_another_shape(starts, ends):
+    with pytest.raises(ValueError, match="one-dimensional and of one length"):
+        Contraction(starts, ends, 0.5)
 
 
-@pytest.mark.parametrize("blocks", [
-    ((0, 0),),
-    ((0, 3), (6, 9)),
-    ((2, 2), (3, 3), (10, 1_000_000)),
-])
-def test_from_bounds_equals_the_tuple_constructor(blocks):
-    starts, ends = _bounds(blocks)
-    c = Contraction.from_bounds(starts, ends, 0.25, label="x")
-    same = Contraction(blocks, 0.25, label="x")
-    assert c.blocks == same.blocks == blocks
-    assert all(type(v) is int for block in c.blocks for v in block)
-    assert np.array_equal(c.starts, same.starts)
-    assert np.array_equal(c.lengths, same.lengths)
-    assert c.starts.dtype == c.lengths.dtype == np.int64
-    assert not c.starts.flags.writeable and not c.lengths.flags.writeable
-    assert starts.flags.writeable  # the caller's arrays are left as they were
-    assert c == same and hash(c) == hash(same) and repr(c) == repr(same)
-    assert c.to_json_dict() == same.to_json_dict()
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 8)),
+                min_size=1, max_size=12),
+       st.integers(0, 5))
+def test_blocks_json_lengths_coverage_and_path_agree(pairs, extra):
+    """Every form read off the two arrays describes the same blocks, in
+    order, overlapping or not."""
+    starts = np.array([s for s, _ in pairs])
+    ends = np.array([s + n - 1 for s, n in pairs])
+    c = Contraction(starts, ends, 0.5, label="h")
+    blocks = tuple(zip(starts.tolist(), ends.tolist()))
+    assert c.blocks == blocks
+    assert c.to_json_dict()["blocks"] == [list(b) for b in blocks]
+    assert c.lengths.tolist() == [n for _, n in pairs]
+    horizon = int(ends.max()) + 1 + extra
+    assert np.array_equal(coverage_ratios(c, horizon),
+                          _membership_coverage(blocks, horizon))
+    kept = np.concatenate([np.arange(s, e + 1) for s, e in blocks])
+    assert np.array_equal(
+        contract_path(Path(np.arange(horizon, dtype=float)), c).values, kept)
 
 
 def test_validation_catches_bounded_blocks():
     # length-1 blocks at even indices: coverage 0.5 but no growth
     blocks = tuple((2 * i, 2 * i) for i in range(5000))
-    c = Contraction(blocks, 0.5)
+    c = Contraction(*_bounds(blocks), 0.5)
     report = validate_contraction(c, 10000, CONFIG)
     assert report.ordering_ok
     assert not report.growth_ok
@@ -184,7 +251,7 @@ def test_validation_catches_bounded_blocks():
 
 
 def test_validation_catches_overlap():
-    c = Contraction(((0, 9), (5, 14)), 0.5)
+    c = Contraction(*_bounds(((0, 9), (5, 14))), 0.5)
     report = validate_contraction(c, 100, CONFIG)
     assert not report.ordering_ok
     assert not report.passed
@@ -192,16 +259,16 @@ def test_validation_catches_overlap():
 
 def test_contract_path_selects_blocks():
     path = Path(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
-    c = Contraction(((0, 1), (4, 5)), 0.5)
+    c = Contraction(*_bounds(((0, 1), (4, 5))), 0.5)
     assert contract_path(path, c).values.tolist() == [0.0, 1.0, 4.0, 5.0]
 
 
 def test_contract_path_identity_and_constant():
     path = Path(np.arange(10, dtype=float))
-    full = Contraction(((0, 9),), 1.0)
+    full = Contraction([0], [9], 1.0)
     assert np.array_equal(contract_path(path, full).values, path.values)
     const = Path(np.full(10, 3.0))
-    c = Contraction(((1, 2), (5, 8)), 0.6)
+    c = Contraction(*_bounds(((1, 2), (5, 8))), 0.6)
     out = contract_path(const, c)
     assert np.all(out.values == 3.0) and out.length == 6
 
@@ -209,7 +276,7 @@ def test_contract_path_identity_and_constant():
 def test_contract_path_out_of_range():
     path = Path(np.arange(10, dtype=float))
     with pytest.raises(ValueError):
-        contract_path(path, Contraction(((0, 10),), 1.0))
+        contract_path(path, Contraction([0], [10], 1.0))
 
 
 @given(st.lists(st.floats(-10, 10), min_size=12, max_size=60),
@@ -221,7 +288,7 @@ def test_contract_preserves_values_at_source(values, offset):
     blocks = [(offset, end)]
     if start2 < len(values):
         blocks.append((start2, len(values) - 1))
-    c = Contraction(tuple(blocks), 0.5)
+    c = Contraction(*_bounds(blocks), 0.5)
     out = contract_path(path, c).values
     source = np.concatenate([path.values[s:e + 1] for s, e in blocks])
     assert np.array_equal(out, source)
@@ -246,7 +313,7 @@ def test_diagnostic_full_prefix_contraction_self_bound():
     path = generate(GeneratorSpec("ar1", length=40000, seed=3,
                                   params={"rho": 0.5}))
     grids = grid_family(quantile_edges(path.values, 8), 1)
-    prefix = Contraction(((0, path.length - 1),), 1.0)
+    prefix = Contraction([0], [path.length - 1], 1.0)
     verdict = ergodicity_diagnostic(path, [prefix], grids, 1, 0.05, CONFIG)
     assert verdict.worst_discrepancy == 0.0
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pathstat.generators import generate, parse_spec
 from pathstat.pathcore import (
     DensityTrajectory,
     IntervalPattern,
@@ -18,6 +19,8 @@ from pathstat.pathcore import (
     occurrence_mask,
     occurrence_set,
     read_path_text,
+    tail_estimate,
+    tail_mean_density,
     window_projection,
     write_path,
 )
@@ -305,3 +308,29 @@ def test_write_read_roundtrip():
     write_path(values, buf)
     back = read_path_text(buf.getvalue())
     assert np.array_equal(back.values, values)
+
+
+@pytest.mark.parametrize("text", ["ar1(0.5)", "iid_normal(0,1)",
+                                  "random_phase_sine(1.4142135623730951)",
+                                  "monotone(1)", "block_mixture(0,5)"])
+@pytest.mark.parametrize("length", [11, 100, 2001, 100_000])
+def test_tail_mean_density_is_the_tail_estimate_value_bit_for_bit(text,
+                                                                  length):
+    """Dividing only the tail of the running count gives the same float64
+    as ``tail_estimate`` over the whole density trajectory, for the 32-bit
+    and the float64 counts the two callers keep."""
+    path = generate(parse_spec(f"{text},L={length},seed=1"))
+    q1, q2, q3 = np.quantile(path.values, [0.25, 0.5, 0.75])
+    for pattern in (IntervalPattern.of((-math.inf, q2)),
+                    IntervalPattern.of((q1, q3)),
+                    IntervalPattern.of((q2, math.inf), (-math.inf, q3)),
+                    IntervalPattern.of((-math.inf, math.inf))):
+        mask = occurrence_mask(path, pattern)
+        ns = np.arange(1, mask.size + 1)
+        for dtype in (np.int32, np.float64):
+            csum = np.zeros(mask.size + 1, dtype=dtype)
+            np.cumsum(mask, out=csum[1:])
+            for tail_fraction in (0.5, 0.25, 0.1, 1.0):
+                want = tail_estimate(csum[1:] / ns, tail_fraction, 1.0).value
+                got = tail_mean_density(csum, tail_fraction)
+                assert got.hex() == want.hex(), (pattern, tail_fraction)

@@ -359,7 +359,7 @@ def test_each_path_level_form_equals_its_table_level_form(
     grids = grid_family(edges, 2)
     # the whole path as one block: its copy's tail means are the table's
     # own only when both are read over the table's tail fraction
-    whole = Contraction(((0, path.length - 1),), 1.0, label="whole")
+    whole = Contraction([0], [path.length - 1], 1.0, label="whole")
     family = [*alternating_family(path.length), whole]
     table = cell_table(path, grids, config)
     got = _stage_outputs(table_property_e(table), table_fdd(table),
