@@ -4,7 +4,10 @@ Deterministic kinds (constant, monotone ramp, fixed-phase sine) ignore the
 seed.  Stochastic kinds require one; randomness comes from numpy's PCG64
 (``numpy.random.default_rng``), and batch runs derive per-replicate seeds
 with ``numpy.random.SeedSequence`` so results are reproducible regardless of
-execution order.
+execution order.  ``generate_rows`` draws many seeds' paths from one reused
+generator, setting its state per row from a vectorised port of the seeding
+that ``default_rng(seed)`` performs, so each row equals that generator's
+draw bit for bit.  scipy's filter is loaded only when an ar1 path is drawn.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .pathcore import Path
 
@@ -93,16 +95,96 @@ def generate(spec: GeneratorSpec) -> Path:
 
 def generate_rows(spec: GeneratorSpec, seeds: Sequence[int]) -> np.ndarray:
     """One path of ``spec.length`` values per seed, stacked as rows: row i
-    equals ``generate(spec.with_seed(seeds[i])).values`` bit for bit."""
+    equals ``generate(spec.with_seed(seeds[i])).values`` bit for bit.
+
+    The seeds must be integers in [0, 2**32).  Rather than building a
+    generator per seed, one PCG64 generator is reused and its state set
+    before each row to the state ``default_rng(seed)`` starts from."""
     draw = KINDS[spec.kind].draw
-    rows = np.empty((len(seeds), spec.length))
+    starts = _pcg64_states(_seed_words(seeds))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    rows = np.empty((len(starts), spec.length))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, seed in enumerate(seeds):
-            rows[i] = draw(spec.length, spec.params,
-                           np.random.default_rng(int(seed)))
+        for i, (state, inc) in enumerate(starts):
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            rows[i] = draw(spec.length, spec.params, rng)
     if not np.isfinite(rows).all():
         raise _not_finite(spec)
     return rows
+
+
+# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """The seeds as uint32; any that is not an integer in [0, 2**32) is an
+    error naming it."""
+    arr = np.asarray(seeds)
+    if arr.ndim == 1 and arr.dtype.kind in "iu":
+        bad = np.flatnonzero((arr < 0) | (arr > _MASK32))
+        if bad.size:
+            raise _bad_seed(arr[bad[0]])
+        return arr.astype(np.uint32)
+    for seed in seeds:
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK32:
+            raise _bad_seed(seed)
+    return np.array(seeds, dtype=np.uint32)
+
+
+def _bad_seed(seed: object) -> ValueError:
+    if isinstance(seed, np.generic):
+        seed = seed.item()
+    return ValueError(f"generate_rows seeds must be integers in [0, 2**32), "
+                      f"got {seed!r}")
+
+
+def _hasher(hash_const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix over uint32 arrays.  The constant it hashes
+    with steps by ``mult`` (mod 2**32) on every call, whatever the values,
+    so it stays a Python int and only the arrays wrap."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, inc) that ``PCG64(SeedSequence(w))`` starts from, per
+    uint32 seed w: SeedSequence's ``mix_entropy`` and ``generate_state(4,
+    uint64)`` over all seeds at once, one array per pool word, then PCG64's
+    seeding, two 128-bit LCG steps."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # a one-word entropy, padded to the pool with zeros
+    pool = [hashmix(words)] + [hashmix(np.zeros_like(words))
+                               for _ in range(_POOL_SIZE - 1)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst]
+                         - _MIX_MULT_R * hashmix(pool[src]))
+                pool[dst] = mixed ^ mixed >> 16
+    # eight words cycling the pool, paired little-endian into four uint64
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    starts = []
+    for hi_s, lo_s, hi_q, lo_q in state.astype("<u4").view("<u8").tolist():
+        inc = ((hi_q << 64 | lo_q) << 1 | 1) & _MASK128
+        start = ((inc + (hi_s << 64 | lo_s)) * _PCG64_MULT + inc) & _MASK128
+        starts.append((start, inc))
+    return starts
 
 
 @dataclass(frozen=True)
@@ -139,6 +221,9 @@ class GeneratorKind:
 
 def _ar1(n: int, p: Mapping[str, float],
          rng: np.random.Generator) -> np.ndarray:
+    # loaded here: scipy.signal brings in much of scipy
+    from scipy.signal import lfilter
+
     rho, sigma = p["rho"], p["sigma"]
     innovations = np.empty(n)
     # stationary start, then the recursion x_{t} = rho x_{t-1} + sigma xi_t

@@ -413,9 +413,12 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     depend on execution order.  The replicates are drawn and reduced in
     blocks of rows, at most ``CALIBRATION_BLOCK_VALUES`` values a block
     (one row when the window is longer); each row is reduced on its own, so
-    the block size changes no bit of the result.  The standard error is the
-    half-width between the order statistics one binomial standard deviation
-    either side of the quantile rank.
+    the block size changes no bit of the result.  A block's rows come from
+    ``generate_rows``, which reuses one generator and sets its state per
+    row, each row equal bit for bit to ``default_rng(child_seed)``'s draw.
+    A replicate count too large to allocate is a ValueError.  The standard
+    error is the half-width between the order statistics one binomial
+    standard deviation either side of the quantile rank.
     """
     builtin_kind(kind, window)
     if replicates < 1000:
@@ -423,11 +426,15 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     stat = builtin_statistic(kind)
-    child_seeds = np.random.SeedSequence(seed).generate_state(replicates)
+    try:
+        child_seeds = np.random.SeedSequence(seed).generate_state(replicates)
+        stats = np.empty(replicates)
+    except MemoryError:
+        raise ValueError(f"replicates={replicates} is too many to hold in "
+                         f"memory") from None
     base = GeneratorSpec(kind=generator.kind, length=window,
                          params=generator.params)
     rows = max(1, CALIBRATION_BLOCK_VALUES // window)
-    stats = np.empty(replicates)
     for i in range(0, replicates, rows):
         block = generate_rows(base, child_seeds[i:i + rows])
         stats[i:i + rows] = stat(block)

@@ -219,6 +219,11 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
     (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
              "calibration": {"generator": 20, "replicates": 1000}}],
      "calibration key 'generator' must be a string, got 20"),
+    # numpy refuses an array this size before allocating any of it
+    (None, [{"kind": "mean_split", "n": 20, "alpha": 0.05,
+             "calibration": {"generator": "iid_normal(0,1),L=20",
+                             "replicates": 10 ** 15, "seed": 1}}],
+     "replicates=1000000000000000 is too many to hold in memory"),
 ], ids=["config-wrong-type", "config-not-object", "config-unknown-key",
         "spec-not-object", "constant-calibration", "calibration-length",
         "variance-split-n2", "variance-split-n2-calibrated",
@@ -230,7 +235,7 @@ VALID_TESTS = [{"kind": "mean_split", "n": 20, "tau": 0.9, "alpha": 0.05}]
         "spec-nan-tau", "spec-string-alpha", "spec-numeric-kind",
         "spec-numeric-name",
         "calibration-fractional-replicates", "calibration-string-seed",
-        "calibration-numeric-generator"])
+        "calibration-numeric-generator", "calibration-absurd-replicates"])
 def test_bad_inputs_are_errors(tmp_path, capsys, config, tests, message):
     spec_file = tmp_path / "tests.json"
     spec_file.write_text(json.dumps(tests))

@@ -943,6 +943,12 @@ ROW_PARAMS = {
 }
 
 
+# calibration's child seeds, and the ends and middle of the uint32 range
+ROW_SEEDS = np.concatenate([
+    np.random.SeedSequence(2014).generate_state(64),
+    np.array([0, 1, 2 ** 31, 2 ** 32 - 1], dtype=np.uint32)])
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -951,11 +957,22 @@ def _bits(values) -> bytes:
 def test_generated_rows_equal_generate(kind):
     assert set(ROW_PARAMS) == set(KINDS)
     spec = GeneratorSpec(kind=kind, length=37, params=ROW_PARAMS[kind])
-    seeds = np.array([0, 1, 12345, 2 ** 32 - 1], dtype=np.uint32)
-    rows = generate_rows(spec, seeds)
-    assert rows.shape == (seeds.size, 37)
-    for row, seed in zip(rows, seeds):
+    rows = generate_rows(spec, ROW_SEEDS)
+    assert rows.shape == (ROW_SEEDS.size, 37)
+    for row, seed in zip(rows, ROW_SEEDS):
         assert _bits(row) == _bits(generate(spec.with_seed(int(seed))).values)
+
+
+def test_generated_rows_build_no_generator_per_seed(monkeypatch):
+    spec = GeneratorSpec(kind="ar1", length=37, params=ROW_PARAMS["ar1"])
+    expected = [generate(spec.with_seed(int(seed))).values
+                for seed in ROW_SEEDS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_rows built a generator per seed")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert _bits(generate_rows(spec, ROW_SEEDS)) == _bits(expected)
 
 
 def test_generated_rows_must_be_finite():

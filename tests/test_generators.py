@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
 
+import pathstat
 from pathstat.generators import (
     KINDS,
     ExpectedProfile,
@@ -220,3 +225,23 @@ def test_generate_rows_looks_up_the_kind_once(monkeypatch):
     monkeypatch.setattr("pathstat.generators.KINDS", Recording(KINDS))
     assert generate_rows(spec, range(50)).shape == (50, 4)
     assert calls == ["iid_normal"]
+
+
+@pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+@pytest.mark.parametrize("seed", [1.5, -1, 2 ** 32])
+def test_generate_rows_refuses_a_seed_outside_uint32(wrap, seed):
+    spec = GeneratorSpec("iid_normal", length=4)
+    with pytest.raises(ValueError) as err:
+        generate_rows(spec, wrap([seed]))
+    assert str(err.value) == ("generate_rows seeds must be integers in "
+                              f"[0, 2**32), got {seed!r}")
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # scipy.signal, and the scipy modules it loads, wait for an ar1 draw
+    src = FsPath(pathstat.__file__).parents[1]
+    code = "import sys, pathstat.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "False"
