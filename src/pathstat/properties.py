@@ -130,11 +130,17 @@ def quantile_edges(values: np.ndarray,
     v = np.asarray(values, dtype=np.float64)
     if cells < 2:
         raise ValueError("cells must be at least 2")
-    # interpolating between values near the ends of the float range can
-    # overflow to an infinite or NaN cut; such cuts are dropped
+    # numpy selects its order statistics by partition, which a sorted copy
+    # already is: the cuts are the same, and numpy's vectorised sort is
+    # cheaper than its multi-kth selection.  Interpolating between values
+    # near the ends of the float range can overflow to an infinite or NaN
+    # cut; such cuts are dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        qs = np.quantile(v, np.linspace(0.0, 1.0, cells + 1)[1:-1])
-    cuts = np.unique(qs[np.isfinite(qs)])
+        qs = np.quantile(np.sort(v), np.linspace(0.0, 1.0, cells + 1)[1:-1],
+                         overwrite_input=True)
+    # equal values share their bits except zeros, whose sign follows the
+    # order the selection meets them in; adding +0.0 makes every zero +0.0
+    cuts = np.unique(qs[np.isfinite(qs)]) + 0.0
     if cuts.size < 2:
         center = float(cuts[0]) if cuts.size else float(np.median(v))
         with np.errstate(over="ignore"):
@@ -172,18 +178,32 @@ def _small_int_dtype(n: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+# values digitized at a time: a chunk's int64 and float64 temporaries take
+# 512 KiB each, whatever the length of the path
+DIGITIZE_CHUNK = 2 ** 16
+
+
 def _digitize_open(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Marginal cell index per value, -1 for endpoint contact or out of range.
 
     A value exactly equal to any edge matches no open cell.  Codes come in
-    the smallest signed integer type that holds them.
+    the smallest signed integer type that holds them, written chunk by
+    chunk, so that only the output grows with the path.
     """
-    idx = np.searchsorted(edges, values, side="right") - 1
-    in_range = (idx >= 0) & (idx < edges.size - 1)
-    safe = np.clip(idx, 0, edges.size - 2)
-    on_edge = values == edges[safe]
-    return np.where(in_range & ~on_edge, safe, -1).astype(
-        _small_int_dtype(edges.size - 1))
+    g = edges.size - 1
+    out = np.empty(values.size, dtype=_small_int_dtype(g))
+    for lo in range(0, values.size, DIGITIZE_CHUNK):
+        x = values[lo:lo + DIGITIZE_CHUNK]
+        cell = np.searchsorted(edges, x, side="right")
+        cell -= 1
+        # below the first edge (cell -1) or at or past the last (cell g):
+        # both are g or more as unsigned numbers.  A value on its cell's
+        # left edge is on an edge; cell -1 reads the last edge, harmlessly
+        off = cell.view(np.uintp) >= g
+        off |= x == edges.take(cell)
+        np.putmask(cell, off, -1)
+        out[lo:lo + x.size] = cell
+    return out
 
 
 def window_codes(marg: np.ndarray, grid: PatternGrid) -> np.ndarray:
@@ -235,19 +255,25 @@ class _TailSegments:
     """Every cell's tail d(n) = N(n)/n, n0 <= n <= horizon, as runs of
     constant count N, concatenated cell after cell.
 
-    Run i covers n in [starts[i], ends[i]] with N(n) = counts[i]; cell c's
-    runs are [bounds[c], bounds[c + 1]), the first starting at n0 and each
-    later one at a jump of N.  ``occurrences[c]`` is the cell's count over
-    the whole horizon.
+    Cell c's runs are [bounds[c], bounds[c + 1]) and its jumps of N are
+    ``jumps[jump_bounds[c]:jump_bounds[c + 1]]``: tail indices t, ascending,
+    each a jump at n = n0 + 1 + t.  The first run starts at n0 and each
+    later one at a jump, so each run but the last ends at n0 + t, the last
+    at the horizon.  Run i has N(n) = counts[i], and ``occurrences[c]`` is
+    the cell's count over the whole horizon.
     """
 
     horizon: int
     w: int
     occurrences: np.ndarray
     bounds: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
+    jump_bounds: np.ndarray
+    jumps: np.ndarray
     counts: np.ndarray
+
+    @property
+    def n0(self) -> int:
+        return self.horizon - self.w + 1
 
 
 def _tail_segments(cell_ids: np.ndarray, n_cells: int,
@@ -265,34 +291,33 @@ def _tail_segments(cell_ids: np.ndarray, n_cells: int,
     head = np.bincount(np.add(ids[:n0], 1, dtype=np.intp),
                        minlength=n_cells + 1)[1:]
     r = np.bincount(np.add(tail, 1, dtype=np.intp), minlength=n_cells + 1)
-    # positions up to the horizon, in 32 bits where they fit
-    pos = np.int32 if horizon < np.iinfo(np.int32).max else np.int64
     # numpy radix-sorts 8- and 16-bit integers; the stable sort keeps each
-    # cell's indices ascending, so its jump points in (n0, horizon] follow
-    jumps = np.add(np.argsort(tail, kind="stable")[r[0]:], n0 + 1, dtype=pos)
+    # cell's tail indices ascending
+    jumps = np.argsort(tail, kind="stable")[r[0]:]
     r = r[1:]
-    cuts = np.cumsum(r)
-    bounds = np.concatenate(([0], cuts + np.arange(1, n_cells + 1)))
-    starts = np.insert(jumps, cuts - r, n0)
-    # a run ends where the cell's next run starts, its last run at the horizon
-    ends = np.empty_like(starts)
-    np.subtract(starts[1:], 1, out=ends[:-1])
-    ends[bounds[1:] - 1] = horizon
+    jump_bounds = np.concatenate(([0], np.cumsum(r)))
+    bounds = jump_bounds + np.arange(n_cells + 1)
+    # counts up to the horizon, in 32 bits where they fit
+    pos = np.int32 if horizon < np.iinfo(np.int32).max else np.int64
     counts = np.repeat((head - bounds[:-1]).astype(pos), r + 1)
     counts += np.arange(bounds[-1], dtype=pos)
     return _TailSegments(horizon=horizon, w=w, occurrences=head + r,
-                         bounds=bounds, starts=starts, ends=ends,
+                         bounds=bounds, jump_bounds=jump_bounds, jumps=jumps,
                          counts=counts)
 
 
-def _tail_means(seg: _TailSegments, harm: np.ndarray | None) -> list[float]:
+def _tail_means(seg: _TailSegments, harm: np.ndarray,
+                at_end: np.ndarray) -> list[float]:
     """Each cell's tail mean of d(n): between jumps d(n) decays as N/n, so
-    the sum over a run is its count times a harmonic increment.  Each cell
-    sums its own runs, in order, with ``np.sum``'s pairwise summation."""
-    if harm is None:
-        harm = harmonic_prefix(seg.horizon)
-    terms = np.take(harm, seg.ends)
-    terms -= np.take(harm, seg.starts - 1)
+    the sum over a run is its count times a harmonic increment.  ``at_end``
+    is harm at every run's end.  Each cell sums its own runs, in order,
+    with ``np.sum``'s pairwise summation."""
+    # a cell's runs abut, so a run's harm[start - 1] is the end of the run
+    # before it, and the cell's first run starts at n0
+    terms = np.empty_like(at_end)
+    np.subtract(at_end[1:], at_end[:-1], out=terms[1:])
+    first = seg.bounds[:-1]
+    terms[first] = at_end[first] - harm[seg.n0 - 1]
     terms *= seg.counts
     b = seg.bounds.tolist()
     means: list[float] = []
@@ -308,8 +333,17 @@ def _tail_means(seg: _TailSegments, harm: np.ndarray | None) -> list[float]:
 
 def cell_tail_means(cell_ids: np.ndarray, n_cells: int, tail_fraction: float,
                     harm: np.ndarray | None = None) -> list[float]:
-    """The ``value`` of every cell's ``cell_tail_stats``, and nothing else."""
-    return _tail_means(_tail_segments(cell_ids, n_cells, tail_fraction), harm)
+    """The ``value`` of every cell's ``cell_tail_stats``, and nothing else:
+    harm at the runs' ends is read straight from ``harm[n0:]`` at the
+    jumps' tail indices, and no start or end is built."""
+    seg = _tail_segments(cell_ids, n_cells, tail_fraction)
+    if harm is None:
+        harm = harmonic_prefix(seg.horizon)
+    # n0 + t for each jump at tail index t, and the horizon after each
+    # cell's jumps
+    at_end = np.insert(np.take(harm[seg.n0:], seg.jumps),
+                       seg.jump_bounds[1:], harm[seg.horizon])
+    return _tail_means(seg, harm, at_end)
 
 
 def cell_tail_stats(cell_ids: np.ndarray, n_cells: int, tail_fraction: float,
@@ -326,13 +360,20 @@ def cell_tail_stats(cell_ids: np.ndarray, n_cells: int, tail_fraction: float,
     here when absent.
     """
     seg = _tail_segments(cell_ids, n_cells, tail_fraction)
-    values = _tail_means(seg, harm)
+    if harm is None:
+        harm = harmonic_prefix(seg.horizon)
+    n0, pos = seg.n0, seg.counts.dtype
+    starts = np.insert(np.add(seg.jumps, n0 + 1, dtype=pos),
+                       seg.jump_bounds[:-1], n0)
+    ends = np.insert(np.add(seg.jumps, n0, dtype=pos), seg.jump_bounds[1:],
+                     seg.horizon)
+    values = _tail_means(seg, harm, np.take(harm, ends))
     first = seg.bounds[:-1]
-    osc = np.maximum.reduceat(seg.counts / seg.starts, first) - \
-        np.minimum.reduceat(seg.counts / seg.ends, first)
+    osc = np.maximum.reduceat(seg.counts / starts, first) - \
+        np.minimum.reduceat(seg.counts / ends, first)
     # a jump at n leaves d flat only when the prefix was saturated
     # (N(n-1) = n-1, so N(n) = n and d stays at 1); any other jump raises d
-    rises = seg.counts != seg.starts
+    rises = seg.counts != starts
     rises[first] = False
     rising = np.logical_or.reduceat(rises, first)
 
@@ -536,15 +577,20 @@ def empirical_measure(path: Path, grid: PatternGrid, n: int) -> EmpiricalMeasure
 def _measure(ids: np.ndarray, grid: PatternGrid, n: int) -> EmpiricalMeasure:
     """The empirical measure of the first n window ids."""
     ids = ids[:n]
-    covered = ids[ids >= 0]
-    counts = np.bincount(covered, minlength=grid.n_cells)
+    return _counted_measure(np.bincount(ids[ids >= 0], minlength=grid.n_cells),
+                            grid, n)
+
+
+def _counted_measure(counts: np.ndarray, grid: PatternGrid,
+                     n: int) -> EmpiricalMeasure:
+    """The empirical measure of n windows with these cell counts."""
     return EmpiricalMeasure(
         k=grid.k,
         grid=grid,
         masses=counts / n,
         counts=counts,
         n=n,
-        uncovered=int(n - covered.size),
+        uncovered=int(n - counts.sum()),
     )
 
 
@@ -578,8 +624,15 @@ def table_fdd(table: CellTable) -> InducedFDD:
     grids = {k: table.grids[k] for k in table.ids}
     # the largest window count admissible at every tabulated order
     n_matched = table.marg.size - max(grids) + 1
-    measures = {k: _measure(table.ids[k], grid, n_matched)
-                for k, grid in grids.items()}
+    measures: dict[int, EmpiricalMeasure] = {}
+    for k, grid in grids.items():
+        # each cell's count over all the order's windows, less the
+        # k_max - k windows past n_matched
+        counts = np.fromiter((st.final_count for st in table.stats[k]),
+                             dtype=np.intp, count=grid.n_cells)
+        late = table.ids[k][n_matched:]
+        np.subtract.at(counts, late[late >= 0], 1)
+        measures[k] = _counted_measure(counts, grid, n_matched)
     return InducedFDD(grids=grids, measures=measures, n_matched=n_matched)
 
 

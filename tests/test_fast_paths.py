@@ -65,7 +65,11 @@ from pathstat.pathcore import (
     tail_window_size,
 )
 from pathstat.properties import (
+    DIGITIZE_CHUNK,
     _classify,
+    _digitize_open,
+    _measure,
+    _small_int_dtype,
     cell_table,
     cell_tail_stats,
     check_property_e,
@@ -74,6 +78,7 @@ from pathstat.properties import (
     local_density_deviation,
     quantile_edges,
     scan_property_e,
+    table_fdd,
     window_cell_ids,
     window_codes,
 )
@@ -251,6 +256,166 @@ def test_single_pattern_verdict_equals_the_scan(spec):
     assert len(scanned) == 8 + 64
     for verdict in scanned:
         assert check_property_e(path, verdict.pattern, CONFIG) == verdict
+
+
+# ---------------------------------------------------------------------------
+# quantile cuts from a sorted copy against numpy's selection on the values
+
+def _quantile_edges_by_selection(values, cells):
+    """``quantile_edges`` with ``np.quantile`` selecting from the values
+    themselves, zero cuts made +0.0."""
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = np.quantile(v, np.linspace(0.0, 1.0, cells + 1)[1:-1])
+    cuts = np.unique(qs[np.isfinite(qs)]) + 0.0
+    if cuts.size < 2:
+        center = float(cuts[0]) if cuts.size else float(np.median(v))
+        with np.errstate(over="ignore"):
+            spread = float(np.std(v))
+        half = 0.5 * spread if 0 < spread < math.inf else 0.5
+        cuts = np.array([min(center - half, np.nextafter(center, -math.inf)),
+                         max(center + half, np.nextafter(center, math.inf))])
+    return (-math.inf, *(float(c) for c in cuts), math.inf)
+
+
+TINY = 5e-324
+HUGE = 1.7976931348623157e308
+# ties and atoms: signed zeros, subnormals, the least normal, values at and
+# next to the ends of the float range, and small integers
+ATOMS = (0.0, -0.0, TINY, -TINY, 1e-310, -1e-310, 2.2250738585072014e-308,
+         HUGE, -HUGE, np.nextafter(HUGE, 0.0), -np.nextafter(HUGE, 0.0),
+         1.0, -1.0, 2.0)
+QUANTILE_VALUES = st.one_of(
+    st.sampled_from(ATOMS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e308, max_value=HUGE),
+    st.floats(min_value=-HUGE, max_value=-1e308),
+    st.floats(min_value=-1e-307, max_value=1e-307))
+
+
+@settings(max_examples=300)
+@given(st.lists(QUANTILE_VALUES, min_size=1, max_size=300),
+       st.integers(2, 24), st.integers(1, 4))
+@example([-0.0, -2.0, -0.0, -1.0, 1.0, 2.0, 0.0, 0.0] * 3, 8, 1)
+@example([HUGE, -HUGE, HUGE, -HUGE], 3, 1)
+def test_quantile_edges_equal_numpys_selection(values, cells, repeat):
+    """Tied values (``repeat`` copies of each) and atoms, at every scale.
+    A fallback centred on the largest float steps past it, and the overflow
+    warning is the outcome on both sides."""
+    v = np.repeat(np.array(values), repeat)
+
+    def outcome(edges_of):
+        try:
+            return [x.hex() for x in edges_of(v, cells)]
+        except RuntimeWarning as warning:
+            return str(warning)
+
+    assert outcome(quantile_edges) == outcome(_quantile_edges_by_selection)
+
+
+@pytest.mark.parametrize("spec", ["ar1(0.5),L=1000000,seed=2",
+                                  "block_mixture(0,5),L=100000,seed=1",
+                                  "constant(2),L=1000"])
+@pytest.mark.parametrize("cells", [2, 8, 257])
+def test_quantile_edges_equal_numpys_selection_on_paths(spec, cells):
+    values = _path(spec).values
+    assert quantile_edges(values, cells) == \
+        _quantile_edges_by_selection(values, cells)
+
+
+# ---------------------------------------------------------------------------
+# the chunked digitization against the whole-path form
+
+def _digitize_whole(values, edges):
+    """Marginal codes computed over the whole array at once."""
+    idx = np.searchsorted(edges, values, side="right") - 1
+    in_range = (idx >= 0) & (idx < edges.size - 1)
+    safe = np.clip(idx, 0, edges.size - 2)
+    on_edge = values == edges[safe]
+    return np.where(in_range & ~on_edge, safe, -1).astype(
+        _small_int_dtype(edges.size - 1))
+
+
+@pytest.mark.parametrize("size", [0, 1, DIGITIZE_CHUNK - 1, DIGITIZE_CHUNK,
+                                  DIGITIZE_CHUNK + 1, 1_000_000])
+@pytest.mark.parametrize("which", ["quantile", "finite", "many"])
+def test_chunked_digitization_equals_the_whole_path_form(size, which):
+    x = _long_path("ar1(0.99)")[:size].copy()
+    if which == "quantile":       # int8 codes, infinite ends
+        edges = np.asarray(quantile_edges(x if size else [0.0], 8))
+    elif which == "finite":       # values outside the range match no cell
+        edges = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+    else:                         # int32 codes
+        edges = np.linspace(-40.0, 40.0, 40_001)
+    # values on edges, at the ends and not a number
+    x[::7] = edges[np.arange(x[::7].size) % edges.size]
+    x[3::11] = np.array([-math.inf, math.inf, math.nan])[
+        np.arange(x[3::11].size) % 3]
+    got = _digitize_open(x, edges)
+    want = _digitize_whole(x, edges)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_digitization_memory_is_bounded_by_its_chunks():
+    values = _long_path("walk")
+    edges = np.asarray(quantile_edges(values, 8))
+    tracemalloc.start()
+    try:
+        marg = _digitize_open(values, edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert marg.nbytes == values.size
+    # the one-byte codes and a few chunk-sized temporaries; the whole-path
+    # form took 25.8 MiB
+    assert peak < marg.nbytes + 3 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the measures of table_fdd against a count of the matched windows
+
+def _assert_fdd_equals_window_counts(table):
+    fdd = table_fdd(table)
+    assert fdd.n_matched == table.marg.size - max(table.ids) + 1
+    for k, measure in fdd.measures.items():
+        want = _measure(table.ids[k], table.grids[k], fdd.n_matched)
+        assert measure.counts.dtype == want.counts.dtype
+        assert measure.counts.tolist() == want.counts.tolist()
+        assert [m.hex() for m in measure.masses] == \
+            [m.hex() for m in want.masses]
+        assert (measure.k, measure.grid, measure.n, measure.uncovered) == \
+            (want.k, want.grid, want.n, want.uncovered)
+
+
+# a finite grid range: values below -1 or above 2 lie in no cell
+FINITE_EDGES = (-1.0, 0.0, 0.5, 2.0)
+
+
+@given(st.lists(st.one_of(st.sampled_from(FINITE_EDGES),
+                          st.integers(-2, 3).map(float)),
+                min_size=1, max_size=60),
+       st.integers(1, 4))
+def test_fdd_counts_equal_the_window_counts(values, k_max):
+    """Uncovered windows anywhere, the last ones past n_matched too."""
+    k_max = min(k_max, len(values))
+    table = cell_table(Path(np.array(values)),
+                       grid_family(FINITE_EDGES, k_max), CONFIG)
+    _assert_fdd_equals_window_counts(table)
+
+
+@pytest.mark.parametrize("spec, edges", [
+    ("ar1(0.5),L=100000,seed=2", None),
+    ("block_mixture(0,5),L=100000,seed=1", LEVEL_EDGES),
+    ("monotone(1),L=20000", None),
+])
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_fdd_counts_equal_the_window_counts_on_paths(spec, edges, k_max):
+    path = _path(spec)
+    if edges is None:
+        edges = quantile_edges(path.values, CONFIG.grid_cells)
+    _assert_fdd_equals_window_counts(
+        cell_table(path, grid_family(edges, k_max), CONFIG))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,21 @@ def test_quantile_edges_constant_fallback():
     assert edges[1] < 2.0 < edges[2]
 
 
+def test_zero_cuts_are_positive_zero():
+    """On paths of signed zeros among small integers, numpy's selection
+    returned a -0.0 cut on about one path in ten."""
+    rng = np.random.default_rng(2014)
+    pool = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    zero_cuts = 0
+    for _ in range(2000):
+        values = rng.choice(pool, int(rng.integers(8, 401)))
+        for cut in quantile_edges(values, int(rng.integers(2, 9))):
+            if cut == 0.0:
+                zero_cuts += 1
+                assert math.copysign(1.0, cut) == 1.0
+    assert zero_cuts > 1000
+
+
 def test_pattern_grid_product_cells():
     grid = PatternGrid.from_edges((-math.inf, 0.0, math.inf), 2)
     assert grid.n_cells == 4

@@ -109,10 +109,15 @@ def _assert_bitwise(ids, n_cells, tail_fraction, harm=None):
 # ---------------------------------------------------------------------------
 # the generator zoo, its contracted copies and the diagnostic
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_zoo_tables_and_copies_equal_the_oracle(kind):
+# every kind at L = 1e5, and three at L = 1e6, where a cell's runs between
+# jumps and its stretches without a jump are long
+@pytest.mark.parametrize("kind, length", [
+    *(pytest.param(kind, 100_000, id=kind) for kind in sorted(KINDS)),
+    *(pytest.param(kind, 1_000_000, id=f"{kind}-1e6")
+      for kind in ("ar1", "block_mixture", "monotone"))])
+def test_zoo_tables_and_copies_equal_the_oracle(kind, length):
     assert set(ZOO_PARAMS) == set(KINDS)
-    path = generate(GeneratorSpec(kind, length=100_000, seed=1,
+    path = generate(GeneratorSpec(kind, length=length, seed=1,
                                   params=ZOO_PARAMS[kind]))
     edges = LEVEL_EDGES if kind == "block_mixture" else \
         quantile_edges(path.values, CONFIG.grid_cells)
