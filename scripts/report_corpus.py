@@ -11,9 +11,10 @@ Prints one JSON object mapping each corpus entry to a sha256:
   generated text files (the second one's length ends the trajectory rows on
   a partial block), for a hand-written file of edge tokens in the plain
   one-number-per-line layout (signed zeros, subnormals, a 44-digit
-  mantissa, no trailing newline), for a CRLF file with a header row, and
-  for a file of signed zeros among small integers, whose zero quantile cut
-  numpy's selection may return as -0.0;
+  mantissa, no trailing newline), for a CRLF file with a header row, for a
+  file of signed zeros among small integers, whose zero quantile cut
+  numpy's selection may return as -0.0, and for a file of the largest
+  float and one of its negative, whose fallback cuts would step past it;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
   contract`` on one block_mixture path, with the configured m schedule and
   with one that is not powers of two, of three runs that fail, one at
@@ -96,13 +97,19 @@ EDGE_TOKENS = (
 # zeros of both signs, in each spelling, among small integers: half the
 # values are zeros, so the median cut is a zero
 SIGNED_ZERO_TOKENS = ("-0.0", "-2", "-0", "-1", "1", "2", "0", "0.0") * 3
+# 22 copies of the largest float and one of its negative: one finite
+# quantile cut, the largest float, with no finite float above it
+FLOAT_LIMIT_TOKENS = ("1.7976931348623157e308",) * 22 + \
+    ("-1.7976931348623157e308",)
 # (file name, bytes): the plain layout, then a layout only the per-line
-# parse reads (header row, CRLF, leading '+'), then signed zeros
+# parse reads (header row, CRLF, leading '+'), then signed zeros, then the
+# float limit
 ANALYZE_FILES = (
     ("edge_tokens.txt", "\n".join(EDGE_TOKENS).encode()),
     ("crlf_header.csv",
      "\r\n".join(("value", *EDGE_TOKENS, "+5", "+.5e-3", "")).encode()),
     ("signed_zeros.txt", "\n".join((*SIGNED_ZERO_TOKENS, "")).encode()),
+    ("float_limit.txt", "\n".join((*FLOAT_LIMIT_TOKENS, "")).encode()),
 )
 CONTRACT_INPUT = f"generate:block_mixture(0,5),L={LENGTH},seed=1"
 CONTRACT_IID = f"generate:iid_normal(0,1),L={LENGTH},seed=1"

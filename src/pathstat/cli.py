@@ -134,8 +134,10 @@ def _resolve_input(text: str, seed: int | None) -> tuple[Path, dict]:
 
 
 def _write_json(path: FsPath, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    """Write ``payload`` as strict JSON: a NaN or infinite float is a
+    ValueError, not a token that JSON readers refuse."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
             "coverage_ok": validation.coverage_ok,
             "passed": validation.passed,
         }
-    out = json.dumps(payload, indent=2, sort_keys=True)
+    out = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         FsPath(args.out).write_text(out + "\n", encoding="utf-8")
     else:

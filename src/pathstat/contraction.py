@@ -88,8 +88,8 @@ class Contraction:
     coverage c.
 
     The two arrays are the contraction: read-only int64 copies of the
-    caller's.  The block lengths, the tuple of blocks and the JSON form are
-    read off them.
+    caller's, refused unless the blocks ascend from 0 and are disjoint (they
+    may abut).  The lengths, the blocks and the JSON form are read off them.
     """
 
     starts: np.ndarray
@@ -107,9 +107,11 @@ class Contraction:
             raise ValueError("contraction needs at least one block")
         if not 0.0 < self.target_density <= 1.0:
             raise ValueError("target density must be in (0, 1]")
-        bad = np.flatnonzero((starts < 0) | (ends < starts))
+        before = np.append(-1, ends[:-1])  # so the first block starts at 0+
+        bad = np.flatnonzero((starts <= before) | (ends < starts))
         if bad.size:
-            raise ValueError(f"bad block [{starts[bad[0]]}, {ends[bad[0]]}]")
+            raise ValueError(f"bad block [{starts[bad[0]]}, {ends[bad[0]]}]: "
+                             "blocks are non-empty, disjoint and ascend from 0")
         starts.flags.writeable = ends.flags.writeable = False
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ends", ends)
@@ -172,19 +174,18 @@ def build_alternating_contraction(target_c: float, horizon: int,
 def coverage_ratios(contraction: Contraction, horizon: int) -> np.ndarray:
     """Running coverage |[0, n-1] ∩ G| / n for n = 1..horizon.
 
-    Steps of +1 at each start and -1 at each stop sum to the number of blocks
-    over each index; a second running sum counts the covered indices.  The
-    work happens in place, in one horizon-sized array besides the divisor.
+    Steps of +1 at each start and -1 at each stop, plain index updates for
+    disjoint blocks, mark the covered indices; a running sum counts them.
+    The work happens in place, in one horizon-sized array besides the divisor.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     starts = contraction.starts
     stops = contraction.ends + 1
     cover = np.zeros(horizon)
-    np.add.at(cover, starts[starts < horizon], 1.0)
-    np.add.at(cover, stops[stops < horizon], -1.0)
+    cover[starts[starts < horizon]] = 1.0
+    cover[stops[stops < horizon]] -= 1.0
     np.cumsum(cover, out=cover)
-    np.minimum(cover, 1.0, out=cover)  # overlapping blocks cover an index once
     np.cumsum(cover, out=cover)
     cover /= np.arange(1.0, horizon + 1)
     return cover
@@ -192,7 +193,7 @@ def coverage_ratios(contraction: Contraction, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContractionValidation:
-    ordering_ok: bool
+    ordering_ok: bool  # true by construction of a Contraction
     growth_ok: bool
     coverage_ok: bool
     coverage: DensityEstimate
@@ -206,12 +207,11 @@ def validate_contraction(contraction: Contraction, horizon: int,
                          config: AnalysisConfig = DEFAULT_CONFIG) -> ContractionValidation:
     """Finite-horizon surrogates for the three defining conditions.
 
-    Ordering is literal.  Unbounded block growth becomes: lengths
+    Ordering holds by construction.  Unbounded block growth becomes: lengths
     non-decreasing after the first BURN_IN_FRACTION of blocks and the final
     block at least GROWTH_FACTOR times the first (a single full block passes
     trivially).  Coverage must tail-converge to the declared density.
     """
-    ordering_ok = bool(np.all(contraction.starts[1:] > contraction.ends[:-1]))
     lengths = contraction.lengths
     if len(lengths) == 1:
         growth_ok = True
@@ -224,13 +224,13 @@ def validate_contraction(contraction: Contraction, horizon: int,
                         config.tail_fraction, config.tolerance)
     coverage_ok = est.converged and \
         bool(abs(est.value - contraction.target_density) <= config.tolerance)
-    return ContractionValidation(ordering_ok=ordering_ok, growth_ok=growth_ok,
+    return ContractionValidation(ordering_ok=True, growth_ok=growth_ok,
                                  coverage_ok=coverage_ok, coverage=est)
 
 
 def _positions(contraction: Contraction, length: int) -> np.ndarray:
     """The indices the contraction keeps from a path of this length, in order."""
-    end = int(contraction.ends.max())
+    end = int(contraction.ends[-1])
     if end >= length:
         raise ValueError(f"block end {end} outside path of length {length}")
     lengths = contraction.lengths
@@ -408,7 +408,7 @@ def _staged_join(v2: Mapping[int, np.ndarray], m_schedule: Sequence[int],
     eps1 / m / 3 of the target for the stage m before; failing that, the
     block where the larger of the two deviations is least.  n_markers are
     the joint points.  Each stage's starts ascend and its windows are
-    disjoint.
+    disjoint, and so are G's, as a Contraction's must be.
 
     The next stage's running coverage C(i) / (i + 1) rises from the index
     before a window to its last index and falls from there to the index

@@ -122,10 +122,8 @@ def quantile_edges(values: np.ndarray,
     """Path-adaptive marginal edges: empirical quantile cuts plus +-inf.
 
     Duplicate cuts (heavy atoms) are collapsed; a path with fewer than two
-    distinct cut points falls back to a symmetric window around its centre
-    so the grid is never degenerate.  Each fallback cut lies at least one
-    float step from the centre, which a half-width of 0.5 does not reach
-    at magnitudes of about 1e16 and beyond.
+    distinct cut points takes ``_fallback_cuts`` instead, so the grid is
+    never degenerate.
     """
     v = np.asarray(values, dtype=np.float64)
     if cells < 2:
@@ -142,13 +140,30 @@ def quantile_edges(values: np.ndarray,
     # order the selection meets them in; adding +0.0 makes every zero +0.0
     cuts = np.unique(qs[np.isfinite(qs)]) + 0.0
     if cuts.size < 2:
-        center = float(cuts[0]) if cuts.size else float(np.median(v))
-        with np.errstate(over="ignore"):
-            spread = float(np.std(v))
-        half = 0.5 * spread if 0 < spread < math.inf else 0.5
-        cuts = np.array([min(center - half, np.nextafter(center, -math.inf)),
-                         max(center + half, np.nextafter(center, math.inf))])
+        cuts = _fallback_cuts(v, cuts)
     return (-math.inf, *(float(c) for c in cuts), math.inf)
+
+
+def _fallback_cuts(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The cuts of a path whose finite quantile cuts hold fewer than two
+    values: a symmetric window around its centre (the one cut, else the
+    median), half its standard deviation either side, or 0.5 when that is
+    zero or not finite.
+
+    Each cut lies at least one float step from the centre, which a
+    half-width of 0.5 does not reach at magnitudes of about 1e16 and
+    beyond.  A cut past the largest float is dropped, so a centre at
+    +-1.7976931348623157e308 keeps its one finite neighbour and the grid
+    has two cells.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = float(cuts[0]) if cuts.size else float(np.median(values))
+        spread = float(np.std(values))
+        half = 0.5 * spread if 0 < spread < math.inf else 0.5
+        window = np.array([
+            min(center - half, np.nextafter(center, -math.inf)),
+            max(center + half, np.nextafter(center, math.inf))])
+    return window[np.isfinite(window)]
 
 
 def grid_family(edges: Sequence[float], k_max: int) -> dict[int, PatternGrid]:

@@ -416,9 +416,12 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     the block size changes no bit of the result.  A block's rows come from
     ``generate_rows``, which reuses one generator and sets its state per
     row, each row equal bit for bit to ``default_rng(child_seed)``'s draw.
-    A replicate count too large to allocate is a ValueError.  The standard
-    error is the half-width between the order statistics one binomial
-    standard deviation either side of the quantile rank.
+    A replicate count too large to allocate is a ValueError.  A statistic
+    that is not finite on some replicate (one that overflows, say) or
+    constant over all of them is a CalibrationError naming the kind and the
+    generator.  The standard error is the half-width between the order
+    statistics one binomial standard deviation either side of the quantile
+    rank.
     """
     builtin_kind(kind, window)
     if replicates < 1000:
@@ -435,9 +438,16 @@ def calibrate_test_size(kind: str, window: int, alpha: float,
     base = GeneratorSpec(kind=generator.kind, length=window,
                          params=generator.params)
     rows = max(1, CALIBRATION_BLOCK_VALUES // window)
-    for i in range(0, replicates, rows):
-        block = generate_rows(base, child_seeds[i:i + rows])
-        stats[i:i + rows] = stat(block)
+    # a statistic that overflows is refused below, not warned about
+    with np.errstate(all="ignore"):
+        for i in range(0, replicates, rows):
+            block = generate_rows(base, child_seeds[i:i + rows])
+            stats[i:i + rows] = stat(block)
+    bad = int(np.count_nonzero(~np.isfinite(stats)))
+    if bad:
+        raise CalibrationError(
+            f"statistic {kind!r} is not finite under {generator.kind!r} in "
+            f"{bad} of {replicates} replicates")
     if np.ptp(stats) == 0.0:
         raise CalibrationError(
             f"statistic {kind!r} is constant under {generator.kind!r}")

@@ -442,6 +442,22 @@ def test_testbench_bad_spec_writes_nothing(tmp_path, bad):
     assert list(out.iterdir()) == []
 
 
+def test_testbench_overflowing_calibration_writes_nothing(tmp_path, capsys):
+    # an overflowing statistic has no tau: an error, and no file written
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([{"kind": "variance_split", "n": 10,
+                                  "calibration": {
+                                      "generator": "iid_normal(0,1e300),L=10",
+                                      "replicates": 1000}}]))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["testbench", "generate:iid_normal(0,1),L=100,seed=1",
+                "--tests", tests, "--out-dir", out]) == 1
+    assert list(out.iterdir()) == []
+    assert "error: statistic 'variance_split' is not finite under " \
+        "'iid_normal'" in capsys.readouterr().err
+
+
 def test_testbench_empty_tests_is_usage_error(tmp_path, capsys):
     tests = tmp_path / "tests.json"
     tests.write_text("[]")

@@ -14,6 +14,7 @@ from pathstat.contraction import (
     adversarial_contraction,
     build_alternating_contraction,
     contract_path,
+    contracted_codes,
     coverage_ratios,
     default_contraction_family,
     ergodicity_diagnostic,
@@ -27,7 +28,12 @@ from pathstat.pathcore import (
     estimate_limit_density,
     occurrence_set,
 )
-from pathstat.properties import PatternGrid, grid_family, quantile_edges
+from pathstat.properties import (
+    PatternGrid,
+    cell_table,
+    grid_family,
+    quantile_edges,
+)
 
 CONFIG = AnalysisConfig()
 
@@ -71,7 +77,6 @@ def test_alternating_full_inclusion():
     (((2, 5), (9, 20), (30, 40)), 15),  # the horizon cuts a block
     (((0, 3), (10, 12), (15, 19), (22, 30)), 15),  # blocks at or past it
     (((0, 99),), 100),  # one full block
-    (((0, 10), (5, 20)), 25),  # overlapping blocks count each index once
 ])
 def test_coverage_equals_set_membership(blocks, horizon):
     got = coverage_ratios(Contraction(*_bounds(blocks), 0.5), horizon)
@@ -194,6 +199,9 @@ BAD_BLOCKS = [
     (((0, 3), (7, 6)), r"bad block \[7, 6\]"),
     (((-1, 3),), r"bad block \[-1, 3\]"),
     ((), "at least one block"),
+    (((0, 9), (5, 14)), r"bad block \[5, 14\]"),  # overlapping
+    (((10, 12), (0, 3)), r"bad block \[0, 3\]"),  # out of order
+    (((0, 4), (4, 6)), r"bad block \[4, 6\]"),  # sharing index 4
 ]
 
 
@@ -219,14 +227,33 @@ def test_contraction_rejects_arrays_of_another_shape(starts, ends):
         Contraction(starts, ends, 0.5)
 
 
-@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 8)),
+@given(st.lists(st.tuples(st.integers(-2, 40), st.integers(0, 8)),
+                min_size=1, max_size=12))
+def test_contraction_constructs_exactly_on_ordered_disjoint_blocks(pairs):
+    """Blocks of (start, length): each non-empty and starting after the end
+    of the block before it, the first at 0 or later."""
+    starts = np.array([s for s, _ in pairs])
+    ends = np.array([s + n - 1 for s, n in pairs])
+    ordered = all(n >= 1 for _, n in pairs) and starts[0] >= 0 and \
+        bool(np.all(starts[1:] > ends[:-1]))
+    if ordered:
+        Contraction(starts, ends, 0.5)
+    else:
+        with pytest.raises(ValueError, match=r"^bad block \["):
+            Contraction(starts, ends, 0.5)
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)),
                 min_size=1, max_size=12),
        st.integers(0, 5))
 def test_blocks_json_lengths_coverage_and_path_agree(pairs, extra):
     """Every form read off the two arrays describes the same blocks, in
-    order, overlapping or not."""
-    starts = np.array([s for s, _ in pairs])
-    ends = np.array([s + n - 1 for s, n in pairs])
+    order, abutting or not; the contracted copy holds each covered index
+    once."""
+    gaps = np.array([g for g, _ in pairs])
+    lengths = np.array([n for _, n in pairs])
+    ends = np.cumsum(gaps + lengths) - 1
+    starts = ends - lengths + 1
     c = Contraction(starts, ends, 0.5, label="h")
     blocks = tuple(zip(starts.tolist(), ends.tolist()))
     assert c.blocks == blocks
@@ -236,8 +263,14 @@ def test_blocks_json_lengths_coverage_and_path_agree(pairs, extra):
     assert np.array_equal(coverage_ratios(c, horizon),
                           _membership_coverage(blocks, horizon))
     kept = np.concatenate([np.arange(s, e + 1) for s, e in blocks])
-    assert np.array_equal(
-        contract_path(Path(np.arange(horizon, dtype=float)), c).values, kept)
+    path = Path(np.arange(horizon, dtype=float))
+    contracted = contract_path(path, c)
+    assert np.array_equal(contracted.values, kept)
+    covered = round(coverage_ratios(c, horizon)[-1] * horizon)
+    assert contracted.length == covered
+    table = cell_table(path, grid_family(quantile_edges(path.values, 4), 1),
+                       CONFIG)
+    assert contracted_codes(table, c).size == covered
 
 
 def test_validation_catches_bounded_blocks():
@@ -247,13 +280,6 @@ def test_validation_catches_bounded_blocks():
     report = validate_contraction(c, 10000, CONFIG)
     assert report.ordering_ok
     assert not report.growth_ok
-    assert not report.passed
-
-
-def test_validation_catches_overlap():
-    c = Contraction(*_bounds(((0, 9), (5, 14))), 0.5)
-    report = validate_contraction(c, 100, CONFIG)
-    assert not report.ordering_ok
     assert not report.passed
 
 

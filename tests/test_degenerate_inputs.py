@@ -104,3 +104,31 @@ def test_alternating_path_at_the_edge_of_the_float_range(c):
         report = report_dict(run_suite(path))
     assert report["propertyE"]["pass"]
     assert not report["propertyT"]["verdict"]
+
+
+HUGE = np.finfo(float).max
+FLOAT_LIMIT_PATHS = {
+    "largest": [HUGE] * 50,
+    "most_negative": [-HUGE] * 50,
+    "largest_and_one_negative": [HUGE] * 22 + [-HUGE],
+}
+
+
+@pytest.mark.parametrize("values", FLOAT_LIMIT_PATHS.values(),
+                         ids=FLOAT_LIMIT_PATHS)
+def test_a_centre_at_the_float_limit_keeps_its_finite_cut(tmp_path, values):
+    # the fallback cut past the largest float is dropped, with no overflow
+    # warning: one finite cut, two cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = quantile_edges(np.array(values))
+    assert len(edges) == 3 and math.isfinite(edges[1])
+    assert edges[0] < edges[1] < edges[2]
+    source = tmp_path / "limit.txt"
+    write_path(np.array(values), str(source))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(source), "--out-dir", str(out_dir)]) \
+            in (0, 2)
+    assert (out_dir / "report.json").is_file()

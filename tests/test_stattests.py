@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from pathstat.config import AnalysisConfig
-from pathstat.generators import GeneratorSpec, generate
+from pathstat.generators import GeneratorSpec, generate, parse_spec
 from pathstat.pathcore import Path
 from pathstat.stattests import (
     BUILTIN_KINDS,
@@ -217,6 +217,16 @@ def test_calibrate_degenerate_statistic_fails():
     gen = GeneratorSpec("constant", length=10, params={"c": 1.0})
     with pytest.raises(CalibrationError):
         calibrate_test_size("mean_split", 10, 0.05, gen, replicates=1000, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["variance_split", "kpss_like"])
+def test_calibrate_overflowing_statistic_fails(kind):
+    # squares of N(0, 1e300) values overflow: no tau, and no warning
+    gen = parse_spec("iid_normal(0,1e300),L=10")
+    with pytest.raises(CalibrationError,
+                       match=f"^statistic '{kind}' is not finite under "
+                             f"'iid_normal' in 1000 of 1000 replicates$"):
+        calibrate_test_size(kind, 10, 0.05, gen, replicates=1000, seed=0)
 
 
 def test_calibrate_kpss_self_consistency_across_seeds():
