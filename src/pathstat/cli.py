@@ -133,11 +133,14 @@ def _resolve_input(text: str, seed: int | None) -> tuple[Path, dict]:
     return read_path_file(text), {"file": text}
 
 
-def _write_json(path: FsPath, payload: dict) -> None:
-    """Write ``payload`` as strict JSON: a NaN or infinite float is a
-    ValueError, not a token that JSON readers refuse."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n", encoding="utf-8")
+def _write_json(path: FsPath | None, payload: dict) -> None:
+    """Strict JSON to ``path``, or to stdout when it is None: a NaN or
+    infinite float is a ValueError, not a token that JSON readers refuse."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    if path is None:
+        print(text)
+    else:
+        path.write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +448,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
             "coverage_ok": validation.coverage_ok,
             "passed": validation.passed,
         }
-    out = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if args.out:
-        FsPath(args.out).write_text(out + "\n", encoding="utf-8")
-    else:
-        print(out)
+    _write_json(FsPath(args.out) if args.out else None, payload)
     if args.trace:
         trace_payload = {
             "m_schedule": list(trace.m_schedule),

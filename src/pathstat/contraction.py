@@ -315,18 +315,15 @@ def table_ergodicity(table: CellTable,
                 records.append(DiagnosticRecord(
                     contraction_label=label, k=k, pattern=cell,
                     base_value=b.value, contracted_value=v))
-    if records:
-        worst = max(records, key=lambda r: r.discrepancy)
-        worst_disc = worst.discrepancy
-        offending = (worst.contraction_label, worst.pattern) \
-            if worst_disc > tolerance else None
-    else:
-        worst_disc, offending = 0.0, None
+    worst = max(records, key=lambda r: r.discrepancy, default=None)
+    worst_disc = 0.0 if worst is None else worst.discrepancy
+    offending = (worst.contraction_label, worst.pattern) \
+        if worst_disc > tolerance else None
     return ErgodicityVerdict(
         worst_discrepancy=worst_disc,
         offending=offending,
-        verdict="NonErgodicEvidence" if worst_disc > tolerance
-                else "ConsistentWithErgodic",
+        verdict="ConsistentWithErgodic" if offending is None
+                else "NonErgodicEvidence",
         records=tuple(records),
     )
 

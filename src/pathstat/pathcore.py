@@ -159,6 +159,12 @@ class DensityEstimate:
     tail_fraction: float
 
 
+def check_pattern_order(k: int, length: int) -> None:
+    """ValueError unless a window of order k fits a path of ``length``."""
+    if k > length:
+        raise ValueError(f"pattern order {k} exceeds path length {length}")
+
+
 def occurrence_mask(path: Path, pattern: IntervalPattern) -> np.ndarray:
     """Whether x_{n+j} lies strictly inside I_j for every j, per start n.
 
@@ -166,8 +172,7 @@ def occurrence_mask(path: Path, pattern: IntervalPattern) -> np.ndarray:
     a value equal to an endpoint is outside the open interval.
     """
     k, length = pattern.k, path.length
-    if k > length:
-        raise ValueError(f"pattern order {k} exceeds path length {length}")
+    check_pattern_order(k, length)
     n_starts = length - k + 1
     v = path.values
     hits = np.ones(n_starts, dtype=bool)

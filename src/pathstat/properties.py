@@ -32,6 +32,7 @@ from .pathcore import (
     DensityEstimate,
     IntervalPattern,
     Path,
+    check_pattern_order,
     occurrence_mask,
     tail_mean_density,
     tail_window_size,
@@ -225,9 +226,8 @@ def window_codes(marg: np.ndarray, grid: PatternGrid) -> np.ndarray:
     """Cell id per window start from marginal codes; -1 where any coordinate
     matched no cell.  Ids take the smallest type holding the grid's cells."""
     k, g = grid.k, grid.marginal_cells
+    check_pattern_order(k, marg.size)
     n = marg.size - k + 1
-    if n < 1:
-        raise ValueError("path shorter than pattern order")
     if k == 1:
         return marg
     # |code| < g**(j+1) after coordinate j, so the small type never wraps
@@ -408,8 +408,8 @@ class CellTable:
     ``marg`` holds each value's marginal cell (-1 on an edge or outside a
     finite range), ``ids[k]`` the cell of every length-k window and
     ``stats[k]`` the tail statistics of every cell over the last
-    ``config.tail_fraction`` of each horizon, for each order k of ``grids``
-    that fits the path.  ``harm`` is the ``harmonic_prefix`` over
+    ``config.tail_fraction`` of each horizon, for every order k of ``grids``
+    (the three share their keys).  ``harm`` is the ``harmonic_prefix`` over
     the path's length, which also serves the tail means of every contracted
     copy.  Built once per path under ``config``, it is the one input of
     Property E, the induced distributions, the ergodicity diagnostic and
@@ -426,7 +426,8 @@ class CellTable:
 
 def cell_table(path: Path, grids: Mapping[int, PatternGrid],
                config: AnalysisConfig = DEFAULT_CONFIG) -> CellTable:
-    """Digitize the path once and tabulate every order of ``grids``."""
+    """Digitize the path once and tabulate every order of ``grids``; an
+    order longer than the path is refused by ``window_codes``, not skipped."""
     edges = {grid.edges for grid in grids.values()}
     if len(edges) != 1:
         raise ValueError("grids must share one marginal partition")
@@ -436,8 +437,6 @@ def cell_table(path: Path, grids: Mapping[int, PatternGrid],
     stats: dict[int, list[_CellStats]] = {}
     for k in sorted(grids):
         grid = grids[k]
-        if marg.size < k:
-            continue
         ids[k] = window_codes(marg, grid)
         stats[k] = cell_tail_stats(ids[k], grid.n_cells, config.tail_fraction,
                                    harm)
@@ -503,10 +502,7 @@ def scan_property_e(path: Path, k_max: int,
                     config: AnalysisConfig = DEFAULT_CONFIG
                     ) -> list[PropertyEVerdict]:
     """One verdict per cell per order k <= k_max; pass means no Violation."""
-    orders = grid_orders(grids, k_max)
-    if path.length < k_max:
-        raise ValueError("path shorter than pattern order")
-    return table_property_e(cell_table(path, orders, config))
+    return table_property_e(cell_table(path, grid_orders(grids, k_max), config))
 
 
 def table_property_e(table: CellTable) -> list[PropertyEVerdict]:
@@ -583,10 +579,10 @@ class EmpiricalMeasure:
 
 
 def empirical_measure(path: Path, grid: PatternGrid, n: int) -> EmpiricalMeasure:
-    max_n = path.length - grid.k + 1
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in [1, {max_n}]")
-    return _measure(window_cell_ids(path.values, grid), grid, n)
+    ids = window_cell_ids(path.values, grid)
+    if not 1 <= n <= ids.size:
+        raise ValueError(f"n must be in [1, {ids.size}]")
+    return _measure(ids, grid, n)
 
 
 def _measure(ids: np.ndarray, grid: PatternGrid, n: int) -> EmpiricalMeasure:
@@ -626,21 +622,17 @@ class InducedFDD:
 def induced_fdd(path: Path, k_max: int, edges: Sequence[float],
                 config: AnalysisConfig = DEFAULT_CONFIG) -> InducedFDD:
     """The measures of orders 1..k_max on ``edges``."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if path.length < k_max:
-        raise ValueError("path too short for the requested order")
-    return table_fdd(cell_table(path, grid_family(edges, k_max), config))
+    return table_fdd(cell_table(
+        path, grid_orders(grid_family(edges, k_max), k_max), config))
 
 
 def table_fdd(table: CellTable) -> InducedFDD:
     """The measures of every order the table tabulates, on the table's
     grids."""
-    grids = {k: table.grids[k] for k in table.ids}
     # the largest window count admissible at every tabulated order
-    n_matched = table.marg.size - max(grids) + 1
+    n_matched = table.marg.size - max(table.grids) + 1
     measures: dict[int, EmpiricalMeasure] = {}
-    for k, grid in grids.items():
+    for k, grid in table.grids.items():
         # each cell's count over all the order's windows, less the
         # k_max - k windows past n_matched
         counts = np.fromiter((st.final_count for st in table.stats[k]),
@@ -648,7 +640,7 @@ def table_fdd(table: CellTable) -> InducedFDD:
         late = table.ids[k][n_matched:]
         np.subtract.at(counts, late[late >= 0], 1)
         measures[k] = _counted_measure(counts, grid, n_matched)
-    return InducedFDD(grids=grids, measures=measures, n_matched=n_matched)
+    return InducedFDD(grids=table.grids, measures=measures, n_matched=n_matched)
 
 
 def consistency_check(fdd: InducedFDD, k: int) -> float:

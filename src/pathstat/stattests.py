@@ -389,10 +389,6 @@ class CalibrationResult:
     replicates: int
     seed: int
 
-    def make_test(self, name: str | None = None) -> StationarityTest:
-        return make_builtin_test(self.kind, self.window, self.tau, self.alpha,
-                                 name=name)
-
 
 # replicates of a calibration that names no count
 CALIBRATION_REPLICATES = 2000

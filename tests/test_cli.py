@@ -500,6 +500,16 @@ def test_contract_dump_and_trace(tmp_path):
     assert set(trace_payload["v0"]) == {"4", "8", "16", "32"}
 
 
+def test_contract_prints_the_bytes_it_writes(tmp_path, capsys):
+    args = ["contract", "generate:block_mixture(0,5),L=5000,seed=1",
+            "--cell", "4", "6"]
+    out = tmp_path / "contraction.json"
+    assert run(args + ["--out", out]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_contract_unreadable_input_is_error(tmp_path, capsys):
     assert run(["contract", tmp_path / "missing.txt",
                 "--cell", "0", "1"]) == 1

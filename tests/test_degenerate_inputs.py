@@ -8,14 +8,24 @@ import numpy as np
 import pytest
 
 from pathstat.cli import main
+from pathstat.config import AnalysisConfig
 from pathstat.contraction import (
+    Contraction,
     alternating_family,
     build_alternating_contraction,
     ergodicity_diagnostic,
 )
 from pathstat.generators import generate, parse_spec
-from pathstat.pathcore import Path, write_path
-from pathstat.properties import grid_family, quantile_edges, scan_property_e
+from pathstat.pathcore import Path, occurrence_mask, write_path
+from pathstat.properties import (
+    cell_table,
+    empirical_measure,
+    grid_family,
+    induced_fdd,
+    quantile_edges,
+    scan_property_e,
+    window_cell_ids,
+)
 from pathstat.suite import report_dict, run_suite
 
 TOO_SHORT = "too short for the contraction family"
@@ -62,13 +72,24 @@ def test_analyze_short_file_exits_1_with_message(tmp_path, capsys, length):
     assert f"path of length {length} is {TOO_SHORT}" in err
 
 
-@pytest.mark.parametrize("k_max, message", [
-    (3, "no grid of order 3"), (0, "k_max must be at least 1"),
-    (-1, "k_max must be at least 1")])
-def test_a_missing_grid_order_is_named(k_max, message):
-    path = generate(parse_spec("ar1(0.5),L=200,seed=3"))
-    grids = grid_family(quantile_edges(path.values), 2)
-    family = alternating_family(path.length)
+AR1_PATH = generate(parse_spec("ar1(0.5),L=200,seed=3"))
+AR1_GRIDS = grid_family(quantile_edges(AR1_PATH.values), 2)
+# three values and the 2-cell grids up to order 4
+SHORT_PATH = Path(np.array([0.1, 0.7, 0.3]))
+SHORT_EDGES = (-math.inf, 0.5, math.inf)
+SHORT_GRIDS = grid_family(SHORT_EDGES, 4)
+TOO_LONG = "pattern order 4 exceeds path length 3"
+
+
+@pytest.mark.parametrize("path, grids, family, k_max, message", [
+    (AR1_PATH, AR1_GRIDS, alternating_family(200), 3, "no grid of order 3"),
+    (AR1_PATH, AR1_GRIDS, alternating_family(200), 0,
+     "k_max must be at least 1"),
+    (AR1_PATH, AR1_GRIDS, alternating_family(200), -1,
+     "k_max must be at least 1"),
+    (SHORT_PATH, SHORT_GRIDS, [Contraction([0], [2], 1.0)], 4, TOO_LONG),
+], ids=["order-3-missing", "k_max-0", "k_max-negative", "order-too-long"])
+def test_a_missing_grid_order_is_named(path, grids, family, k_max, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         scan_property_e(path, k_max, grids)
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -76,6 +97,44 @@ def test_a_missing_grid_order_is_named(k_max, message):
     # grids without order 1 name the first order missing
     with pytest.raises(ValueError, match="^no grid of order 1$"):
         scan_property_e(path, 2, {2: grids[2]})
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_induced_fdd_names_a_k_max_below_one(k_max):
+    with pytest.raises(ValueError, match="^k_max must be at least 1$"):
+        induced_fdd(AR1_PATH, k_max, quantile_edges(AR1_PATH.values))
+
+
+# the other entry points that meet a path with an order, on an order longer
+# than the path (scan_property_e and ergodicity_diagnostic are above)
+ORDER_REFUSALS = {
+    "cell_table": lambda: cell_table(SHORT_PATH, SHORT_GRIDS),
+    "induced_fdd": lambda: induced_fdd(SHORT_PATH, 4, SHORT_EDGES),
+    "empirical_measure": lambda: empirical_measure(SHORT_PATH,
+                                                   SHORT_GRIDS[4], 1),
+    "window_cell_ids": lambda: window_cell_ids(SHORT_PATH.values,
+                                               SHORT_GRIDS[4]),
+    "occurrence_mask": lambda: occurrence_mask(SHORT_PATH,
+                                               SHORT_GRIDS[4].cells[0]),
+}
+
+
+@pytest.mark.parametrize("call", ORDER_REFUSALS.values(), ids=ORDER_REFUSALS)
+def test_an_order_longer_than_the_path_is_refused_in_one_wording(call):
+    with pytest.raises(ValueError, match=f"^{TOO_LONG}$"):
+        call()
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4])
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 11, 40])
+def test_every_table_the_suite_builds_holds_every_order(length, k_max):
+    # analyze_path clamps k_max below the length, so the table never
+    # refuses; its grids, ids and stats share their keys
+    path = generate(parse_spec(f"ar1(0.5),L={length},seed=3"))
+    table = run_suite(path, AnalysisConfig(k_max=k_max),
+                      family=()).diagnostics.table
+    assert table.grids.keys() == table.ids.keys() == table.stats.keys()
+    assert max(table.grids) == (min(k_max, length - 1) or 1)
 
 
 @pytest.mark.parametrize("c", [2.0, 1e16, -3e17, 1e300])

@@ -209,7 +209,8 @@ def test_calibrate_threshold_matches_gaussian_quantile():
                                  replicates=4000, seed=1)
     assert result.tau == pytest.approx(Z95 / np.sqrt(20), abs=0.03)
     assert result.stderr > 0
-    test = result.make_test()
+    test = make_builtin_test(result.kind, result.window, result.tau,
+                             result.alpha)
     assert test.window == 20 and test.params["tau"] == result.tau
 
 
@@ -258,7 +259,8 @@ def test_size_soundness_calibrated_kpss_on_ar1():
     gen = GeneratorSpec("ar1", length=50, params={"rho": 0.5})
     calibration = calibrate_test_size("kpss_like", 50, 0.05, gen,
                                       replicates=4000, seed=10)
-    test = calibration.make_test()
+    test = make_builtin_test(calibration.kind, calibration.window, calibration.tau,
+                             calibration.alpha)
     exceed = 0
     n_seeds = 20
     for s in range(n_seeds):
