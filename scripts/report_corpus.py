@@ -138,15 +138,11 @@ TESTBENCH_SPECS = (
      "calibration": {"generator": "iid_normal(0,1),L=50",
                      "replicates": 1000, "seed": 2}},
 )
-TESTBENCH_OUTPUTS = ("testbench_summary.json", "rejections_00_mean_split.csv",
-                     "rejections_01_kpss_like.csv")
 # a separate run, so that the first run's summary keeps its hash
 TESTBENCH_STRIDED_SPECS = (
     {"kind": "variance_split", "n": 30, "tau": 0.8, "alpha": 0.05,
      "start": 7, "stride": 3},
 )
-TESTBENCH_STRIDED_OUTPUTS = ("testbench_summary.json",
-                             "rejections_00_variance_split.csv")
 TESTBENCH_KINDS_STRIDED_SPECS = (
     {"kind": "threshold_exceedance", "n": 40, "tau": 0.2, "alpha": 0.05,
      "start": 11, "stride": 7},
@@ -155,9 +151,6 @@ TESTBENCH_KINDS_STRIDED_SPECS = (
     {"kind": "kpss_like", "n": 60, "tau": 0.4, "alpha": 0.05,
      "start": 11, "stride": 7},
 )
-TESTBENCH_KINDS_STRIDED_OUTPUTS = (
-    "testbench_summary.json", "rejections_00_threshold_exceedance.csv",
-    "rejections_01_mean_split.csv", "rejections_02_kpss_like.csv")
 # a separate run, so that no existing hash moves; each calibration
 # generator's L= is its test's n
 TESTBENCH_CALIBRATED_SPECS = (
@@ -175,16 +168,11 @@ TESTBENCH_CALIBRATED_SPECS = (
          "generator": "random_phase_sine(theta=1.4142135623730951),L=33",
          "replicates": 1000, "seed": 6}},
 )
-TESTBENCH_CALIBRATED_OUTPUTS = (
-    "testbench_summary.json", "rejections_00_threshold_exceedance.csv",
-    "rejections_01_mean_split.csv", "rejections_02_variance_split.csv",
-    "rejections_03_kpss_like.csv")
 # a random walk, whose window sums are far from the sums over its prefix;
 # tau is about the median kpss_like statistic of its windows at n = 16
 WALK_FILE = "walk.txt"
 WALK_LENGTH = 200_000
 WALK_SPECS = ({"kind": "kpss_like", "n": 16, "tau": 0.85, "alpha": 0.05},)
-WALK_OUTPUTS = ("testbench_summary.json", "rejections_00_kpss_like.csv")
 MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
 # one spec per generator kind, every parameter away from its default
 GENERATE_SPECS = tuple(f"{text},L=2000,seed=1" for text in (
@@ -235,13 +223,18 @@ def _hash_files(out: dict[str, str], prefix: str, names,
             out[f"{prefix}/{name}"] = _sha(fh.read())
 
 
-def _testbench(out: dict[str, str], prefix: str, specs, names,
-               directory: str, source: str = TESTBENCH_INPUT) -> None:
+def _testbench(out: dict[str, str], prefix: str, specs, directory: str,
+               source: str = TESTBENCH_INPUT) -> None:
+    """Run ``pathstat testbench`` and hash its summary and every indicator
+    CSV the summary names."""
     with open("tests.json", "w", encoding="utf-8") as fh:
         json.dump(list(specs), fh)
     _cli(["testbench", source, "--tests", "tests.json",
           "--out-dir", directory])
-    _hash_files(out, prefix, names, directory)
+    with open(os.path.join(directory, "testbench_summary.json"), "rb") as fh:
+        summary = json.load(fh)
+    _hash_files(out, prefix, ["testbench_summary.json"] + [
+        test["indicators_csv"] for test in summary["tests"]], directory)
 
 
 def _contractions_sha(family) -> str:
@@ -281,20 +274,17 @@ def corpus() -> dict[str, str]:
             _hash_files(out, f"contract/{key}",
                         ("contraction.json", "trace.json"))
         _testbench(out, f"testbench/{TESTBENCH_INPUT}", TESTBENCH_SPECS,
-                   TESTBENCH_OUTPUTS, "out")
+                   "out")
         _testbench(out, f"testbench/{TESTBENCH_INPUT} start=7 stride=3",
-                   TESTBENCH_STRIDED_SPECS, TESTBENCH_STRIDED_OUTPUTS,
-                   "strided")
+                   TESTBENCH_STRIDED_SPECS, "strided")
         _testbench(out, f"testbench/{TESTBENCH_INPUT} start=11 stride=7",
-                   TESTBENCH_KINDS_STRIDED_SPECS,
-                   TESTBENCH_KINDS_STRIDED_OUTPUTS, "strided_kinds")
+                   TESTBENCH_KINDS_STRIDED_SPECS, "strided_kinds")
         _testbench(out, f"testbench/{TESTBENCH_INPUT} calibrated kinds",
-                   TESTBENCH_CALIBRATED_SPECS, TESTBENCH_CALIBRATED_OUTPUTS,
-                   "calibrated_kinds")
+                   TESTBENCH_CALIBRATED_SPECS, "calibrated_kinds")
         write_path(np.cumsum(
             np.random.default_rng(1).standard_normal(WALK_LENGTH)), WALK_FILE)
-        _testbench(out, f"testbench/{WALK_FILE}", WALK_SPECS, WALK_OUTPUTS,
-                   "walk", WALK_FILE)
+        _testbench(out, f"testbench/{WALK_FILE}", WALK_SPECS, "walk",
+                   WALK_FILE)
         _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
         _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
                     ("montecarlo.json",))

@@ -351,14 +351,16 @@ def cmd_testbench(args: argparse.Namespace) -> int:
     specs = _load_test_specs(args.tests)
     # a generated input carries the run's seed, its spec's seed= included
     seed = provenance.get("seed", _seed(args.seed))
-    # every spec is checked and calibrated before the first file is written
+    # every spec is checked, calibrated and applied before any file is written
     tests = [_test_from_spec(spec, seed, path.length) for spec in specs]
+    runs = [(test, calibration,
+             apply_moving_window(path, test, start=start, stride=stride,
+                                 config=config))
+            for test, calibration, start, stride in tests]
     out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
-    for i, (test, calibration, start, stride) in enumerate(tests):
-        record = apply_moving_window(path, test, start=start, stride=stride,
-                                     config=config)
+    for i, (test, calibration, record) in enumerate(runs):
         csv_name = f"rejections_{i:02d}_{test.params.get('kind', 'test')}.csv"
         _write_indicators(out_dir / csv_name, record)
         entry = {

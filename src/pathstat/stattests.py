@@ -9,8 +9,9 @@ limiting frequency.
 
 Built-in tests reject when a continuous statistic strictly exceeds a
 threshold, so the boundary of the rejection region is a null set under any
-continuous law.  User-supplied deciders are trusted, not checked, to satisfy
-one of the closed-region / null-boundary conditions.
+continuous law, and refuse a window whose statistic is not finite.
+User-supplied deciders are trusted, not checked, to satisfy one of the
+closed-region / null-boundary conditions.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     sum_t_sq = n * (n + 1) * (2 * n + 1) / 6.0
     total = sum_a_sq - 2.0 * mu * sum_t_a + mu * mu * sum_t_sq
     variance = sum_q / n - mu * mu
-    # a window with no differing neighbours reads 0, as in the scalar form
+    # no differing neighbours read 0, a NaN variance NaN, as in the scalar form
     moves = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
-    ok = (variance > 0) & (_sums(moves, starts, 0, n - 1) > 0)
+    ok = ~(variance <= 0) & (_sums(moves, starts, 0, n - 1) > 0)
     stats = np.zeros(idx.size)
     stats[ok] = total[ok] / (n * n * variance[ok])
     return stats
@@ -213,12 +214,18 @@ def _batch_chunk(n: int) -> int:
 
 def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
                       name: str | None = None) -> StationarityTest:
-    """A built-in test rejecting when its statistic strictly exceeds tau."""
+    """A built-in test rejecting when its statistic strictly exceeds tau.  A
+    statistic that is not finite is a ValueError naming the kind."""
     stat, batch, _ = builtin_kind(kind, n)
     chunk = _batch_chunk(n)
+    not_finite = f"statistic {kind!r} is not finite"
 
     def decide(window: np.ndarray) -> int:
-        return int(stat(np.asarray(window, dtype=np.float64)) > tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = stat(np.asarray(window, dtype=np.float64))
+        if not np.isfinite(value):
+            raise ValueError(not_finite)
+        return int(value > tau)
 
     def batch_decide(values: np.ndarray, starts: slice) -> np.ndarray:
         # a chunk's statistics depend only on its values, never on which of
@@ -234,9 +241,14 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
             i = max(0, -((first - lo) // step))
             local = range(first + i * step - lo, min(hi, stop) - lo, step)
             if local:
-                np.greater(batch(values[lo:hi + n - 1], n,
-                                 slice(local.start, local.stop, step)),
-                           tau, out=out[i:i + len(local)])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stats = batch(values[lo:hi + n - 1], n,
+                                  slice(local.start, local.stop, step))
+                finite = np.isfinite(stats)
+                if not finite.all():
+                    raise ValueError(f"{not_finite} at offset "
+                                     f"{lo + local[np.argmin(finite)]}")
+                np.greater(stats, tau, out=out[i:i + len(local)])
         return out
 
     return StationarityTest(
@@ -323,7 +335,8 @@ def window_starts(length: int, n: int, start: int, stride: int) -> slice:
 def apply_moving_window(path: Path, test: StationarityTest, start: int = 0,
                         stride: int = 1,
                         config: AnalysisConfig = DEFAULT_CONFIG) -> RejectionRecord:
-    """Evaluate the test at offsets start, start+stride, ... along the path."""
+    """Evaluate the test at offsets start, start+stride, ... along the path;
+    a ValueError of ``decide`` is raised again naming the window's offset."""
     n = test.window
     starts = window_starts(path.length, n, start, stride)
     if test.batch_decide is not None:
@@ -331,9 +344,12 @@ def apply_moving_window(path: Path, test: StationarityTest, start: int = 0,
                                 dtype=np.uint8)
     else:
         offsets = range(starts.start, starts.stop, starts.step)
-        indicators = np.fromiter(
-            (test.decide(path.values[i:i + n]) for i in offsets),
-            dtype=np.uint8, count=len(offsets))
+        indicators = np.empty(len(offsets), dtype=np.uint8)
+        for j, i in enumerate(offsets):
+            try:
+                indicators[j] = test.decide(path.values[i:i + n])
+            except ValueError as exc:
+                raise ValueError(f"{exc} at offset {i}") from None
     profile = _tail_profile(indicators, n, config.min_rung_windows)
     return RejectionRecord(
         test_name=test.name,

@@ -458,6 +458,25 @@ def test_testbench_overflowing_calibration_writes_nothing(tmp_path, capsys):
         "'iid_normal'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["variance_split", "kpss_like"])
+def test_testbench_overflowing_statistic_writes_nothing(tmp_path, capsys,
+                                                        kind):
+    # squares of N(0, 1e300) values overflow: every test is applied before
+    # the first file, so the finite mean_split writes nothing either
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([{"kind": "mean_split", "n": 20, "tau": 0.5},
+                                 {"kind": kind, "n": 20, "tau": 0.5}]))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["testbench", "generate:iid_normal(0,1e300),L=200,seed=1",
+                "--tests", tests, "--out-dir", out]) == 1
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: statistic '{kind}' is not finite at offset 0\n"
+
+
 def test_testbench_empty_tests_is_usage_error(tmp_path, capsys):
     tests = tmp_path / "tests.json"
     tests.write_text("[]")

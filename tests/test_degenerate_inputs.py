@@ -88,7 +88,8 @@ TOO_LONG = "pattern order 4 exceeds path length 3"
     (AR1_PATH, AR1_GRIDS, alternating_family(200), -1,
      "k_max must be at least 1"),
     (SHORT_PATH, SHORT_GRIDS, [Contraction([0], [2], 1.0)], 4, TOO_LONG),
-], ids=["order-3-missing", "k_max-0", "k_max-negative", "order-too-long"])
+], ids=["3-no grid of order 3", "0-k_max must be at least 1",
+        "-1-k_max must be at least 1", "4-" + TOO_LONG])
 def test_a_missing_grid_order_is_named(path, grids, family, k_max, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         scan_property_e(path, k_max, grids)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +35,24 @@ def test_threshold_test_decides_on_window_mean():
     assert test.decide(np.array([1.0, 1.0, 0.0, 1.0])) == 1
     assert test.decide(np.array([0.0, 1.0, 0.0, 1.0])) == 0   # mean = tau: accept
     assert test.decide(np.zeros(4)) == 0
+
+
+@pytest.mark.parametrize("start, stride", [(0, 1), (41, 3)])
+@pytest.mark.parametrize("kind", ["variance_split", "kpss_like"])
+def test_a_statistic_that_is_not_finite_is_refused(kind, start, stride):
+    # squares of N(0, 1e300) values overflow at every window: the batched
+    # and the window-by-window forms both refuse the first, with no warning
+    path = generate(parse_spec("iid_normal(0,1e300),L=200,seed=1"))
+    test = make_builtin_test(kind, 20, 0.5, 0.05)
+    message = f"^statistic '{kind}' is not finite at offset {start}$"
+    with pytest.raises(ValueError, match=message):
+        apply_moving_window(path, test, start, stride)
+    with pytest.raises(ValueError, match=message):
+        apply_moving_window(path, replace(test, batch_decide=None), start,
+                            stride)
+    with pytest.raises(ValueError, match=f"^statistic '{kind}' is not "
+                                         f"finite$"):
+        test.decide(path.values[:20])
 
 
 def test_mean_split_constant_window_accepts():
