@@ -55,9 +55,7 @@ class StationarityTest:
     nominal_size: float
     decide: Callable[[np.ndarray], int]
     params: Mapping[str, float] = field(default_factory=dict)
-    # optional vectorized evaluator of the windows at the starts a slice
-    # selects; must agree with ``decide`` exactly (tested), it exists purely
-    # for throughput
+    # optional: ``decide`` at the starts a slice selects, vectorized
     batch_decide: Callable[[np.ndarray, slice], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -148,11 +146,10 @@ def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     sum_t_sq = n * (n + 1) * (2 * n + 1) / 6.0
     total = sum_a_sq - 2.0 * mu * sum_t_a + mu * mu * sum_t_sq
     variance = sum_q / n - mu * mu
-    # no differing neighbours read 0, a NaN variance NaN, as in the scalar form
+    # NaN where the variance is not positive, 0 where flat, as the scalar form
+    stats = total / (n * n * np.where(variance > 0, variance, np.nan))
     moves = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
-    ok = ~(variance <= 0) & (_sums(moves, starts, 0, n - 1) > 0)
-    stats = np.zeros(idx.size)
-    stats[ok] = total[ok] / (n * n * variance[ok])
+    stats[_sums(moves, starts, 0, n - 1) == 0] = 0.0
     return stats
 
 
@@ -218,13 +215,12 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
     statistic that is not finite is a ValueError naming the kind."""
     stat, batch, _ = builtin_kind(kind, n)
     chunk = _batch_chunk(n)
-    not_finite = f"statistic {kind!r} is not finite"
 
     def decide(window: np.ndarray) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             value = stat(np.asarray(window, dtype=np.float64))
         if not np.isfinite(value):
-            raise ValueError(not_finite)
+            raise ValueError(f"statistic {kind!r} is not finite")
         return int(value > tau)
 
     def batch_decide(values: np.ndarray, starts: slice) -> np.ndarray:
@@ -244,11 +240,9 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
                 with np.errstate(over="ignore", invalid="ignore"):
                     stats = batch(values[lo:hi + n - 1], n,
                                   slice(local.start, local.stop, step))
-                finite = np.isfinite(stats)
-                if not finite.all():
-                    raise ValueError(f"{not_finite} at offset "
-                                     f"{lo + local[np.argmin(finite)]}")
                 np.greater(stats, tau, out=out[i:i + len(local)])
+                j = i + np.flatnonzero(~np.isfinite(stats))
+                out[j] = decide_windows(decide, values, n, first + step * j)
         return out
 
     return StationarityTest(
@@ -259,6 +253,18 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
         params={"kind": kind, "tau": tau},
         batch_decide=batch_decide,
     )
+
+
+def decide_windows(decide: Callable[[np.ndarray], int], values: np.ndarray,
+                   n: int, offsets: Sequence[int]) -> np.ndarray:
+    """``decide`` at each size-n window; a refusal names the window's offset."""
+    out = np.empty(len(offsets), dtype=np.uint8)
+    for j, i in enumerate(offsets):
+        try:
+            out[j] = decide(values[i:i + n])
+        except ValueError as exc:
+            raise ValueError(f"{exc} at offset {i}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +341,15 @@ def window_starts(length: int, n: int, start: int, stride: int) -> slice:
 def apply_moving_window(path: Path, test: StationarityTest, start: int = 0,
                         stride: int = 1,
                         config: AnalysisConfig = DEFAULT_CONFIG) -> RejectionRecord:
-    """Evaluate the test at offsets start, start+stride, ... along the path;
-    a ValueError of ``decide`` is raised again naming the window's offset."""
+    """Evaluate the test at offsets start, start+stride, ... along the path."""
     n = test.window
     starts = window_starts(path.length, n, start, stride)
     if test.batch_decide is not None:
         indicators = np.asarray(test.batch_decide(path.values, starts),
                                 dtype=np.uint8)
     else:
-        offsets = range(starts.start, starts.stop, starts.step)
-        indicators = np.empty(len(offsets), dtype=np.uint8)
-        for j, i in enumerate(offsets):
-            try:
-                indicators[j] = test.decide(path.values[i:i + n])
-            except ValueError as exc:
-                raise ValueError(f"{exc} at offset {i}") from None
+        indicators = decide_windows(test.decide, path.values, n,
+                                    range(starts.start, starts.stop, stride))
     profile = _tail_profile(indicators, n, config.min_rung_windows)
     return RejectionRecord(
         test_name=test.name,

@@ -55,6 +55,31 @@ def test_a_statistic_that_is_not_finite_is_refused(kind, start, stride):
         test.decide(path.values[:20])
 
 
+@pytest.mark.parametrize("start, stride, offset", [(0, 1, 81), (41, 3, 83)])
+@pytest.mark.parametrize("kind", ["variance_split", "kpss_like"])
+def test_a_mixed_scale_path_is_refused_where_the_scalar_refuses(
+        kind, start, stride, offset):
+    # 100 N(0, 1) values, then 100 N(0, 1e300): the window at 81 is the
+    # first to hold a large value, and the statistics before it are finite;
+    # the batched form, whose one chunk mixes both scales, defers to the
+    # scalar statistic and refuses there too, not at the first offset
+    rng = np.random.default_rng(1)
+    path = Path(np.concatenate([rng.normal(size=100),
+                                rng.normal(0.0, 1e300, 100)]))
+    test = make_builtin_test(kind, 20, 0.5, 0.05)
+    message = f"^statistic '{kind}' is not finite at offset {offset}$"
+    with pytest.raises(ValueError, match=message):
+        apply_moving_window(path, test, start, stride)
+    with pytest.raises(ValueError, match=message):
+        apply_moving_window(path, replace(test, batch_decide=None), start,
+                            stride)
+    before = path.values[:offset + 19]
+    assert np.array_equal(
+        test.batch_decide(before, slice(start, None, stride)),
+        [test.decide(before[i:i + 20])
+         for i in range(start, offset, stride)])
+
+
 def test_mean_split_constant_window_accepts():
     test = make_builtin_test("mean_split", 10, tau=1e-9, alpha=0.05)
     assert test.decide(np.full(10, 3.7)) == 0
