@@ -9,9 +9,12 @@ limiting frequency.
 
 Built-in tests reject when a continuous statistic strictly exceeds a
 threshold, so the boundary of the rejection region is a null set under any
-continuous law, and refuse a window whose statistic is not finite.
-User-supplied deciders are trusted, not checked, to satisfy one of the
-closed-region / null-boundary conditions.
+continuous law.  The scalar statistic of a window is the one rule: it
+decides the window, or refuses it when not finite.  The batched form over
+chunks of window starts only accelerates it, and leaves to it every window
+whose decision its own rounding could flip.  User-supplied deciders are
+trusted, not checked, to satisfy one of the closed-region / null-boundary
+conditions.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ class StationarityTest:
     nominal_size: float
     decide: Callable[[np.ndarray], int]
     params: Mapping[str, float] = field(default_factory=dict)
-    # optional: ``decide`` at the starts a slice selects, vectorized
+    # optional: ``decide`` at the starts a slice selects, vectorized; the
+    # built-in ones call ``decide`` on the windows they cannot vouch for
     batch_decide: Callable[[np.ndarray, slice], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -104,17 +108,70 @@ def _sums(p: np.ndarray, starts: slice, lo: int, hi: int) -> np.ndarray:
     return p[a + hi:b + hi:step] - p[a + lo:b + lo:step]
 
 
-def _batch_threshold(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
-    return _sums(_prefix(x), starts, 0, n) / n
+def _peak(p: np.ndarray) -> float:
+    """The largest magnitude in p; NaN when p holds a NaN.  A numpy float,
+    so arithmetic on it overflows to inf rather than raising."""
+    return np.maximum(p.max(), -p.min())
 
 
-def _batch_mean_split(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
+def _sums_peak(p: np.ndarray, starts: slice, lo: int,
+               hi: int) -> tuple[np.ndarray, float]:
+    return _sums(p, starts, lo, hi), _peak(p)
+
+
+def _abs_sum_bound(x: np.ndarray) -> float:
+    """sqrt(x.size * sum(x**2)): at least sum(|x|) (Cauchy-Schwarz), so at
+    least the magnitude of every prefix sum of x, and at least max |x|
+    times sqrt(x.size)."""
+    return math.sqrt(x.size * float(np.dot(x, x)))
+
+
+# A batched statistic vouches for a window only where its decision cannot
+# differ from the scalar statistic's: the margin of the decision (the
+# statistic minus tau; for kpss_like, its numerator minus tau * n^2 *
+# variance) must exceed ROUNDING_FACTOR * eps times the magnitudes the two
+# forms round.  The batched form's are the prefix sums it subtracts, each
+# bounded by the chunk's largest; the scalar form's are the window's mean
+# where the statistic moves with it to first order.  Elsewhere it reads
+# NaN, and ``decide`` decides the window.
+ROUNDING_FACTOR = 64
+_ROUNDING = ROUNDING_FACTOR * np.finfo(np.float64).eps
+
+
+def _vouched(stat: np.ndarray, margin: np.ndarray,
+             magnitude: float) -> np.ndarray:
+    """stat, NaN where |margin| does not exceed the rounding bound of
+    ``magnitude`` (also where either is not finite); overwrites both."""
+    bound = _ROUNDING * magnitude
+    np.abs(margin, out=margin)
+    # most chunks hold no window that close to its threshold
+    if not margin.min() > bound:
+        stat[~(margin > bound)] = np.nan
+    return stat
+
+
+def _batch_threshold(x: np.ndarray, n: int, starts: slice,
+                     tau: float) -> np.ndarray:
+    stat = _sums(_prefix(x), starts, 0, n) / n
+    # two prefix values over n, and the scalar's mean, at most max |x|
+    bound = _abs_sum_bound(x)
+    return _vouched(stat, stat - tau,
+                    bound * (2.0 / n + 1.0 / math.sqrt(x.size)))
+
+
+def _batch_mean_split(x: np.ndarray, n: int, starts: slice,
+                      tau: float) -> np.ndarray:
     h = n // 2
     c = _prefix(x)
-    return np.abs(_sums(c, starts, 0, h) / h - _sums(c, starts, h, n) / (n - h))
+    stat = np.abs(_sums(c, starts, 0, h) / h - _sums(c, starts, h, n) / (n - h))
+    # per half: two prefix values over its length, and the scalar's mean
+    bound = _abs_sum_bound(x)
+    return _vouched(stat, stat - tau, 2.0 * bound * (
+        1.0 / h + 1.0 / (n - h) + 1.0 / math.sqrt(x.size)))
 
 
-def _batch_variance_split(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
+def _batch_variance_split(x: np.ndarray, n: int, starts: slice,
+                          tau: float) -> np.ndarray:
     # shift-invariant: centring first keeps the prefix sums from cancelling
     x = x - np.mean(x)
     h = n // 2
@@ -123,20 +180,29 @@ def _batch_variance_split(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     var_a = _sums(q, starts, 0, h) / h - (_sums(c, starts, 0, h) / h) ** 2
     var_b = (_sums(q, starts, h, n) / (n - h)
              - (_sums(c, starts, h, n) / (n - h)) ** 2)
-    return np.abs(var_a - var_b)
+    stat = np.abs(var_a - var_b)
+    # per half, over its length: two values of q (at most q[-1] each), and
+    # twice its mean (at most max |x|) times two values of c, whose product
+    # is at most 2 * _abs_sum_bound(x) * sqrt(q[-1]) = 2 * sqrt(size) * q[-1];
+    # a variance moves with the scalar's rounded mean only to second order
+    magnitude = 2.0 * (1.0 + 2.0 * math.sqrt(x.size)) * q[-1] * (
+        1.0 / h + 1.0 / (n - h))
+    return _vouched(stat, stat - tau, magnitude)
 
 
-def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
+def _batch_kpss_like(x: np.ndarray, n: int, starts: slice,
+                     tau: float) -> np.ndarray:
     # window partial sums S_t = (C[i+t]-C[i]) - t*mu_i expanded so that every
     # term is a window sum of a precomputed sequence; shift-invariant, so
     # centring first keeps the prefix sums from cancelling at a mean offset.
     # Each prefix array but C lives only inside the expression taking its sums.
     mean = np.mean(x)
-    sum_q = _sums(_prefix(np.square(x - mean)), starts, 0, n)
+    sum_q, peak_q = _sums_peak(_prefix(np.square(x - mean)), starts, 0, n)
     c = _prefix(x - mean)
-    sum_csq = _sums(_prefix(c[1:] * c[1:]), starts, 0, n)
-    sum_c = _sums(_prefix(c[1:]), starts, 0, n)
-    sum_jc = _sums(_prefix(np.arange(1.0, c.size) * c[1:]), starts, 0, n)
+    sum_csq, peak_csq = _sums_peak(_prefix(c[1:] * c[1:]), starts, 0, n)
+    sum_c, peak_pc = _sums_peak(_prefix(c[1:]), starts, 0, n)
+    sum_jc, peak_jc = _sums_peak(_prefix(np.arange(1.0, c.size) * c[1:]),
+                                 starts, 0, n)
 
     idx = np.arange(starts.start, starts.stop, starts.step)
     c_i = c[starts]
@@ -146,20 +212,38 @@ def _batch_kpss_like(x: np.ndarray, n: int, starts: slice) -> np.ndarray:
     sum_t_sq = n * (n + 1) * (2 * n + 1) / 6.0
     total = sum_a_sq - 2.0 * mu * sum_t_a + mu * mu * sum_t_sq
     variance = sum_q / n - mu * mu
-    # NaN where the variance is not positive, 0 where flat, as the scalar form
-    stats = total / (n * n * np.where(variance > 0, variance, np.nan))
+    # the decision is total > tau * n^2 * variance; each term's magnitude
+    # bounded by the chunk's largest |c|, |mu| and |prefix value|.  The
+    # scalar's rounded window mean shifts its numerator by twice the sum of
+    # t * S_t, at most n * sqrt(n * total), times the mean's rounding; the
+    # window's mean is at most |mean| + max |x - mean| <= |mean| + sqrt(peak_q)
+    peak_c, peak_mu = _peak(c), _peak(mu)
+    magnitude = (2.0 * peak_csq + 4.0 * peak_c * peak_pc + n * peak_c ** 2
+                 + 2.0 * peak_mu * (2.0 * peak_jc + 2.0 * idx[-1] * peak_pc
+                                    + peak_c * n * (n + 1) / 2.0)
+                 + peak_mu ** 2 * sum_t_sq
+                 + abs(tau) * (2.0 * n * peak_q + n * n * peak_mu ** 2)
+                 + 2.0 * (abs(mean) + np.sqrt(peak_q)) * n
+                 * np.sqrt(n * _peak(total)))
+    stat = _vouched(total / (n * n * variance),
+                    total - tau * n * n * variance, magnitude)
+    # a variance that rounds to 0 or below has no ratio to vouch for, and no
+    # differing neighbours read 0, as in the scalar form
+    stat[~(variance > 0)] = np.nan
     moves = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
-    stats[_sums(moves, starts, 0, n - 1) == 0] = 0.0
-    return stats
+    stat[_sums(moves, starts, 0, n - 1) == 0] = 0.0
+    return stat
 
 
 class BuiltinKind(NamedTuple):
     """A built-in test kind: its statistic of a window (or of a stack of
     windows, one per row), the same statistic at a slice of window starts
-    along a path, and the least window it can test."""
+    along a path given the threshold it is decided against (NaN at a window
+    whose decision it cannot vouch for), and the least window it can
+    test."""
 
     statistic: Callable[[np.ndarray], float | np.ndarray]
-    batch: Callable[[np.ndarray, int, slice], np.ndarray]
+    batch: Callable[[np.ndarray, int, slice, float], np.ndarray]
     least_window: int = 2
 
 
@@ -199,7 +283,9 @@ def builtin_statistic(kind: str) -> Callable[[np.ndarray], float | np.ndarray]:
 # prefix sums start from its own origin, and the centred formulas centre on
 # its own mean, so the sums stay of the order of its own values (Chan, Golub
 # & LeVeque 1983) and its temporaries stay a few hundred KiB at n <= 400; the
-# floor keeps the per-chunk overhead small at short windows
+# floor keeps the per-chunk overhead small at short windows.  The centring
+# only speeds the batched form up: on a chunk holding a level shift its sums
+# cancel badly, and the rounding bound above defers the windows they touch
 BATCH_CHUNK_WINDOWS = 64
 BATCH_CHUNK_MIN_STARTS = 4096
 
@@ -212,7 +298,13 @@ def _batch_chunk(n: int) -> int:
 def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
                       name: str | None = None) -> StationarityTest:
     """A built-in test rejecting when its statistic strictly exceeds tau.  A
-    statistic that is not finite is a ValueError naming the kind."""
+    statistic that is not finite is a ValueError naming the kind.
+
+    ``batch_decide`` computes the kind's batched statistic chunk by chunk;
+    each window where it reads NaN (its rounding could flip the decision,
+    or it is not finite) is decided by ``decide`` through ``decide_windows``,
+    so its indicators, or its refusal and offset, are those of a run that
+    calls ``decide`` window by window."""
     stat, batch, _ = builtin_kind(kind, n)
     chunk = _batch_chunk(n)
 
@@ -237,12 +329,15 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
             i = max(0, -((first - lo) // step))
             local = range(first + i * step - lo, min(hi, stop) - lo, step)
             if local:
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(all="ignore"):
                     stats = batch(values[lo:hi + n - 1], n,
-                                  slice(local.start, local.stop, step))
+                                  slice(local.start, local.stop, step), tau)
                 np.greater(stats, tau, out=out[i:i + len(local)])
-                j = i + np.flatnonzero(~np.isfinite(stats))
-                out[j] = decide_windows(decide, values, n, first + step * j)
+                # a sum of finite statistics is finite unless it overflows
+                if not np.isfinite(stats.sum()):
+                    j = i + np.flatnonzero(~np.isfinite(stats))
+                    out[j] = decide_windows(decide, values, n,
+                                            first + step * j)
         return out
 
     return StationarityTest(

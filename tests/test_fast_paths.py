@@ -1019,6 +1019,80 @@ def test_kpss_like_decides_flat_windows_like_the_scalar(name, n):
         assert np.array_equal(batch[starts], scalar > 0.5)
 
 
+def _scalar_indicators(x: np.ndarray, n: int, kind: str,
+                       tau: float) -> np.ndarray:
+    """The scalar statistic of every size-n window, in stacks of rows (each
+    row bit for bit its own value), against tau."""
+    stat = builtin_statistic(kind)
+    starts = np.arange(x.size - n + 1)
+    rows = max(1, 2 ** 20 // n)
+    return np.concatenate([
+        stat(x[block[:, None] + np.arange(n)]) > tau
+        for block in np.split(starts, range(rows, starts.size, rows))])
+
+
+@functools.lru_cache(maxsize=None)
+def _level_shift_path(delta: float, m: int) -> np.ndarray:
+    """m N(0, 1) values, then m values of delta + N(0, 1)."""
+    rng = np.random.default_rng(1)
+    return np.concatenate([rng.normal(size=m), delta + rng.normal(size=m)])
+
+
+@pytest.mark.parametrize("n, m", [(20, 3000), (400, 30_000)])
+@pytest.mark.parametrize("delta", [1e2, 1e3, 1e4, 1e5, 1e6, 1e8])
+@pytest.mark.parametrize("kind, tau", [
+    ("kpss_like", 0.4), ("variance_split", 0.5), ("mean_split", 0.5),
+    # added to delta: the windows past the shift straddle tau
+    ("threshold_exceedance", 0.0)])
+def test_batch_decide_equals_the_scalar_across_a_level_shift(kind, tau,
+                                                             delta, n, m):
+    """A chunk holding the shift centres on a mean far from both levels,
+    so its prefix sums cancel badly; the windows whose decision that
+    rounding could flip are decided by the scalar statistic, so every
+    batched indicator equals the scalar one (the parent read, for
+    kpss_like at n = 20, 423 disagreements of 5,981 at delta = 1e4)."""
+    x = _level_shift_path(delta, m)
+    tau = tau + delta if kind == "threshold_exceedance" else tau
+    test = make_builtin_test(kind, n, tau, 0.05)
+    batch = test.batch_decide(x, slice(0, x.size - n + 1))
+    assert np.array_equal(batch, _scalar_indicators(x, n, kind, tau))
+
+
+def _deferred_windows(monkeypatch, test, x: np.ndarray) -> list[int]:
+    """The offsets a batched run over all of x leaves to ``decide``."""
+    deferred: list[int] = []
+    real = stattests.decide_windows
+
+    def counting(decide, values, n, offsets):
+        deferred.extend(offsets)
+        return real(decide, values, n, offsets)
+
+    monkeypatch.setattr(stattests, "decide_windows", counting)
+    test.batch_decide(x, slice(0, x.size - test.window + 1))
+    return deferred
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_no_window_of_the_benchmark_path_is_deferred(monkeypatch, kind):
+    """On iid N(100, 1) values at L = 1e6 and n = 400, with tau at the 0.95
+    quantile, every batched statistic vouches for its window."""
+    x = np.random.default_rng(5).normal(100.0, 1.0, 1_000_000)
+    n = 400
+    sampled = np.random.default_rng(3).integers(0, x.size - n + 1, 2000)
+    tau = float(np.quantile(
+        builtin_statistic(kind)(x[sampled[:, None] + np.arange(n)]), 0.95))
+    test = make_builtin_test(kind, n, tau, 0.05)
+    assert _deferred_windows(monkeypatch, test, x) == []
+
+
+@pytest.mark.parametrize("value", [2.5, 0.1, -1e6])
+def test_kpss_like_defers_no_window_of_a_constant_path(monkeypatch, value):
+    """Equal values read 0 whatever their prefix sums round to."""
+    test = make_builtin_test("kpss_like", 16, 0.4, 0.05)
+    assert _deferred_windows(monkeypatch, test,
+                             np.full(50_000, value)) == []
+
+
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_moving_window_memory_is_bounded_by_its_chunks(kind):
     path = Path(_long_path("walk"))
