@@ -29,6 +29,7 @@ from .pathcore import (
     DensityEstimate,
     IntervalPattern,
     Path,
+    check_pattern_order,
     occurrence_mask,
     tail_estimate,
     tail_mean_density,
@@ -297,16 +298,21 @@ def table_ergodicity(table: CellTable,
 
     The worst absolute difference across (contraction, order, cell) decides
     the verdict; anything above the table's ``ergodicity_tolerance`` counts
-    as evidence that the path does not induce a single ergodic law.
+    as evidence that the path does not induce a single ergodic law.  Each
+    copy meets every order of the table by the table's own rule: a copy
+    shorter than the top order is a ValueError naming the copy, not a copy
+    compared at fewer orders.
     """
     tolerance = table.config.ergodicity_tolerance
     records: list[DiagnosticRecord] = []
     for idx, contraction in enumerate(family):
         label = contraction.label or f"contraction[{idx}]"
         marg = contracted_codes(table, contraction)
+        try:
+            check_pattern_order(max(table.grids), marg.size)
+        except ValueError as exc:
+            raise ValueError(f"contracted copy {label!r}: {exc}") from None
         for k, base in table.stats.items():
-            if marg.size < k:
-                continue
             grid = table.grids[k]
             # every contracted copy is at most the path's length
             values = cell_tail_means(window_codes(marg, grid), grid.n_cells,

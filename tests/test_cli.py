@@ -293,6 +293,18 @@ def test_analyze_refuses_a_grid_above_the_cell_limit(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_analyze_refuses_a_copy_shorter_than_the_top_order(tmp_path,
+                                                          capsys):
+    # the 11-value path holds order 6; its 4-value alternating copy does not
+    assert run(["analyze", "generate:ar1(0.5),L=11,seed=3", "--k-max", "6",
+                "--grid-cells", "2", "--out-dir", tmp_path]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == (
+        "error: contracted copy 'alternating(c=0.2,phase=0)': pattern order "
+        "6 exceeds path length 4\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_seed_null_clears_the_seed_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": None}))

@@ -18,6 +18,7 @@ from pathstat.contraction import (
     coverage_ratios,
     default_contraction_family,
     ergodicity_diagnostic,
+    table_ergodicity,
     validate_contraction,
 )
 from pathstat.generators import GeneratorSpec, generate, parse_spec
@@ -28,6 +29,7 @@ from pathstat.pathcore import (
     estimate_limit_density,
     occurrence_set,
 )
+from pathstat.suite import run_suite
 from pathstat.properties import (
     PatternGrid,
     cell_table,
@@ -371,6 +373,44 @@ def test_diagnostic_tolerance_follows_the_config_rule(tolerance, message):
     with pytest.raises(ValueError,
                        match=f"^ergodicity_tolerance {message}"):
         ergodicity_diagnostic(path, family, grids, 2, tolerance, CONFIG)
+
+
+SHORT_AR1 = "ar1(0.5),L=11,seed=3"
+
+
+@pytest.mark.parametrize("k_max, message", [
+    (6, "'alternating(c=0.2,phase=0)': pattern order 6 exceeds path "
+        "length 4"),
+    (4, "'alternating(c=0.2,phase=1)': pattern order 4 exceeds path "
+        "length 3"),
+])
+def test_a_copy_shorter_than_the_top_order_is_refused(k_max, message):
+    """A contracted copy meets the table's orders by the table's rule: the
+    11-value path holds order 6, its 4-value and 3-value alternating copies
+    do not, and the first such copy is named (before, the copy was compared
+    at its lower orders only, and this path read NonErgodicEvidence)."""
+    path = generate(parse_spec(SHORT_AR1))
+    config = AnalysisConfig(k_max=k_max, grid_cells=2)
+    with pytest.raises(ValueError,
+                       match=f"^contracted copy {re.escape(message)}$"):
+        run_suite(path, config)
+    # an unlabelled copy is named by its place in the family
+    table = cell_table(path, grid_family(quantile_edges(path.values, 2),
+                                         k_max), config)
+    with pytest.raises(ValueError, match=r"^contracted copy "
+                       r"'contraction\[1\]': pattern order"):
+        table_ergodicity(table, [Contraction([0], [10], 1.0),
+                                 Contraction([0], [2], 0.3)])
+
+
+def test_copies_as_long_as_the_top_order_are_compared_at_every_order():
+    path = generate(parse_spec(SHORT_AR1))
+    result = run_suite(path, AnalysisConfig(k_max=3, grid_cells=2))
+    orders = {}
+    for record in result.ergodicity.records:
+        orders.setdefault(record.contraction_label, set()).add(record.k)
+    assert len(orders) == 6
+    assert all(k == {1, 2, 3} for k in orders.values())
 
 
 def test_diagnostic_ar1_consistent_with_default_family():
