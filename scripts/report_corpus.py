@@ -26,7 +26,10 @@ Prints one JSON object mapping each corpus entry to a sha256:
   other three kinds at start 11 and stride 7, and of a fourth run that
   calibrates one test of each kind under its own generator, and of a fifth
   run of ``kpss_like`` at n = 16 on a file holding a 2e5-value random walk,
-  where the batched statistic is most exposed to rounding;
+  where the batched statistic is most exposed to rounding, and of a sixth
+  run of ``kpss_like`` and ``variance_split`` at n = 20 on a file holding
+  a level shift of 1e4 between two runs of 3000 N(0, 1) values, whose
+  chunk centres far from both levels;
 * ``montecarlo/<file>``: the table of ``pathstat montecarlo`` (pass rates
   overall and per stage, profile mismatches) over its default generators
   with two replicates;
@@ -173,6 +176,14 @@ TESTBENCH_CALIBRATED_SPECS = (
 WALK_FILE = "walk.txt"
 WALK_LENGTH = 200_000
 WALK_SPECS = ({"kind": "kpss_like", "n": 16, "tau": 0.85, "alpha": 0.05},)
+# 3000 N(0, 1) values, then 3000 of 1e4 + N(0, 1): the chunk holding the
+# shift centres on a mean far from both levels, so its prefix sums cancel
+LEVEL_SHIFT_FILE = "level_shift.txt"
+LEVEL_SHIFT, LEVEL_SHIFT_RUN = 1e4, 3000
+LEVEL_SHIFT_SPECS = (
+    {"kind": "kpss_like", "n": 20, "tau": 0.4, "alpha": 0.05},
+    {"kind": "variance_split", "n": 20, "tau": 0.5, "alpha": 0.05},
+)
 MONTECARLO_ARGS = ["montecarlo", "--replicates", "2", "--seed", "1"]
 # one spec per generator kind, every parameter away from its default
 GENERATE_SPECS = tuple(f"{text},L=2000,seed=1" for text in (
@@ -285,6 +296,12 @@ def corpus() -> dict[str, str]:
             np.random.default_rng(1).standard_normal(WALK_LENGTH)), WALK_FILE)
         _testbench(out, f"testbench/{WALK_FILE}", WALK_SPECS, "walk",
                    WALK_FILE)
+        rng = np.random.default_rng(1)
+        write_path(np.concatenate([
+            rng.normal(size=LEVEL_SHIFT_RUN),
+            LEVEL_SHIFT + rng.normal(size=LEVEL_SHIFT_RUN)]), LEVEL_SHIFT_FILE)
+        _testbench(out, f"testbench/{LEVEL_SHIFT_FILE}", LEVEL_SHIFT_SPECS,
+                   "level_shift", LEVEL_SHIFT_FILE)
         _cli(MONTECARLO_ARGS + ["--out-dir", "out"])
         _hash_files(out, f"montecarlo/{' '.join(MONTECARLO_ARGS[1:])}",
                     ("montecarlo.json",))
