@@ -142,11 +142,7 @@ def _vouched(stat: np.ndarray, margin: np.ndarray,
              magnitude: float) -> np.ndarray:
     """stat, NaN where |margin| does not exceed the rounding bound of
     ``magnitude`` (also where either is not finite); overwrites both."""
-    bound = _ROUNDING * magnitude
-    np.abs(margin, out=margin)
-    # most chunks hold no window that close to its threshold
-    if not margin.min() > bound:
-        stat[~(margin > bound)] = np.nan
+    stat[~(np.abs(margin, out=margin) > _ROUNDING * magnitude)] = np.nan
     return stat
 
 
@@ -181,10 +177,10 @@ def _batch_variance_split(x: np.ndarray, n: int, starts: slice,
     var_b = (_sums(q, starts, h, n) / (n - h)
              - (_sums(c, starts, h, n) / (n - h)) ** 2)
     stat = np.abs(var_a - var_b)
-    # per half, over its length: two values of q (at most q[-1] each), and
-    # twice its mean (at most max |x|) times two values of c, whose product
-    # is at most 2 * _abs_sum_bound(x) * sqrt(q[-1]) = 2 * sqrt(size) * q[-1];
-    # a variance moves with the scalar's rounded mean only to second order
+    # per half, over its length: two values of q, each at most q[-1], and
+    # twice the half's mean times two values of c, at most
+    # 2 * sqrt(q[-1]) * 2 * _abs_sum_bound(x) = 4 * sqrt(size) * q[-1]; a
+    # variance moves with the scalar's rounded mean only to second order
     magnitude = 2.0 * (1.0 + 2.0 * math.sqrt(x.size)) * q[-1] * (
         1.0 / h + 1.0 / (n - h))
     return _vouched(stat, stat - tau, magnitude)
@@ -333,9 +329,8 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
                     stats = batch(values[lo:hi + n - 1], n,
                                   slice(local.start, local.stop, step), tau)
                 np.greater(stats, tau, out=out[i:i + len(local)])
-                # a sum of finite statistics is finite unless it overflows
-                if not np.isfinite(stats.sum()):
-                    j = i + np.flatnonzero(~np.isfinite(stats))
+                j = i + np.flatnonzero(~np.isfinite(stats))
+                if j.size:
                     out[j] = decide_windows(decide, values, n,
                                             first + step * j)
         return out
