@@ -119,40 +119,36 @@ def _sums_peak(p: np.ndarray, starts: slice, lo: int,
     return _sums(p, starts, lo, hi), _peak(p)
 
 
-def _abs_sum_bound(x: np.ndarray) -> float:
-    """sqrt(x.size * sum(x**2)): at least sum(|x|) (Cauchy-Schwarz), so at
-    least the magnitude of every prefix sum of x, and at least max |x|
-    times sqrt(x.size)."""
-    return math.sqrt(x.size * float(np.dot(x, x)))
-
-
 # A batched statistic vouches for a window only where its decision cannot
 # differ from the scalar statistic's: the margin of the decision (the
 # statistic minus tau; for kpss_like, its numerator minus tau * n^2 *
 # variance) must exceed ROUNDING_FACTOR * eps times the magnitudes the two
 # forms round.  The batched form's are the prefix sums it subtracts, each
 # bounded by the chunk's largest; the scalar form's are the window's mean
-# where the statistic moves with it to first order.  Elsewhere it reads
-# NaN, and ``decide`` decides the window.
+# where the statistic moves with it to first order.  Below the normal
+# range rounding is absolute, not relative, so the bound is never below the
+# least normal number.  Elsewhere it reads NaN, and ``decide`` decides the
+# window.
 ROUNDING_FACTOR = 64
 _ROUNDING = ROUNDING_FACTOR * np.finfo(np.float64).eps
+_LEAST_NORMAL = np.finfo(np.float64).tiny
 
 
 def _vouched(stat: np.ndarray, margin: np.ndarray,
              magnitude: float) -> np.ndarray:
     """stat, NaN where |margin| does not exceed the rounding bound of
     ``magnitude`` (also where either is not finite); overwrites both."""
-    stat[~(np.abs(margin, out=margin) > _ROUNDING * magnitude)] = np.nan
+    bound = _ROUNDING * magnitude + _LEAST_NORMAL
+    stat[~(np.abs(margin, out=margin) > bound)] = np.nan
     return stat
 
 
 def _batch_threshold(x: np.ndarray, n: int, starts: slice,
                      tau: float) -> np.ndarray:
     stat = _sums(_prefix(x), starts, 0, n) / n
-    # two prefix values over n, and the scalar's mean, at most max |x|
-    bound = _abs_sum_bound(x)
-    return _vouched(stat, stat - tau,
-                    bound * (2.0 / n + 1.0 / math.sqrt(x.size)))
+    # two prefix values, each at most size * max |x|, over n, and the
+    # scalar's mean, at most max |x|
+    return _vouched(stat, stat - tau, _peak(x) * (2.0 * x.size / n + 1.0))
 
 
 def _batch_mean_split(x: np.ndarray, n: int, starts: slice,
@@ -161,9 +157,8 @@ def _batch_mean_split(x: np.ndarray, n: int, starts: slice,
     c = _prefix(x)
     stat = np.abs(_sums(c, starts, 0, h) / h - _sums(c, starts, h, n) / (n - h))
     # per half: two prefix values over its length, and the scalar's mean
-    bound = _abs_sum_bound(x)
-    return _vouched(stat, stat - tau, 2.0 * bound * (
-        1.0 / h + 1.0 / (n - h) + 1.0 / math.sqrt(x.size)))
+    return _vouched(stat, stat - tau, 2.0 * _peak(x) * (
+        x.size / h + x.size / (n - h) + 1.0))
 
 
 def _batch_variance_split(x: np.ndarray, n: int, starts: slice,
@@ -179,7 +174,7 @@ def _batch_variance_split(x: np.ndarray, n: int, starts: slice,
     stat = np.abs(var_a - var_b)
     # per half, over its length: two values of q, each at most q[-1], and
     # twice the half's mean times two values of c, at most
-    # 2 * sqrt(q[-1]) * 2 * _abs_sum_bound(x) = 4 * sqrt(size) * q[-1]; a
+    # 2 * sqrt(q[-1]) * 2 * sqrt(size * q[-1]) (Cauchy-Schwarz); a
     # variance moves with the scalar's rounded mean only to second order
     magnitude = 2.0 * (1.0 + 2.0 * math.sqrt(x.size)) * q[-1] * (
         1.0 / h + 1.0 / (n - h))
