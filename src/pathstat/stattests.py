@@ -59,7 +59,8 @@ class StationarityTest:
     decide: Callable[[np.ndarray], int]
     params: Mapping[str, float] = field(default_factory=dict)
     # optional: ``decide`` at the starts a slice selects, vectorized; the
-    # built-in ones call ``decide`` on the windows they cannot vouch for
+    # built-in ones leave the windows they cannot vouch for to the scalar
+    # statistic, evaluated on stacked windows
     batch_decide: Callable[[np.ndarray, slice], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -292,10 +293,11 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
     statistic that is not finite is a ValueError naming the kind.
 
     ``batch_decide`` computes the kind's batched statistic chunk by chunk;
-    each window where it reads NaN (its rounding could flip the decision,
-    or it is not finite) is decided by ``decide`` through ``decide_windows``,
-    so its indicators, or its refusal and offset, are those of a run that
-    calls ``decide`` window by window."""
+    the windows of a chunk where it reads NaN (its rounding could flip the
+    decision, or it is not finite) are decided by the scalar statistic on
+    stacked windows through ``decide_stacked``, each row bit for bit its
+    own ``decide``, so its indicators, or its refusal and offset, are those
+    of a run that calls ``decide`` window by window."""
     stat, batch, _ = builtin_kind(kind, n)
     chunk = _batch_chunk(n)
 
@@ -326,7 +328,7 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
                 np.greater(stats, tau, out=out[i:i + len(local)])
                 j = i + np.flatnonzero(~np.isfinite(stats))
                 if j.size:
-                    out[j] = decide_windows(decide, values, n,
+                    out[j] = decide_stacked(kind, stat, tau, values, n,
                                             first + step * j)
         return out
 
@@ -338,6 +340,29 @@ def make_builtin_test(kind: str, n: int, tau: float, alpha: float,
         params={"kind": kind, "tau": tau},
         batch_decide=batch_decide,
     )
+
+
+def decide_stacked(kind: str, stat: Callable[[np.ndarray], np.ndarray],
+                   tau: float, values: np.ndarray, n: int,
+                   offsets: np.ndarray) -> np.ndarray:
+    """The decisions of a built-in kind's ``decide`` at the size-n windows
+    starting at ``offsets`` (ascending): its statistic ``stat`` evaluated on
+    stacks of windows, at most ``CALIBRATION_BLOCK_VALUES`` values a call,
+    each row bit for bit its own window's.  The first window whose
+    statistic is not finite is refused, as ``decide_windows`` refuses it."""
+    out = np.empty(offsets.size, dtype=np.uint8)
+    windows = np.lib.stride_tricks.sliding_window_view(values, n)
+    rows = max(1, CALIBRATION_BLOCK_VALUES // n)
+    for lo in range(0, offsets.size, rows):
+        block = np.asarray(windows[offsets[lo:lo + rows]], dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = stat(block)
+        bad = np.flatnonzero(~np.isfinite(value))
+        if bad.size:
+            raise ValueError(f"statistic {kind!r} is not finite at offset "
+                             f"{offsets[lo + bad[0]]}")
+        np.greater(value, tau, out=out[lo:lo + rows])
+    return out
 
 
 def decide_windows(decide: Callable[[np.ndarray], int], values: np.ndarray,
@@ -493,7 +518,8 @@ class CalibrationResult:
 
 # replicates of a calibration that names no count
 CALIBRATION_REPLICATES = 2000
-# values per block of calibration replicates; bounds a block's windows and
+# values per block of calibration replicates, and per stack of windows a
+# built-in test defers to its scalar statistic; bounds a block's windows and
 # the statistic's temporaries to a few MiB at any window size
 CALIBRATION_BLOCK_VALUES = 2 ** 18
 

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import functools
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -66,6 +67,7 @@ from pathstat.pathcore import (
 )
 from pathstat.properties import (
     DIGITIZE_CHUNK,
+    DIGITIZE_COMPARE_EDGES,
     _classify,
     _digitize_open,
     _fallback_cuts,
@@ -93,6 +95,7 @@ from pathstat.stattests import (
     calibrate_test_size,
     make_builtin_test,
 )
+from pathstat.suite import report_dict, run_suite
 
 CONFIG = AnalysisConfig()
 LEVEL_EDGES = (-math.inf, -1.0, 1.0, 4.0, 6.0, math.inf)
@@ -234,7 +237,8 @@ def test_shared_harmonic_prefix_equals_a_fresh_one():
     path = _path("block_mixture(0,5),L=50000,seed=1")
     grids = grid_family(LEVEL_EDGES, 2)
     table = cell_table(path, grids, CONFIG)
-    assert np.array_equal(table.harm, harmonic_prefix(path.length))
+    fresh = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, 50_001))))
+    assert _bits(table.harm) == _bits(fresh)
     family = _family_with_adversarial_copies(path, LEVEL_EDGES)
     assert len(family) > 6
     for contraction in family:
@@ -243,6 +247,31 @@ def test_shared_harmonic_prefix_equals_a_fresh_one():
         assert cell_tail_stats(ids, grids[2].n_cells, CONFIG.tail_fraction,
                                table.harm) == \
             cell_tail_stats(ids, grids[2].n_cells, CONFIG.tail_fraction)
+
+
+def test_harmonic_prefix_is_read_only_and_kept_per_length():
+    """One read-only array per length, kept until a run of another length;
+    reports do not depend on which run built it."""
+    harm = harmonic_prefix(2000)
+    assert not harm.flags.writeable
+    with pytest.raises(ValueError):
+        harm[1] = 0.0
+    assert harmonic_prefix(2000) is harm
+    assert harmonic_prefix(2001) is not harm
+
+    def report(length: int) -> str:
+        path = _path(f"ar1(0.5),L={length},seed=4")
+        return json.dumps(report_dict(run_suite(path)), sort_keys=True,
+                          allow_nan=False)
+
+    lengths = (2000, 100_000, 2000)
+    interleaved = [report(length) for length in lengths]
+    cleared = []
+    for length in lengths:
+        harmonic_prefix.cache_clear()
+        cleared.append(report(length))
+    assert interleaved == cleared
+    assert interleaved[0] == interleaved[2]
 
 
 @pytest.mark.parametrize("spec", [
@@ -328,15 +357,20 @@ def _digitize_whole(values, edges):
 
 @pytest.mark.parametrize("size", [0, 1, DIGITIZE_CHUNK - 1, DIGITIZE_CHUNK,
                                   DIGITIZE_CHUNK + 1, 1_000_000])
-@pytest.mark.parametrize("which", ["quantile", "finite", "many"])
+@pytest.mark.parametrize("which", ["quantile", "finite", "many",
+                                   "compared", "searched"])
 def test_chunked_digitization_equals_the_whole_path_form(size, which):
     x = _long_path("ar1(0.99)")[:size].copy()
     if which == "quantile":       # int8 codes, infinite ends
         edges = np.asarray(quantile_edges(x if size else [0.0], 8))
     elif which == "finite":       # values outside the range match no cell
         edges = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
-    else:                         # int32 codes
+    elif which == "many":         # int32 codes
         edges = np.linspace(-40.0, 40.0, 40_001)
+    else:                         # the most edges compared, and one more
+        count = DIGITIZE_COMPARE_EDGES + (which == "searched")
+        edges = np.concatenate(
+            ([-math.inf], np.linspace(-3.0, 3.0, count - 2), [math.inf]))
     # values on edges, at the ends and not a number
     x[::7] = edges[np.arange(x[::7].size) % edges.size]
     x[3::11] = np.array([-math.inf, math.inf, math.nan])[
@@ -1062,15 +1096,16 @@ def test_batch_decide_equals_the_scalar_at_tiny_scales(kind, scale):
 
 
 def _deferred_windows(monkeypatch, test, x: np.ndarray) -> list[int]:
-    """The offsets a batched run over all of x leaves to ``decide``."""
+    """The offsets a batched run over all of x leaves to the scalar
+    statistic."""
     deferred: list[int] = []
-    real = stattests.decide_windows
+    real = stattests.decide_stacked
 
-    def counting(decide, values, n, offsets):
-        deferred.extend(offsets)
-        return real(decide, values, n, offsets)
+    def counting(kind, stat, tau, values, n, offsets):
+        deferred.extend(offsets.tolist())
+        return real(kind, stat, tau, values, n, offsets)
 
-    monkeypatch.setattr(stattests, "decide_windows", counting)
+    monkeypatch.setattr(stattests, "decide_stacked", counting)
     test.batch_decide(x, slice(0, x.size - test.window + 1))
     return deferred
 
@@ -1086,6 +1121,21 @@ def test_no_window_of_the_benchmark_path_is_deferred(monkeypatch, kind):
         builtin_statistic(kind)(x[sampled[:, None] + np.arange(n)]), 0.95))
     test = make_builtin_test(kind, n, tau, 0.05)
     assert _deferred_windows(monkeypatch, test, x) == []
+
+
+def test_deferred_windows_are_decided_like_decide(monkeypatch):
+    """Across a level shift of 1e4, kpss_like at n = 400 defers most of its
+    windows; decided in stacks, each of every tenth reads what ``decide``
+    reads on it alone."""
+    x = _level_shift_path(1e4, 30_000)
+    test = make_builtin_test("kpss_like", 400, 0.4, 0.05)
+    deferred = _deferred_windows(monkeypatch, test, x)
+    assert len(deferred) > 20_000
+    batch = test.batch_decide(x, slice(0, x.size - test.window + 1))
+    sampled = deferred[::10]
+    assert np.array_equal(
+        batch[sampled],
+        stattests.decide_windows(test.decide, x, test.window, sampled))
 
 
 @pytest.mark.parametrize("value", [2.5, 0.1, -1e6])
