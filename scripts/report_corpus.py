@@ -9,12 +9,14 @@ Prints one JSON object mapping each corpus entry to a sha256:
   and L = 1e5, the benchmark's size;
 * ``analyze/<file>``: both files ``pathstat analyze`` writes for two
   generated text files (the second one's length ends the trajectory rows on
-  a partial block), for a hand-written file of edge tokens in the plain
-  one-number-per-line layout (signed zeros, subnormals, a 44-digit
-  mantissa, no trailing newline), for a CRLF file with a header row, for a
-  file of signed zeros among small integers, whose zero quantile cut
-  numpy's selection may return as -0.0, and for a file of the largest
-  float and one of its negative, whose fallback cuts would step past it;
+  a partial block), for the first of those files at ``--k-max 1`` (no
+  consistency row) and ``--k-max 3`` (rows k = 1 and 2), for a
+  hand-written file of edge tokens in the plain one-number-per-line layout
+  (signed zeros, subnormals, a 44-digit mantissa, no trailing newline), for
+  a CRLF file with a header row, for a file of signed zeros among small
+  integers, whose zero quantile cut numpy's selection may return as -0.0,
+  and for a file of the largest float and one of its negative, whose
+  fallback cuts would step past it;
 * ``contract/<file>``: the payload and the ``--trace`` of ``pathstat
   contract`` on one block_mixture path, with the configured m schedule and
   with one that is not powers of two, of three runs that fail, one at
@@ -89,6 +91,9 @@ LONG_GENERATORS = (
 # ends on a partial block of 1 value, the row n = 20011
 ANALYZE_SPECS = (f"ar1(0.5),L={LENGTH},seed=1", "ar1(0.5),L=20011,seed=1")
 ANALYZE_OUTPUTS = ("report.json", "density_trajectories.csv")
+# the orders the first analyze file is also run at: the default k_max = 2
+# reports one consistency row, these none and two
+ANALYZE_K_MAX = (1, 3)
 # tokens at the edges of the float grammar and of float64 rounding
 EDGE_TOKENS = (
     "-0", "-0.0", "-1e-400", "5e-324",
@@ -274,6 +279,13 @@ def corpus() -> dict[str, str]:
             write_path(generate(parse_spec(spec)).values, "path.txt")
             _cli(["analyze", "path.txt", "--out-dir", "out"], ok=(0, 2))
             _hash_files(out, f"analyze/{spec}", ANALYZE_OUTPUTS)
+            if spec != ANALYZE_SPECS[0]:
+                continue
+            for k_max in ANALYZE_K_MAX:
+                _cli(["analyze", "path.txt", "--out-dir", "out",
+                      "--k-max", str(k_max)], ok=(0, 2))
+                _hash_files(out, f"analyze/{spec} --k-max {k_max}",
+                            ANALYZE_OUTPUTS)
         for name, data in ANALYZE_FILES:
             with open(name, "wb") as fh:
                 fh.write(data)
