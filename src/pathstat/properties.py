@@ -779,37 +779,27 @@ def local_density_deviation(path: Path, pattern: IntervalPattern, N: int,
 
 @dataclass(frozen=True, eq=False)
 class PathDiagnostics:
+    """One path's Property E verdicts and tightness, and the cell table
+    they read, from which ``report_dict`` tabulates the consistency rows."""
+
     verdicts: tuple[PropertyEVerdict, ...]
     property_e_pass: bool
     tightness: TightnessProfile
-    fdd: InducedFDD
-    consistency: dict[int, float]
-    consistency_bounds: dict[int, float]
     table: CellTable
 
 
 def analyze_path(path: Path, config: AnalysisConfig = DEFAULT_CONFIG,
                  edges: Sequence[float] | None = None) -> PathDiagnostics:
-    """Run the recurrence scan and the tightness check, and tabulate the
-    consistency discrepancies, which never exceed their bounds."""
+    """Tabulate the cells of orders 1..k_max (k_max clamped below the
+    length) and run the recurrence scan and the tightness check."""
     if edges is None:
         edges = quantile_edges(path.values, config.grid_cells)
     k_max = min(config.k_max, path.length - 1) or 1
     table = cell_table(path, grid_family(edges, k_max), config)
     verdicts = tuple(table_property_e(table))
-    tightness = check_property_t(path, config=config)
-    fdd = table_fdd(table)
-    consistency: dict[int, float] = {}
-    bounds: dict[int, float] = {}
-    for k in range(1, k_max):
-        consistency[k] = consistency_check(fdd, k)
-        bounds[k] = consistency_bound(fdd, k)
     return PathDiagnostics(
         verdicts=verdicts,
         property_e_pass=not has_violation(verdicts),
-        tightness=tightness,
-        fdd=fdd,
-        consistency=consistency,
-        consistency_bounds=bounds,
+        tightness=check_property_t(path, config=config),
         table=table,
     )

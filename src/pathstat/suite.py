@@ -23,7 +23,13 @@ from .generators import (
     generate,
 )
 from .pathcore import Path
-from .properties import PathDiagnostics, analyze_path
+from .properties import (
+    PathDiagnostics,
+    analyze_path,
+    consistency_bound,
+    consistency_check,
+    table_fdd,
+)
 
 __all__ = ["FullDiagnostics", "MonteCarloRow", "montecarlo", "run_suite",
            "report_dict"]
@@ -75,7 +81,8 @@ def _cell_json(pattern) -> list[list[float | None]]:
 
 
 def report_dict(result: FullDiagnostics) -> dict:
-    """The machine-readable report (JSON-safe: infinite endpoints are null)."""
+    """The machine-readable report (JSON-safe: infinite endpoints are null).
+    No verdict reads the consistency rows, so they are tabulated here."""
     diag = result.diagnostics
     verdicts = [
         {
@@ -88,15 +95,9 @@ def report_dict(result: FullDiagnostics) -> dict:
         }
         for v in diag.verdicts
     ]
-    consistency = [
-        {
-            "k": k,
-            "discrepancy": diag.consistency[k],
-            "bound": diag.consistency_bounds[k],
-            "pass": diag.consistency[k] <= diag.consistency_bounds[k],
-        }
-        for k in sorted(diag.consistency)
-    ]
+    fdd = table_fdd(diag.table)
+    consistency = [(k, consistency_check(fdd, k), consistency_bound(fdd, k))
+                   for k in range(1, max(fdd.grids))]
     erg = result.ergodicity
     offending = None
     if erg.offending is not None:
@@ -109,7 +110,8 @@ def report_dict(result: FullDiagnostics) -> dict:
             "fractions": list(diag.tightness.fractions),
             "verdict": diag.tightness.verdict,
         },
-        "consistency": consistency,
+        "consistency": [{"k": k, "discrepancy": gap, "bound": bound,
+                         "pass": gap <= bound} for k, gap, bound in consistency],
         "ergodicity": {
             "verdict": erg.verdict,
             "worst_discrepancy": erg.worst_discrepancy,

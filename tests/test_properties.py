@@ -524,8 +524,9 @@ def test_analyze_path_sine_passes_cleanly():
     diag = analyze_path(path, CONFIG)
     assert diag.property_e_pass
     assert diag.tightness.verdict
-    assert all(diag.consistency[k] <= diag.consistency_bounds[k]
-               for k in diag.consistency)
+    fdd = table_fdd(diag.table)
+    assert all(consistency_check(fdd, k) <= consistency_bound(fdd, k)
+               for k in range(1, max(diag.table.grids)))
 
 
 def test_analyze_path_monotone_fails_e_and_t():

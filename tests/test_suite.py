@@ -3,8 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
+from pathstat import properties, suite
+from pathstat.config import AnalysisConfig
 from pathstat.generators import expected_profile, generate, parse_spec
+from pathstat.properties import table_fdd
 from pathstat.suite import montecarlo, report_dict, run_suite
 
 
@@ -30,10 +34,11 @@ def test_one_grid_family_serves_every_stage():
     result = run_suite(generate(parse_spec("block_mixture(0,5),L=5000,seed=3")))
     diag = result.diagnostics
     grids = diag.table.grids
-    assert diag.fdd.grids.keys() == grids.keys() == {1, 2}
+    fdd = table_fdd(diag.table)
+    assert fdd.grids.keys() == grids.keys() == {1, 2}
     for k, grid in grids.items():
-        assert diag.fdd.grids[k] is grid
-        assert diag.fdd.measures[k].grid is grid
+        assert fdd.grids[k] is grid
+        assert fdd.measures[k].grid is grid
     # the verdicts and the ergodicity records name those grids' own cells
     cells = {id(cell) for grid in grids.values() for cell in grid.cells}
     assert all(id(v.pattern) in cells for v in diag.verdicts)
@@ -56,3 +61,31 @@ def test_report_keeps_the_keys_the_benchmark_reads():
     assert report["overall_pass"] == (
         report["propertyE"]["pass"] and report["propertyT"]["verdict"]
         and report["ergodicity"]["verdict"] == "ConsistentWithErgodic")
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_only_the_report_tabulates_the_consistency_rows(monkeypatch, k_max):
+    """run_suite, and so every montecarlo replicate, builds no induced FDD;
+    report_dict builds one and reads it once per consistency row."""
+    calls = {"table_fdd": 0, "consistency_check": 0, "consistency_bound": 0}
+
+    def counted(name):
+        original = getattr(properties, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(properties, name, wrapper)
+        monkeypatch.setattr(suite, name, wrapper)
+    result = run_suite(generate(parse_spec("ar1(0.5),L=2000,seed=1")),
+                       AnalysisConfig(k_max=k_max))
+    assert calls == dict.fromkeys(calls, 0)
+    report = report_dict(result)
+    assert calls == {"table_fdd": 1, "consistency_check": k_max - 1,
+                     "consistency_bound": k_max - 1}
+    assert [row["k"] for row in report["consistency"]] == \
+        list(range(1, k_max))
