@@ -295,9 +295,13 @@ def harmonic_prefix(horizon: int) -> np.ndarray:
 
     Read-only, and kept until a call of another horizon replaces it, so the
     runs on paths of one length share one array (8 bytes a value, which
-    each run held anyway)."""
-    harm = np.concatenate(([0.0],
-                           np.cumsum(1.0 / np.arange(1.0, horizon + 1))))
+    each run held anyway, and the only array its in-place build holds)."""
+    harm = np.ones(horizon + 1)
+    harm[0] = 0.0
+    tail = harm[1:]
+    np.cumsum(tail, out=tail)
+    np.reciprocal(tail, out=tail)
+    np.cumsum(tail, out=tail)
     harm.flags.writeable = False
     return harm
 
