@@ -29,7 +29,6 @@ from .generators import GeneratorSpec, format_spec, generate, parse_spec
 from .pathcore import (
     IntervalPattern,
     Path,
-    PathParseError,
     read_path_file,
     write_path,
 )
@@ -521,8 +520,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PathParseError, ValueError, OSError, KeyError,
-            CalibrationError) as exc:
+    except (ValueError, OSError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

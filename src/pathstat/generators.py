@@ -85,9 +85,13 @@ def generate(spec: GeneratorSpec) -> Path:
     """Deterministic given (spec, seed)."""
     kind = KINDS[spec.kind]
     # an overflow is reported once, as an error naming the spec
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = kind.draw(spec.length, spec.params,
-                           _rng(spec) if kind.stochastic else None)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = kind.draw(spec.length, spec.params,
+                               _rng(spec) if kind.stochastic else None)
+    except MemoryError:
+        raise ValueError(f"generator spec {format_spec(spec)!r} is too long "
+                         f"to hold in memory") from None
     if not np.isfinite(values).all():
         raise _not_finite(spec)
     return Path(values)

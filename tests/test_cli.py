@@ -754,3 +754,30 @@ def test_contract_takes_its_two_config_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"out_dir": "d"}))
     assert run(["contract", *COMMAND_ARGS["contract"], "--config", cfg]) == 1
     assert "unknown config key 'out_dir'" in capsys.readouterr().err
+
+
+def test_an_internal_error_is_not_reported_as_refused_input(tmp_path,
+                                                            monkeypatch):
+    def broken(result):
+        raise KeyError("propertyE")
+
+    monkeypatch.setattr("pathstat.cli.report_dict", broken)
+    with pytest.raises(KeyError, match="propertyE"):
+        run(["analyze", "generate:ar1(0.5),L=200,seed=1",
+             "--out-dir", tmp_path])
+
+
+# numpy refuses an array of 8e14 bytes before it allocates any of it
+@pytest.mark.parametrize("args, spec", [
+    (["analyze", "generate:constant(0),L=100000000000000"],
+     "constant(c=0),L=100000000000000"),
+    (["generate", "--spec", "iid_normal(0,1),L=100000000000000,seed=1"],
+     "iid_normal(mu=0,sigma=1),L=100000000000000,seed=1"),
+], ids=["analyze", "generate"])
+def test_a_length_too_long_to_hold_is_an_error(tmp_path, capsys, args, spec):
+    assert run([*args, "--out-dir" if args[0] == "analyze" else "--out",
+                tmp_path / "out"]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == (f"error: generator spec {spec!r} is too long to "
+                           f"hold in memory\n")
+    assert not (tmp_path / "out").exists()
