@@ -769,14 +769,13 @@ def test_an_internal_error_is_not_reported_as_refused_input(tmp_path,
 
 # numpy refuses an array of 8e14 bytes before it allocates any of it
 @pytest.mark.parametrize("args, spec", [
-    (["analyze", "generate:constant(0),L=100000000000000"],
+    (["analyze", "generate:constant(0),L=100000000000000", "--out-dir"],
      "constant(c=0),L=100000000000000"),
-    (["generate", "--spec", "iid_normal(0,1),L=100000000000000,seed=1"],
-     "iid_normal(mu=0,sigma=1),L=100000000000000,seed=1"),
+    (["generate", "--spec", "iid_normal(0,1),L=100000000000000,seed=1",
+      "--out"], "iid_normal(mu=0,sigma=1),L=100000000000000,seed=1"),
 ], ids=["analyze", "generate"])
 def test_a_length_too_long_to_hold_is_an_error(tmp_path, capsys, args, spec):
-    assert run([*args, "--out-dir" if args[0] == "analyze" else "--out",
-                tmp_path / "out"]) == 1
+    assert run([*args, tmp_path / "out"]) == 1
     printed = capsys.readouterr()
     assert printed.err == (f"error: generator spec {spec!r} is too long to "
                            f"hold in memory\n")
