@@ -130,20 +130,39 @@ def quantile_edges(values: np.ndarray,
     v = np.asarray(values, dtype=np.float64)
     if cells < 2:
         raise ValueError("cells must be at least 2")
-    # numpy selects its order statistics by partition, which a sorted copy
-    # already is: the cuts are the same, and numpy's vectorised sort is
-    # cheaper than its multi-kth selection.  Interpolating between values
-    # near the ends of the float range can overflow to an infinite or NaN
-    # cut; such cuts are dropped
+    # the cuts interpolate between order statistics, which a sorted copy
+    # holds in place: numpy's vectorised sort is cheaper than the selection
+    # np.quantile runs.  Interpolating between values near the ends of the
+    # float range can overflow to an infinite or NaN cut; such cuts are
+    # dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        qs = np.quantile(np.sort(v), np.linspace(0.0, 1.0, cells + 1)[1:-1],
-                         overwrite_input=True)
-    # equal values share their bits except zeros, whose sign follows the
-    # order the selection meets them in; adding +0.0 makes every zero +0.0
+        qs = _linear_quantiles(np.sort(v),
+                               np.linspace(0.0, 1.0, cells + 1)[1:-1])
+    # equal values share their bits except zeros, which sort as equals
+    # whatever their sign; adding +0.0 makes every zero +0.0
     cuts = np.unique(qs[np.isfinite(qs)]) + 0.0
     if cuts.size < 2:
         cuts = _fallback_cuts(v, cuts)
     return (-math.inf, *(float(c) for c in cuts), math.inf)
+
+
+def _linear_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(ordered, q)`` (its default "linear" method) read from
+    the sorted values: the virtual index (n - 1) q lies between two order
+    statistics, and numpy's lerp weights them by its fractional part.  The
+    results equal numpy's but perhaps in the sign of a zero."""
+    index = (ordered.size - 1) * q
+    below = np.floor(index)
+    gamma = index - below
+    at = below.astype(np.intp)
+    lo, hi = ordered[at], ordered[np.minimum(at + 1, ordered.size - 1)]
+    diff = hi - lo
+    # numpy's _lerp, which turns to the upper end for gamma >= 0.5
+    out = np.where(gamma >= 0.5, hi - diff * (1.0 - gamma), lo + diff * gamma)
+    # numpy's quantiles of values holding a NaN, which sorts last, are NaN
+    if np.isnan(ordered[-1]):
+        out[:] = math.nan
+    return out
 
 
 def _fallback_cuts(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:

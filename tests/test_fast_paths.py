@@ -71,6 +71,7 @@ from pathstat.properties import (
     _classify,
     _digitize_open,
     _fallback_cuts,
+    _linear_quantiles,
     _measure,
     _small_int_dtype,
     cell_table,
@@ -362,6 +363,54 @@ def test_quantile_edges_equal_numpys_selection_on_paths(spec, cells):
     values = _path(spec).values
     assert quantile_edges(values, cells) == \
         _quantile_edges_by_selection(values, cells)
+
+
+def _quantile_inputs(count):
+    """Seeded inputs of 1..300 values at 2..70 cells, so many hold fewer
+    values than cells: normals, normals rounded to a few atoms, the atoms
+    above, and runs of atoms long enough that cuts fall on them."""
+    rng = np.random.default_rng(35)
+    atoms = np.array(ATOMS)
+    for i in range(count):
+        size, cells = int(rng.integers(1, 301)), int(rng.integers(2, 71))
+        which = i % 4
+        if which == 0:
+            values = rng.standard_normal(size)
+        elif which == 1:
+            values = np.round(rng.standard_normal(size), i % 3)
+        elif which == 2:
+            values = rng.choice(atoms, size)
+        else:
+            runs = rng.choice(atoms, int(rng.integers(1, 6)))
+            values = np.repeat(runs, size // runs.size + 1)[:size]
+            rng.shuffle(values)
+        yield values, cells
+
+
+def test_linear_quantiles_equal_numpys_bytes():
+    for values, cells in _quantile_inputs(5000):
+        q = np.linspace(0.0, 1.0, cells + 1)[1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.quantile(values, q) + 0.0
+            got = _linear_quantiles(np.sort(values), q) + 0.0
+        assert got.tobytes() == want.tobytes(), (values, cells)
+
+
+@pytest.mark.parametrize("values, cells", [
+    ([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0], 3),   # each cut on a run of atoms
+    ([0.0, -0.0, -0.0, 0.0, 1.0], 4),           # cuts on signed zeros
+    ([2.0, -1.0, 0.5], 8),                       # fewer values than cells
+    ([4.0], 5),
+    ([1.0, math.nan, 2.0], 4),                   # numpy's cuts are all NaN
+])
+def test_linear_quantiles_on_atoms_and_short_paths(values, cells):
+    v = np.array(values)
+    q = np.linspace(0.0, 1.0, cells + 1)[1:-1]
+    want = np.quantile(v, q) + 0.0
+    assert (_linear_quantiles(np.sort(v), q) + 0.0).tobytes() == \
+        want.tobytes()
+    assert [x.hex() for x in quantile_edges(v, cells)] == \
+        [x.hex() for x in _quantile_edges_by_selection(v, cells)]
 
 
 # ---------------------------------------------------------------------------
