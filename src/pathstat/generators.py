@@ -7,13 +7,19 @@ with ``numpy.random.SeedSequence`` so results are reproducible regardless of
 execution order.  ``generate_rows`` draws many seeds' paths from one reused
 generator, setting its state per row from a vectorised port of the seeding
 that ``default_rng(seed)`` performs, so each row equals that generator's
-draw bit for bit.  scipy's filter is loaded only when an ar1 path is drawn.
+draw bit for bit.  scipy is loaded only when an ar1 path is drawn, and then
+only its filter extension, not the ``scipy.signal`` package.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -223,18 +229,53 @@ class GeneratorKind:
     checks: tuple[Check, ...] = ()
 
 
+def _sigtools_file() -> str | None:
+    """The path of scipy's ``signal/_sigtools`` extension file, or None when
+    scipy's layout has no such file.  Finding it imports the ``scipy``
+    package alone, not ``scipy.signal``."""
+    spec = importlib.util.find_spec("scipy.signal")
+    for folder in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_sigtools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _linear_filter() -> Callable[..., np.ndarray]:
+    """``f(b, a, x, axis)``: the C recursion that ``scipy.signal.lfilter``
+    runs for a denominator of two or more terms, taken from its extension
+    module.  Importing ``scipy.signal`` loads much of scipy; the extension
+    alone loads in milliseconds.  It is registered under its own name, so a
+    later ``import scipy.signal`` reuses it.  When scipy has no such file,
+    ``lfilter`` itself runs the same computation."""
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        path = _sigtools_file()
+        if path is None:
+            from scipy.signal import lfilter
+            return lfilter
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader))
+        sys.modules[name] = module
+        loader.exec_module(module)
+    return module._linear_filter
+
+
 def _ar1(n: int, p: Mapping[str, float],
          rng: np.random.Generator) -> np.ndarray:
-    # loaded here: scipy.signal brings in much of scipy
-    from scipy.signal import lfilter
-
     rho, sigma = p["rho"], p["sigma"]
     innovations = np.empty(n)
-    # stationary start, then the recursion x_{t} = rho x_{t-1} + sigma xi_t
+    # stationary start, then the recursion x_{t} = rho x_{t-1} + sigma xi_t,
+    # run by lfilter([1], [1, -rho], innovations)'s own C code
     innovations[0] = rng.normal(0.0, sigma / math.sqrt(1.0 - rho * rho))
     if n > 1:
         innovations[1:] = sigma * rng.standard_normal(n - 1)
-    return lfilter([1.0], [1.0, -rho], innovations)
+    return _linear_filter()(np.array([1.0]), np.array([1.0, -rho]),
+                            innovations, -1)
 
 
 def _unique_peak(n: int, p: Mapping[str, float],

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -237,11 +238,104 @@ def test_generate_rows_refuses_a_seed_outside_uint32(wrap, seed):
                               f"[0, 2**32), got {seed!r}")
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded():
-    # scipy.signal, and the scipy modules it loads, wait for an ar1 draw
+def _run_fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports pathstat from this
+    source tree; its stdout."""
     src = FsPath(pathstat.__file__).parents[1]
-    code = "import sys, pathstat.cli; print('scipy.signal' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy, and every scipy module, waits for a draw or a parse that uses it
+    code = ("import sys, pathstat.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    assert _run_fresh(code).strip() == "[]"
+
+
+def _ar1_innovations(rho, n, seed):
+    """The innovations an ar1(rho) draw of n values filters: a stationary
+    start, then unit normals."""
+    rng = np.random.default_rng(seed)
+    innovations = np.empty(n)
+    innovations[0] = rng.normal(0.0, 1.0 / math.sqrt(1.0 - rho * rho))
+    innovations[1:] = rng.standard_normal(n - 1)
+    return innovations
+
+
+@pytest.fixture(params=["extension", "fallback"])
+def filter_route(request, monkeypatch):
+    """The ar1 filter loaded afresh from scipy's extension file, or, with
+    that file not found, taken from ``scipy.signal.lfilter``."""
+    from pathstat import generators
+
+    monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
+    if request.param == "fallback":
+        monkeypatch.setattr(generators, "_sigtools_file", lambda: None)
+    generators._linear_filter.cache_clear()
+    yield request.param
+    generators._linear_filter.cache_clear()
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, -0.7, 0.3])
+@pytest.mark.parametrize("length", [1, 2, 100_000])
+def test_ar1_equals_lfilter_bit_for_bit(filter_route, rho, length):
+    from scipy.signal import lfilter
+
+    from pathstat.generators import _linear_filter
+
+    spec = GeneratorSpec("ar1", length=length, params={"rho": rho})
+    seeds = [0, 1, 7]
+    rows = generate_rows(spec, seeds)
+    for seed, row in zip(seeds, rows):
+        want = lfilter([1.0], [1.0, -rho], _ar1_innovations(rho, length, seed))
+        assert generate(spec.with_seed(seed)).values.tobytes() == \
+            want.tobytes()
+        assert row.tobytes() == want.tobytes()
+    taken = _linear_filter()
+    if filter_route == "fallback":
+        assert taken is lfilter
+    else:
+        assert taken is sys.modules["scipy.signal._sigtools"]._linear_filter
+
+
+# what ``import scipy`` loads: the package, its config, version and _lib
+# helpers
+SCIPY_CORE = {"scipy", "scipy.__config__", "scipy._cyutility",
+              "scipy._distributor_init", "scipy.version"}
+
+
+def test_an_ar1_draw_loads_the_filter_extension_alone(tmp_path):
+    code = """
+import json, math, sys
+import numpy as np
+from pathstat import cli
+from pathstat.generators import generate, parse_spec
+
+x = generate(parse_spec("ar1(0.5),L=2000,seed=1")).values
+assert cli.main(["analyze", "generate:ar1(0.5),L=2000,seed=1",
+                 "--out-dir", sys.argv[1]]) == 0
+loaded = sorted(m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy."))
+sigtools = sys.modules["scipy.signal._sigtools"]
+import scipy.signal
+rng = np.random.default_rng(1)
+innovations = np.empty(2000)
+innovations[0] = rng.normal(0.0, 1.0 / math.sqrt(0.75))
+innovations[1:] = rng.standard_normal(1999)
+want = scipy.signal.lfilter([1.0], [1.0, -0.5], innovations)
+print(json.dumps({
+    "loaded": loaded,
+    "same": sys.modules["scipy.signal._sigtools"] is sigtools
+            and scipy.signal._signaltools._sigtools is sigtools,
+    "bits": x.tobytes() == want.tobytes()}))
+"""
+    out = json.loads(_run_fresh(code, str(tmp_path)).splitlines()[-1])
+    assert "scipy.signal._sigtools" in out["loaded"]
+    assert [m for m in out["loaded"]
+            if m not in SCIPY_CORE | {"scipy.signal._sigtools"}
+            and not m.startswith("scipy._lib")] == []
+    assert out["same"] and out["bits"]
+    assert (tmp_path / "report.json").is_file()
